@@ -86,22 +86,6 @@ class Field:
     def div(self, a, b):
         return a * self.inv(b) % self.p
 
-    def arith(self, a, b, op: str):
-        """Dispatch helper matching the {add,sub,mul,div,inv,neg} contract."""
-        if op == "add":
-            return self.add(a, b)
-        if op == "sub":
-            return self.sub(a, b)
-        if op == "mul":
-            return self.mul(a, b)
-        if op == "div":
-            return self.div(a, b)
-        if op == "inv":
-            return self.inv(a)
-        if op == "neg":
-            return self.neg(a)
-        raise InvalidInput(f"unknown op {op!r}")
-
     # -- array helpers ----------------------------------------------------
 
     def array(self, data) -> np.ndarray:

@@ -58,11 +58,11 @@ def matrix_numerator(terms, Pmat: PolyMat) -> PolyMat:
     return PolyMat(f, out)
 
 
-def _row_times_column(a_row: PolyMat, omega: PolyMat) -> Poly:
-    f = a_row.field
-    acc = Poly.zero(f)
+def row_times_column(a_row: PolyMat, omega: PolyMat, j: int = 0) -> Poly:
+    """a_row . (column j of omega)."""
+    acc = Poly.zero(a_row.field)
     for k in range(a_row.cols):
-        acc = acc + a_row.entries[0][k] * omega.entries[k][0]
+        acc = acc + a_row.entries[0][k] * omega.entries[k][j]
     return acc
 
 
@@ -70,7 +70,7 @@ def scalar_numerator(inp: NumeratorInputs, w: np.ndarray) -> Poly:
     """Numerator of (u_i M^s w) with respect to s1, via the block sequence."""
     terms = project_vector(inp.table, w)
     omega = matrix_numerator(terms, inp.Pmat)
-    return _row_times_column(inp.a_row, omega)
+    return row_times_column(inp.a_row, omega)
 
 
 def scalar_numerator_corrected(inp: NumeratorInputs, w: np.ndarray, corrections) -> Poly:
@@ -85,4 +85,4 @@ def scalar_numerator_corrected(inp: NumeratorInputs, w: np.ndarray, corrections)
         (t - np.asarray(c).reshape(t.shape)) % f.p for t, c in zip(terms, corrections)
     ]
     omega = matrix_numerator(terms, inp.Pmat)
-    return _row_times_column(inp.a_row, omega)
+    return row_times_column(inp.a_row, omega)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from time import perf_counter
 
 import numpy as np
 
@@ -24,13 +25,14 @@ from .errors import (
     UnluckyRandomness,
 )
 from .field import Field, Rng, sample_block
-from .numerators import NumeratorInputs, scalar_numerator
+from .numerators import NumeratorInputs, scalar_numerator, scalar_numerator_corrected
 from .polymat import largest_invariant_factor, left_quotient_row, minimal_matrix_generator
 from .sparse import (
     KrylovTable,
     SparseMat,
     combine_matrices,
     krylov_left_sequence,
+    mat_vec,
     project_right,
 )
 from .unipoly import Poly, berlekamp_massey, scalar_numerator_direct, squarefree_part
@@ -99,19 +101,17 @@ def parametrization_from_series(ell_powers, ell_coord, bound: int, field: Field,
     sequences.
     """
     P = berlekamp_massey(ell_powers, field, bound)
+    return parametrization_from_minpoly(P, ell_powers, ell_coord, t)
+
+
+def parametrization_from_minpoly(P: Poly, ell_powers, ell_coord, t=None) -> ZeroDimParam:
+    """parametrization_from_series once P, the minimal polynomial of the
+    power sequence, is known."""
+    field = P.field
     Q = squarefree_part(P)
-    C1 = scalar_numerator_direct(ell_powers, field, P)
-    n = len(ell_coord)
-    if t is None:
-        t = [0] * n
-    try:
-        C1_inv = C1.modinv(Q)
-    except NotInvertible:
-        raise
-    V = []
-    for seq in ell_coord:
-        Ci = scalar_numerator_direct(seq, field, P)
-        V.append(Ci.modmul(C1_inv, Q))
+    C1_inv = scalar_numerator_direct(ell_powers, field, P).modinv(Q)
+    V = [scalar_numerator_direct(seq, field, P).modmul(C1_inv, Q) for seq in ell_coord]
+    t = t if t is not None else [0] * len(ell_coord)
     return ZeroDimParam(Q=Q, V=V, t=[int(x) % field.p for x in t])
 
 
@@ -134,13 +134,81 @@ class BlockSolveArtifacts:
     """Intermediates of one block_parametrization run, kept for testing."""
 
     M: SparseMat
-    table: KrylovTable
+    table: KrylovTable  # the first d blocks, the ones the numerators read
     seq: list
     Pmat: object
     s1: Poly
     a_row: object
     C1: Poly
     C_coord: list
+
+
+def _block_core(M, U, V, d, rng, workers=1, stats=None, delta=None, target=None, rows=1):
+    """The block-Krylov pipeline shared by the plain, X_1 and residual solves.
+
+    Returns (seq, inp, Q, a_rows): the 2d terms U^T M^s V (minus the
+    correction terms delta, when given), the NumeratorInputs over the first
+    d Krylov blocks, the squarefree part Q of the largest invariant factor
+    s1 of the terms' minimal matrix generator, and its first `rows` left
+    quotient rows.
+
+    With a target dimension, a squarefree s1 of lower degree raises
+    NonSeparating: the action is semisimple on a proper subspace, so either
+    the combination collides two points (needs a fresh t) or the blocking
+    missed part of the space.  A degree-deficient s1 with repeated roots
+    signals nilpotent structure instead and passes.
+    """
+    f = M.field
+    t0 = perf_counter()
+    table = krylov_left_sequence(M, U, 2 * d, workers=workers)
+    if stats is not None:
+        stats.krylov_seconds += perf_counter() - t0
+    seq = project_right(table, V)
+    if delta is not None:
+        seq = [(s - c) % f.p for s, c in zip(seq, delta)]
+    Pmat = minimal_matrix_generator(seq, f, d, d)
+    s1 = largest_invariant_factor(Pmat, rng.child())
+    Q = squarefree_part(s1)
+    if target is not None and s1.degree < target and s1 == Q:
+        raise NonSeparating(f"squarefree invariant factor of degree {s1.degree} < {target}")
+    a_rows = [left_quotient_row(Pmat, s1, i, rng.child()) for i in range(rows)]
+    inp = NumeratorInputs(Pmat=Pmat, s1=s1, a_row=a_rows[0], table=KrylovTable(f, table.blocks[:d]))
+    return seq, inp, Q, a_rows
+
+
+def _numerators(inp: NumeratorInputs, mats, corrections=None) -> list:
+    """Numerators of (u_1 M^s w) for w = e_1, mats[0] e_1, mats[1] e_1, ...
+
+    With corrections (one list of m x 1 terms per w), each is the numerator
+    of the corrected sequence L_s w - corrections[k][s].
+    """
+    e1 = unit_vector(inp.table.field, inp.table.dim)
+    ws = [e1] + [mat_vec(Mi, e1) for Mi in mats]
+    if corrections is None:
+        return [scalar_numerator(inp, w) for w in ws]
+    return [scalar_numerator_corrected(inp, w, c) for w, c in zip(ws, corrections)]
+
+
+def _coordinates(nums: list, Q: Poly) -> list:
+    """C_w / C_{e_1} mod Q for each numerator after the first, that of e_1."""
+    C1_inv = nums[0].modinv(Q)
+    return [C.modmul(C1_inv, Q) for C in nums[1:]]
+
+
+def _rank_one_defect(inp: NumeratorInputs, mats, y, nums: list) -> Poly:
+    """a*c - b^2, with a, b, c the numerators of e_1, N e_1 and N^2 e_1 for
+    the probe N = sum y_i mats[i]; nums = _numerators(inp, mats) gives a and
+    b = sum y_i nums[1 + i], as numerators are linear in w.
+
+    At a simple root of s1 carrying one simple point P, (a, b, c) is
+    proportional to (1, y(P), y(P)^2) and the defect vanishes; at a root
+    shared by two points, or carrying a fat point, it generically does not.
+    """
+    f = inp.table.field
+    b = sum((C.scale(yi) for yi, C in zip(y, nums[1:])), Poly.zero(f))
+    N = combine_matrices(y, mats)
+    c = scalar_numerator(inp, mat_vec(N, mat_vec(N, unit_vector(f, N.dim))))
+    return nums[0] * c - b * b
 
 
 def block_parametrization(
@@ -156,73 +224,94 @@ def block_parametrization(
 ) -> ZeroDimParam:
     """One attempt of the block algorithm with fixed randomness.
 
-    Raises GenericityFailure and friends on unlucky draws; `solve` wraps this
-    with the retry policy.
+    Raises GenericityFailure and friends on unlucky draws, and NonSeparating
+    when t is caught merging points; `solve` wraps this with the retry policy.
     """
-    import time
-
     f = inst.field
     if not 1 <= m <= inst.D:
         raise InvalidInput("block size must be in [1, D]")
     rng = rng or Rng(0)
     M = combine_matrices(t, inst.mats)
     d = max(1, math.ceil(inst.D / m))
-    t0 = time.perf_counter()
-    table = krylov_left_sequence(M, U, 2 * d, workers=workers)
-    t1 = time.perf_counter()
-    if stats is not None:
-        stats.krylov_seconds += t1 - t0
-    seq = project_right(table, V)
-    Pmat = minimal_matrix_generator(seq, f, d, d)
-    s1 = largest_invariant_factor(Pmat, rng.child())
-    Q = squarefree_part(s1)
-    if s1.degree < inst.D and s1 == Q:
-        # a semisimple action on a proper subspace: either the combination
-        # collides two points (needs a fresh t) or the blocking missed part
-        # of the space; a degree-deficient s1 with repeated roots would
-        # instead signal genuine nilpotent structure and is accepted
-        raise NonSeparating(
-            f"squarefree invariant factor of degree {s1.degree} < {inst.D}"
-        )
-    a_row = left_quotient_row(Pmat, s1, 0, rng.child())
-    short = KrylovTable(f, table.blocks[:d])
-    inp = NumeratorInputs(Pmat=Pmat, s1=s1, a_row=a_row, table=short)
-    eps1 = unit_vector(f, inst.D)
-    C1 = scalar_numerator(inp, eps1)
-    C1_inv = C1.modinv(Q)
-    Vpolys = []
-    C_coord = []
-    for Mi in inst.mats:
-        w = mat_vec(Mi, eps1)
-        Ci = scalar_numerator(inp, w)
-        C_coord.append(Ci)
-        Vpolys.append(Ci.modmul(C1_inv, Q))
-    param = ZeroDimParam(Q=Q, V=Vpolys, t=[int(x) % f.p for x in t])
+    seq, inp, Q, _ = _block_core(M, U, V, d, rng, workers=workers, stats=stats, target=inst.D)
+    nums = _numerators(inp, inst.mats)
+    if inp.s1.degree < inst.D and inp.s1 != Q:
+        # repeated roots pass the core's certificate even when t merges two
+        # simple points at another root: test the simple roots of s1 with a
+        # probe form, as the X_1 solve does
+        probe = rng.child()
+        y = [probe.nonzero_element(f) for _ in range(inst.n)]
+        Q_simple = Q // Q.gcd(inp.s1 // Q)
+        if not (_rank_one_defect(inp, inst.mats, y, nums) % Q_simple).is_zero():
+            raise NonSeparating("a simple root of the invariant factor carries several points")
+    param = ZeroDimParam(Q=Q, V=_coordinates(nums, Q), t=[int(x) % f.p for x in t])
     param.check_invariants()
     if artifacts is not None:
         artifacts.append(
             BlockSolveArtifacts(
-                M=M, table=table, seq=seq, Pmat=Pmat, s1=s1, a_row=a_row, C1=C1, C_coord=C_coord
+                M=M, table=inp.table, seq=seq, Pmat=inp.Pmat, s1=inp.s1, a_row=inp.a_row,
+                C1=nums[0], C_coord=nums[1:],
             )
         )
     return param
 
 
-def mat_vec(M: SparseMat, w: np.ndarray) -> np.ndarray:
-    """M . w for a column vector, via the transposed row product."""
-    f = M.field
-    if w.shape != (M.dim,):
-        raise ShapeError("vector length mismatch")
-    if f.dtype is np.int64 and M.dim <= f._acc_limit:
-        return (M.csr @ w) % f.p
-    out = f.zeros(M.dim)
-    indptr, indices, data = M.csr.indptr, M.csr.indices, M.csr.data
-    for r in range(M.dim):
-        acc = 0
-        for k in range(indptr[r], indptr[r + 1]):
-            acc += int(data[k]) * int(w[indices[k]])
-        out[r] = acc % f.p
-    return out
+def retry_solve(inst: Instance, m: int, rng: Rng, attempt, forms, retries: int, stats: SolveStats):
+    """Call attempt(U, V, *drawn_forms) with fresh randomness until it succeeds.
+
+    This is the retry policy of both `solve` and `splitting.solve_split`.
+    `forms` gives the length of each random form, drawn in that order with
+    nonzero entries from rng: (n,) draws t, (n, n - 1) draws t and then the
+    probe y.
+
+    * Every attempt draws a fresh U, then a fresh V (D x m).
+    * NonSeparating (t caught merging points) redraws all forms at once.
+      This happens at most 6 times, and is counted in
+      stats.extras["t_retries"], not in stats.retries.
+    * A RETRYABLE failure (an unlucky U, V or internal draw) counts as a
+      retry.  After 2 in a row the forms are redrawn as well.
+    * `retries` caps the retries: the solve gives up at the
+      (retries + 1)-th RETRYABLE failure.
+
+    When a budget runs out, UnluckyRandomness is raised.  stats.retries and
+    stats.total_seconds are set in every case.
+    """
+    f = inst.field
+    start = perf_counter()
+
+    def draw():
+        return [[rng.nonzero_element(f) for _ in range(k)] for k in forms]
+
+    drawn = draw()
+    uv_failures = attempts = t_draws = 0
+    # only the message is kept: the exception's traceback would keep the
+    # failed attempt's Krylov blocks alive through the next attempt
+    last = None
+    try:
+        while attempts <= retries:
+            U = sample_block(rng, f, inst.D, m)
+            V = sample_block(rng, f, inst.D, m)
+            try:
+                return attempt(U, V, *drawn)
+            except NonSeparating as exc:
+                last = str(exc)
+                t_draws += 1
+                stats.extras["t_retries"] = t_draws
+                if t_draws > 6:
+                    break
+                drawn = draw()
+                uv_failures = 0
+            except RETRYABLE as exc:
+                last = str(exc)
+                attempts += 1
+                uv_failures += 1
+                if uv_failures >= 2:
+                    drawn = draw()
+                    uv_failures = 0
+        raise UnluckyRandomness(f"retries exhausted: {last}")
+    finally:
+        stats.total_seconds = perf_counter() - start
+        stats.retries = attempts
 
 
 def solve(
@@ -234,47 +323,15 @@ def solve(
     stats: SolveStats | None = None,
     artifacts: list | None = None,
 ) -> ZeroDimParam:
-    """Retry wrapper: fresh U,V first (M and t kept), fresh t afterwards."""
-    import time
-
-    f = inst.field
+    """The block algorithm under the retry policy of `retry_solve`."""
     stats = stats if stats is not None else SolveStats()
-    start = time.perf_counter()
-    t = [rng.nonzero_element(f) for _ in range(inst.n)]
-    uv_failures = 0
-    attempts = 0
-    t_draws = 0
-    last = None
-    while attempts <= retries:
-        U = sample_block(rng, f, inst.D, m)
-        V = sample_block(rng, f, inst.D, m)
-        try:
-            param = block_parametrization(
-                inst, U, V, t, m, rng=rng, workers=workers, stats=stats, artifacts=artifacts
-            )
-            stats.total_seconds = time.perf_counter() - start
-            stats.retries = attempts
-            return param
-        except NonSeparating as exc:
-            # detected collision of the separating form: resample t at once,
-            # budgeted separately from the genericity retries
-            last = exc
-            t_draws += 1
-            stats.extras["t_retries"] = t_draws
-            if t_draws > 6:
-                break
-            t = [rng.nonzero_element(f) for _ in range(inst.n)]
-            uv_failures = 0
-        except RETRYABLE as exc:
-            last = exc
-            attempts += 1
-            uv_failures += 1
-            if uv_failures >= 2:
-                t = [rng.nonzero_element(f) for _ in range(inst.n)]
-                uv_failures = 0
-    stats.total_seconds = time.perf_counter() - start
-    stats.retries = attempts
-    raise UnluckyRandomness(f"retries exhausted: {last}")
+
+    def attempt(U, V, t):
+        return block_parametrization(
+            inst, U, V, t, m, rng=rng, workers=workers, stats=stats, artifacts=artifacts
+        )
+
+    return retry_solve(inst, m, rng, attempt, (inst.n,), retries, stats)
 
 
 def verify_against_points(param: ZeroDimParam, truth_points, field: Field):

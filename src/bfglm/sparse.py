@@ -1,9 +1,10 @@
 """Sparse matrices over a prime field and the parallel block-Krylov engine.
 
-Storage is scipy CSR with int64 entries reduced to [0, p).  The only product
-the solvers need is row-vector times matrix, so everything is tuned for that
-access pattern.  For large p the int64 fast path overflows, so the product
-falls back to exact object-dtype arithmetic.
+Storage is scipy CSR with int64 entries reduced to [0, p).  The Krylov
+sequence needs row-vector times matrix, so everything is tuned for that
+access pattern; the numerators add a few matrix-vector products.  For large
+p the int64 fast path overflows, so both products fall back to one exact
+Python-int product.
 """
 
 from __future__ import annotations
@@ -107,24 +108,37 @@ def combine_matrices(t, mats) -> SparseMat:
     return SparseMat(field, dim, acc)
 
 
+def _int64_safe(M: SparseMat) -> bool:
+    """Whether int64 sums of D products of reduced entries cannot overflow."""
+    f = M.field
+    return f.dtype is np.int64 and M.dim <= f._acc_limit
+
+
+def _exact_product(M: SparseMat, x: np.ndarray, left: bool) -> np.ndarray:
+    """Exact x . M (left) or M . x over the field, summed in Python ints."""
+    rows = np.repeat(np.arange(M.dim), np.diff(M.csr.indptr))
+    src, dst = (rows, M.csr.indices) if left else (M.csr.indices, rows)
+    out = np.zeros(M.dim, dtype=object)
+    np.add.at(out, dst, M.csr.data.astype(object) * np.asarray(x, dtype=object)[src])
+    return M.field.array(out)
+
+
 def vec_mat(v: np.ndarray, M: SparseMat) -> np.ndarray:
     """Exact v . M over the field."""
     if v.shape != (M.dim,):
         raise ShapeError(f"vector length {v.shape} does not match {M.dim}")
-    f = M.field
-    if f.dtype is np.int64 and M.dim <= f._acc_limit:
-        return (v @ M.csr) % f.p
-    # Exact fallback: accumulate per-row dot products in Python ints.
-    out = f.zeros(M.dim)
-    indptr, indices, data = M.csr.indptr, M.csr.indices, M.csr.data
-    for r in range(M.dim):
-        vr = int(v[r])
-        if vr == 0:
-            continue
-        for k in range(indptr[r], indptr[r + 1]):
-            c = indices[k]
-            out[c] = (out[c] + vr * int(data[k])) % f.p
-    return out
+    if _int64_safe(M):
+        return (v @ M.csr) % M.field.p
+    return _exact_product(M, v, left=True)
+
+
+def mat_vec(M: SparseMat, w: np.ndarray) -> np.ndarray:
+    """Exact M . w over the field, for a column vector w."""
+    if w.shape != (M.dim,):
+        raise ShapeError("vector length mismatch")
+    if _int64_safe(M):
+        return (M.csr @ w) % M.field.p
+    return _exact_product(M, w, left=False)
 
 
 class KrylovTable:

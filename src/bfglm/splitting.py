@@ -11,41 +11,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GenericityFailure,
-    InvalidInput,
-    NonSeparating,
-    NotCoprime,
-    NotInvertible,
-    UnluckyRandomness,
-)
-from .field import Field, Rng, sample_block
-from .numerators import NumeratorInputs, matrix_numerator, scalar_numerator, scalar_numerator_corrected
+from .errors import InvalidInput, NonSeparating, NotCoprime, NotInvertible
+from .field import Field, Rng
+from .numerators import matrix_numerator, row_times_column
 from .param import (
-    RETRYABLE,
     Instance,
     SolveStats,
     ZeroDimParam,
+    _block_core,
+    _coordinates,
+    _numerators,
+    _rank_one_defect,
     block_parametrization,
-    mat_vec,
-    parametrization_from_series,
+    parametrization_from_minpoly,
+    retry_solve,
     unit_vector,
 )
-from .polymat import PolyMat, largest_invariant_factor, left_quotient_row, minimal_matrix_generator
-from .sparse import (
-    KrylovTable,
-    combine_matrices,
-    krylov_left_sequence,
-    project_right,
-    project_vector,
-)
+from .polymat import PolyMat
+from .sparse import KrylovTable, combine_matrices, mat_vec, project_right
 from .unipoly import (
     Poly,
     berlekamp_massey,
     crt_pair,
     laurent_expand,
     power_projection,
-    squarefree_part,
     transposed_modmul,
 )
 
@@ -96,54 +85,28 @@ def block_parametrization_x1(
     drops repeated X_1-values, the other (the a*c - b^2 test with the probe
     form Y) drops X_1-values hiding structure invisible to X_1.
     """
-    import time
-
     f = inst.field
     rng = rng or Rng(0)
     if len(y) != inst.n - 1:
         raise InvalidInput("probe form needs n-1 coefficients")
-    M1 = inst.mats[0]
     d = max(1, math.ceil(inst.D / m))
-    t0 = time.perf_counter()
-    table = krylov_left_sequence(M1, U, 2 * d, workers=workers)
-    if stats is not None:
-        stats.krylov_seconds += time.perf_counter() - t0
-    seq = project_right(table, V)
-    Pmat = minimal_matrix_generator(seq, f, d, d)
-    M_min = largest_invariant_factor(Pmat, rng.child())
-    F = squarefree_part(M_min)
+    seq, inp, F, a_rows = _block_core(
+        inst.mats[0], U, V, d, rng, workers=workers, stats=stats, rows=m
+    )
+    M_min = inp.s1
     F = (F // F.gcd(M_min.gcd(M_min.derivative()))).monic()
-    a_rows = [left_quotient_row(Pmat, M_min, i, rng.child()) for i in range(m)]
-    short = KrylovTable(f, table.blocks[:d])
-    inp = NumeratorInputs(Pmat=Pmat, s1=M_min, a_row=a_rows[0], table=short)
-
-    N = combine_matrices(y, inst.mats[1:]) if inst.n > 1 else None
-    eps1 = unit_vector(f, inst.D)
-    w = eps1
-    A = []
-    for _ in range(3):
-        A.append(scalar_numerator(inp, w))
-        if N is not None:
-            w = mat_vec(N, w)
-    if N is not None:
-        acb = A[0] * A[2] - A[1] * A[1]
-        F = F.gcd(acb) if not acb.is_zero() else F
+    nums = _numerators(inp, inst.mats[1:])
+    if inst.n > 1:
+        F = F.gcd(_rank_one_defect(inp, inst.mats[1:], y, nums))
     t_x1 = [1] + [0] * (inst.n - 1)
     if F.degree == 0:
         param = _empty_param(f, inst.n, t_x1)
-        cache = X1SolveCache(
-            table=short, seq=seq, Pmat=Pmat, M_min=M_min, a_rows=a_rows, param_A=param, D_A=0
-        )
-        return cache, param
-    A0_inv = A[0].modinv(F)
-    G = [Poly.x(f) % F]
-    for Mi in inst.mats[1:]:
-        AXi = scalar_numerator(inp, mat_vec(Mi, eps1))
-        G.append(AXi.modmul(A0_inv, F))
-    param = ZeroDimParam(Q=F, V=G, t=t_x1)
-    param.check_invariants()
+    else:
+        param = ZeroDimParam(Q=F, V=[Poly.x(f) % F] + _coordinates(nums, F), t=t_x1)
+        param.check_invariants()
     cache = X1SolveCache(
-        table=short, seq=seq, Pmat=Pmat, M_min=M_min, a_rows=a_rows, param_A=param, D_A=F.degree
+        table=inp.table, seq=seq, Pmat=inp.Pmat, M_min=M_min, a_rows=a_rows, param_A=param,
+        D_A=F.degree,
     )
     return cache, param
 
@@ -182,53 +145,29 @@ def correction_matrices(cache: X1SolveCache, t, inst: Instance) -> CorrectionSet
     """Contributions of the solved component to every block sequence entry."""
     f = inst.field
     m = cache.Pmat.rows
-    n = inst.n
     D_B = inst.D - cache.D_A
     d_B = max(1, math.ceil(D_B / m))
-    two_dB = 2 * d_B
-
-    zeros_mm = [f.zeros((m, m)) for _ in range(two_dB)]
-    zeros_mn = [f.zeros((m, n)) for _ in range(d_B)]
-    zeros_m1 = [f.zeros((m, 1)) for _ in range(d_B)]
-    if cache.D_A == 0:
-        return CorrectionSet(delta=zeros_mm, delta_coord=zeros_mn, delta_one=zeros_m1, D_B=D_B, d_B=d_B)
-
-    d = cache.table.count
-    omega_V = matrix_numerator(cache.seq[:d], cache.Pmat)
-
-    def row_numerator(a_row: PolyMat, omega: PolyMat, j: int) -> Poly:
-        acc = Poly.zero(f)
-        for k in range(m):
-            acc = acc + a_row.entries[0][k] * omega.entries[k][j]
-        return acc
-
-    eps1 = unit_vector(f, inst.D)
-    omega_one = matrix_numerator(project_vector(cache.table, eps1), cache.Pmat)
-    omega_coord = [
-        matrix_numerator(project_vector(cache.table, mat_vec(Mk, eps1)), cache.Pmat)
-        for Mk in inst.mats
-    ]
-
-    delta = zeros_mm
-    delta_coord = zeros_mn
-    delta_one = zeros_m1
-    for i in range(m):
-        a_i = cache.a_rows[i]
-        for j in range(m):
-            C = row_numerator(a_i, omega_V, j)
-            vals = decompose(cache.M_min, C, cache.param_A, t, two_dB)
-            for s in range(two_dB):
-                delta[s][i, j] = vals[s]
-        for k in range(n):
-            C = row_numerator(a_i, omega_coord[k], 0)
-            vals = decompose(cache.M_min, C, cache.param_A, t, d_B)
-            for s in range(d_B):
-                delta_coord[s][i, k] = vals[s]
-        C = row_numerator(a_i, omega_one, 0)
-        vals = decompose(cache.M_min, C, cache.param_A, t, d_B)
-        for s in range(d_B):
-            delta_one[s][i, 0] = vals[s]
-    return CorrectionSet(delta=delta, delta_coord=delta_coord, delta_one=delta_one, D_B=D_B, d_B=d_B)
+    delta = [f.zeros((m, m)) for _ in range(2 * d_B)]
+    # the terms L_s w for the columns w = e_1, M_1 e_1, ..., M_n e_1
+    delta_w = [f.zeros((m, inst.n + 1)) for _ in range(d_B)]
+    if cache.D_A > 0:
+        e1 = unit_vector(f, inst.D)
+        W = np.stack([e1] + [mat_vec(Mk, e1) for Mk in inst.mats], axis=1)
+        omega_V = matrix_numerator(cache.seq[: cache.table.count], cache.Pmat)
+        omega_W = matrix_numerator(project_right(cache.table, W), cache.Pmat)
+        for out, omega in ((delta, omega_V), (delta_w, omega_W)):
+            for i in range(m):
+                for j in range(omega.cols):
+                    C = row_times_column(cache.a_rows[i], omega, j)
+                    for s, val in enumerate(decompose(cache.M_min, C, cache.param_A, t, len(out))):
+                        out[s][i, j] = val
+    return CorrectionSet(
+        delta=delta,
+        delta_coord=[x[:, 1:] for x in delta_w],
+        delta_one=[x[:, :1] for x in delta_w],
+        D_B=D_B,
+        d_B=d_B,
+    )
 
 
 def block_parametrization_residual(
@@ -242,51 +181,29 @@ def block_parametrization_residual(
     stats: SolveStats | None = None,
 ) -> ZeroDimParam:
     """Parametrization of the residual points from corrected short sequences."""
-    import time
-
     if corr.D_B < 1:
         raise InvalidInput("no residual component to solve")
     f = inst.field
     rng = rng or Rng(0)
-    m = U.shape[1]
-    d_B = corr.d_B
     M = combine_matrices(t, inst.mats)
-    t0 = time.perf_counter()
-    table = krylov_left_sequence(M, U, 2 * d_B, workers=workers)
-    if stats is not None:
-        stats.krylov_seconds += time.perf_counter() - t0
-    seq = project_right(table, V)
-    corrected = [(seq[s] - corr.delta[s]) % f.p for s in range(2 * d_B)]
-    Smat = minimal_matrix_generator(corrected, f, d_B, d_B)
-    S = largest_invariant_factor(Smat, rng.child())
-    R = squarefree_part(S)
-    if S.degree < corr.D_B and S == R:
-        # same certificate as in the plain solve, scoped to the residual
-        raise NonSeparating(
-            f"squarefree residual invariant factor of degree {S.degree} < {corr.D_B}"
-        )
-    a_row = left_quotient_row(Smat, S, 0, rng.child())
-    short = KrylovTable(f, table.blocks[:d_B])
-    inp = NumeratorInputs(Pmat=Smat, s1=S, a_row=a_row, table=short)
-    eps1 = unit_vector(f, inst.D)
-    C1 = scalar_numerator_corrected(inp, eps1, corr.delta_one[:d_B])
-    C1_inv = C1.modinv(R)
-    W = []
-    for k, Mk in enumerate(inst.mats):
-        cols = [corr.delta_coord[s][:, k].reshape(m, 1) for s in range(d_B)]
-        CXk = scalar_numerator_corrected(inp, mat_vec(Mk, eps1), cols)
-        W.append(CXk.modmul(C1_inv, R))
+    _, inp, R, _ = _block_core(
+        M, U, V, corr.d_B, rng, workers=workers, stats=stats, delta=corr.delta, target=corr.D_B
+    )
+    cols = [[x[:, k : k + 1] for x in corr.delta_coord] for k in range(inst.n)]
+    W = _coordinates(_numerators(inp, inst.mats, [corr.delta_one] + cols), R)
     param = ZeroDimParam(Q=R, V=W, t=[int(x) % f.p for x in t])
     param.check_invariants()
     return param
 
 
-def change_separating_element(param: ZeroDimParam, t, rng: Rng, attempts: int = 8) -> ZeroDimParam:
+def change_separating_element(param: ZeroDimParam, t, rng: Rng) -> ZeroDimParam:
     """Transport a parametrization to the separating form X = sum t_i X_i.
 
     Works inside the univariate quotient by param.Q: a random linear form is
     projected along powers of the image of X, and the standard univariate
-    reconstruction yields the same point set parametrized by X.
+    reconstruction yields the same point set parametrized by X.  A power
+    sequence whose minimal polynomial has degree below deg Q raises
+    NonSeparating at once: X merges points, and only a fresh t helps.
     """
     f = param.Q.field
     F = param.Q
@@ -294,25 +211,18 @@ def change_separating_element(param: ZeroDimParam, t, rng: Rng, attempts: int = 
     t = [int(x) % f.p for x in t]
     if r == 0:
         return _empty_param(f, param.n, t)
-    lam = Poly.zero(f)
-    for ti, Gi in zip(t, param.V):
-        lam = lam + Gi.scale(ti)
-    lam = lam % F
-    for _ in range(attempts):
-        ell = [rng.element(f) for _ in range(r)]
-        powers = power_projection(F, lam, ell, 2 * r)
-        coords = []
-        for Gi in param.V:
-            ell_i = transposed_modmul(Gi % F, ell, F)
-            coords.append(power_projection(F, lam, ell_i, 2 * r))
-        try:
-            new = parametrization_from_series(powers, coords, r, f, t=t)
-        except NotInvertible:
-            continue
-        if new.Q.degree == r:
-            new.check_invariants()
-            return new
-    raise NonSeparating("the requested form does not separate the solved points")
+    lam = sum((Gi.scale(ti) for ti, Gi in zip(t, param.V)), Poly.zero(f)) % F
+    ell = [rng.element(f) for _ in range(r)]
+    powers = power_projection(F, lam, ell, 2 * r)
+    P = berlekamp_massey(powers, f, r)
+    if P.degree < r:
+        raise NonSeparating("the requested form does not separate the solved points")
+    coords = [
+        power_projection(F, lam, transposed_modmul(Gi % F, ell, F), 2 * r) for Gi in param.V
+    ]
+    new = parametrization_from_minpoly(P, powers, coords, t)
+    new.check_invariants()
+    return new
 
 
 def union_params(pA: ZeroDimParam, pB: ZeroDimParam) -> ZeroDimParam:
@@ -345,7 +255,6 @@ def block_parametrization_with_splitting(
     stats: SolveStats | None = None,
 ) -> ZeroDimParam:
     """One attempt of the splitting pipeline with fixed randomness."""
-    f = inst.field
     rng = rng or Rng(0)
     cache, param_A = block_parametrization_x1(
         inst, U, V, y, m, rng=rng, workers=workers, stats=stats
@@ -358,14 +267,12 @@ def block_parametrization_with_splitting(
         return block_parametrization(inst, U, V, t, m, rng=rng, workers=workers, stats=stats)
     pA = change_separating_element(param_A, t, rng.child())
     if D_B == 0:
-        pA.check_invariants()
         return pA
     corr = correction_matrices(cache, t, inst)
     pB = block_parametrization_residual(
         inst, U, V, corr, t, rng=rng, workers=workers, stats=stats
     )
-    out = union_params(pA, pB)
-    return out
+    return union_params(pA, pB)
 
 
 def solve_split(
@@ -376,45 +283,13 @@ def solve_split(
     retries: int = 3,
     stats: SolveStats | None = None,
 ) -> ZeroDimParam:
-    """Retry wrapper for the splitting pipeline, mirroring param.solve."""
-    import time
-
-    f = inst.field
+    """The splitting pipeline under the retry policy of `param.retry_solve`,
+    which draws t and then the probe y."""
     stats = stats if stats is not None else SolveStats()
-    start = time.perf_counter()
-    t = [rng.nonzero_element(f) for _ in range(inst.n)]
-    y = [rng.nonzero_element(f) for _ in range(inst.n - 1)]
-    uv_failures = 0
-    attempts = 0
-    t_draws = 0
-    last = None
-    while attempts <= retries:
-        U = sample_block(rng, f, inst.D, m)
-        V = sample_block(rng, f, inst.D, m)
-        try:
-            param = block_parametrization_with_splitting(
-                inst, U, V, t, y, m, rng=rng, workers=workers, stats=stats
-            )
-            stats.total_seconds = time.perf_counter() - start
-            stats.retries = attempts
-            return param
-        except NonSeparating as exc:
-            last = exc
-            t_draws += 1
-            stats.extras["t_retries"] = t_draws
-            if t_draws > 6:
-                break
-            t = [rng.nonzero_element(f) for _ in range(inst.n)]
-            y = [rng.nonzero_element(f) for _ in range(inst.n - 1)]
-            uv_failures = 0
-        except RETRYABLE as exc:
-            last = exc
-            attempts += 1
-            uv_failures += 1
-            if uv_failures >= 2:
-                t = [rng.nonzero_element(f) for _ in range(inst.n)]
-                y = [rng.nonzero_element(f) for _ in range(inst.n - 1)]
-                uv_failures = 0
-    stats.total_seconds = time.perf_counter() - start
-    stats.retries = attempts
-    raise UnluckyRandomness(f"retries exhausted: {last}")
+
+    def attempt(U, V, t, y):
+        return block_parametrization_with_splitting(
+            inst, U, V, t, y, m, rng=rng, workers=workers, stats=stats
+        )
+
+    return retry_solve(inst, m, rng, attempt, (inst.n, inst.n - 1), retries, stats)

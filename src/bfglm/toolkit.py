@@ -9,15 +9,14 @@ matrices sparse.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, InvalidInput, InvalidSpec
 from .field import Field, Rng
-from .param import Instance, ZeroDimParam, mat_vec, unit_vector
-from .sparse import SparseMat, combine_matrices, vec_mat
+from .param import Instance, ZeroDimParam, unit_vector
+from .sparse import SparseMat, combine_matrices, mat_vec, vec_mat
 from .unipoly import Poly, berlekamp_massey
 
 
@@ -402,12 +401,8 @@ def minimal_polynomial_of_combination(inst: Instance, t, rng: Rng) -> Poly:
     v = rng.vector(f, inst.D)
     seq = []
     cur = u
-    fast = f.dtype is np.int64 and inst.D <= f._acc_limit
     for _ in range(2 * inst.D):
-        if fast:
-            seq.append(int(np.dot(cur, v) % f.p))
-        else:
-            seq.append(int(np.dot(cur.astype(object), v.astype(object)) % f.p))
+        seq.append(int(f.matmul(cur, v)))
         cur = vec_mat(cur, M)
     return berlekamp_massey(seq, f, inst.D)
 

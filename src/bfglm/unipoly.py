@@ -139,15 +139,6 @@ class Poly:
             return Poly.zero(self.field)
         return Poly._raw(self.field, (self.c * a) % self.field.p)
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by T^k."""
-        if self.is_zero() or k == 0:
-            return self
-        f = self.field
-        out = f.zeros(len(self.c) + k)
-        out[k:] = self.c
-        return Poly._raw(f, out)
-
     def truncate(self, n: int) -> "Poly":
         """Reduce mod T^n."""
         return Poly._raw(self.field, self.c[:n].copy())
@@ -269,27 +260,6 @@ class Poly:
         for coef in self.c[::-1]:
             out = out * lin + Poly.constant(f, int(coef))
         return out
-
-
-def poly_arith(a: Poly, b, op: str):
-    """Dispatch helper matching the module contract (mostly for tests)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "quo_rem":
-        return a.quo_rem(b)
-    if op == "gcd":
-        return a.gcd(b)
-    if op == "modinv":
-        return a.modinv(b)
-    if op == "eval":
-        return a.eval(b)
-    if op == "derivative":
-        return a.derivative()
-    raise InvalidInput(f"unknown op {op!r}")
 
 
 # -- sequences ----------------------------------------------------------

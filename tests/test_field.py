@@ -64,15 +64,6 @@ def test_inverse_of_zero_raises(p):
         f.div(3 % p, 0)
 
 
-def test_arith_dispatch(f101):
-    assert f101.arith(7, 9, "add") == 16
-    assert f101.arith(7, 9, "sub") == 99
-    assert f101.arith(7, 9, "mul") == 63
-    assert f101.arith(7, 9, "div") == f101.mul(7, f101.inv(9))
-    with pytest.raises(InvalidInput):
-        f101.arith(1, 2, "pow")
-
-
 def test_dtype_tiers():
     small = Field(65537)
     assert small.dtype == np.int64

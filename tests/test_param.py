@@ -72,12 +72,15 @@ def test_unit_vector():
     assert e.tolist() == [0, 0, 1, 0, 0]
 
 
-def test_mat_vec_matches_dense():
+@pytest.mark.parametrize("p", [101, 2**31 - 1, 2**61 - 1])
+def test_mat_vec_matches_dense(p):
+    # 2^31 - 1 and 2^61 - 1 overflow int64 sums and take the exact product
+    f = Field(p)
     rng = Rng(2)
-    dense = rng.block(F, 8, 8)
-    M = SparseMat.from_dense(F, dense)
-    w = rng.vector(F, 8)
-    assert np.array_equal(mat_vec(M, w), (dense.astype(object) @ w.astype(object)) % 101)
+    dense = rng.block(f, 8, 8)
+    M = SparseMat.from_dense(f, dense)
+    w = rng.vector(f, 8)
+    assert np.array_equal(mat_vec(M, w), (dense.astype(object) @ w.astype(object)) % p)
 
 
 def test_block_parametrization_reference(ref_instance, ref_blocks):
@@ -174,6 +177,41 @@ def test_solve_retries_fresh_t_on_detected_collision():
     stats = SolveStats()
     param = solve(inst, 1, Rng(44), stats=stats)
     assert param.Q.degree == 2
+    assert verify_against_points(param, truth.points, f)["pass"]
+
+
+def test_probe_catches_merged_points_beside_a_double_point(monkeypatch):
+    # t sends the simple points (10, 20) and (11, 30) both to 80, and the
+    # double point gives s1 a repeated root at 30, so the squarefree
+    # certificate passes; the probe's rank-one test must catch the merge
+    from bfglm import param as param_mod
+    from bfglm.errors import NonSeparating
+
+    f = Field(65537)
+    spec = [
+        PointSpec(coords=(4, 10), nu=2, c=(1, 2)),
+        PointSpec(coords=(10, 20)),
+        PointSpec(coords=(11, 30)),
+    ]
+    inst, truth = generate_instance(f, 2, spec, Rng(45))
+    bad_t = [10, f.p - 1]
+    U = sample_block(Rng(46), f, inst.D, 1)
+    V = sample_block(Rng(47), f, inst.D, 1)
+    with pytest.raises(NonSeparating):
+        block_parametrization(inst, U, V, bad_t, 1, rng=Rng(48))
+
+    # solve starting from the merging t redraws t and returns every point
+    calls = []
+
+    def first_t_merges(inst, U, V, t, *args, **kwargs):
+        calls.append(t)
+        return block_parametrization(inst, U, V, bad_t if len(calls) == 1 else t, *args, **kwargs)
+
+    monkeypatch.setattr(param_mod, "block_parametrization", first_t_merges)
+    stats = SolveStats()
+    param = param_mod.solve(inst, 1, Rng(49), stats=stats)
+    assert stats.extras["t_retries"] == 1
+    assert param.Q.degree == 3
     assert verify_against_points(param, truth.points, f)["pass"]
 
 

@@ -69,12 +69,15 @@ def test_combine_matrices_big_prime():
     assert np.array_equal(np.asarray(M.to_dense(), dtype=object) % p, want)
 
 
-def test_vec_mat_matches_dense():
+@pytest.mark.parametrize("p", [101, 2**31 - 1, 2**61 - 1])
+def test_vec_mat_matches_dense(p):
+    # 2^31 - 1 and 2^61 - 1 overflow int64 sums and take the exact product
+    f = Field(p)
     rng = Rng(3)
-    dense = rng.block(F, 12, 12)
-    M = SparseMat.from_dense(F, dense)
-    v = rng.vector(F, 12)
-    assert np.array_equal(vec_mat(v, M), (v.astype(object) @ dense.astype(object)) % 101)
+    dense = rng.block(f, 12, 12)
+    M = SparseMat.from_dense(f, dense)
+    v = rng.vector(f, 12)
+    assert np.array_equal(vec_mat(v, M), (v.astype(object) @ dense.astype(object)) % p)
 
 
 def test_krylov_reference_blocks():

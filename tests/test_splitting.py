@@ -10,6 +10,7 @@ from bfglm.param import (
     solve,
     verify_against_points,
 )
+from bfglm import splitting
 from bfglm.splitting import (
     block_parametrization_residual,
     block_parametrization_with_splitting,
@@ -21,7 +22,7 @@ from bfglm.splitting import (
     union_params,
 )
 from bfglm.toolkit import PointSpec, generate_instance
-from bfglm.unipoly import Poly, laurent_expand
+from bfglm.unipoly import Poly, laurent_expand, power_projection
 
 F = Field(65537)
 
@@ -184,13 +185,22 @@ def test_change_separating_element_transport():
         assert out.V[1].eval(root) == x2
 
 
-def test_change_separating_element_rejects_non_separating():
-    # both points share X_2, so X = X_2 cannot separate them
+def test_change_separating_element_rejects_non_separating(monkeypatch):
+    # both points share X_2, so X = X_2 cannot separate them; one projection
+    # of the power sequence shows it, and no coordinate is projected
     inst, _ = make([PointSpec(coords=(3, 5)), PointSpec(coords=(9, 5))], 25)
     cache, param = x1_solve(inst, 1, 26)
     assert cache.D_A == 2
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return power_projection(*args)
+
+    monkeypatch.setattr(splitting, "power_projection", counting)
     with pytest.raises(NonSeparating):
         change_separating_element(param, [0, 1], Rng(27))
+    assert len(calls) == 1
 
 
 def test_union_params():

@@ -49,7 +49,6 @@ def test_basic_arithmetic():
     assert a * Poly.one(F) == a
     assert P(0, 1) * P(0, 1) == P(0, 0, 1)
     assert a.scale(2) == P(2, 4, 6)
-    assert a.shift(2) == P(0, 0, 1, 2, 3)
     assert a.truncate(2) == P(1, 2)
     assert a.div_power(1) == P(2, 3)
 
