@@ -6,7 +6,7 @@ import argparse
 import sys
 import time
 
-from .errors import BfglmError, FormatError, UnluckyRandomness
+from .errors import BfglmError, FormatError, InvariantViolation, UnluckyRandomness
 from .field import Field, Rng
 from .param import Instance, SolveStats, ZeroDimParam, solve
 from .splitting import solve_split
@@ -24,6 +24,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_UNLUCKY = 3
 EXIT_VERIFY = 4
+EXIT_INTERNAL = 5
 
 
 def _print_stats(stats: SolveStats) -> None:
@@ -71,6 +72,9 @@ def cmd_solve(args, split: bool) -> int:
     except UnluckyRandomness as exc:
         print(f"no generic draw found: {exc}", file=sys.stderr)
         return EXIT_UNLUCKY
+    except InvariantViolation as exc:
+        print(f"internal error: the solver's output breaks an invariant: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if args.out:
         write_param(param, inst.field, args.out)
         print(f"wrote {args.out} (deg Q = {param.Q.degree})")

@@ -13,6 +13,10 @@ class InvalidInput(BfglmError):
     pass
 
 
+class InvariantViolation(InvalidInput):
+    """Broken parametrization invariants; an internal fault on solver output."""
+
+
 class DivisionByZero(BfglmError, ZeroDivisionError):
     pass
 

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     GenericityFailure,
     InvalidInput,
+    InvariantViolation,
     NonSeparating,
     NotCoprime,
     NotInvertible,
@@ -61,16 +62,16 @@ class ZeroDimParam:
     def check_invariants(self) -> None:
         f = self.Q.field
         if self.Q.is_zero() or self.Q.lead() != 1:
-            raise InvalidInput("Q must be monic")
+            raise InvariantViolation("Q must be monic")
         if not self.Q.gcd(self.Q.derivative()).is_one() and self.Q.degree > 0:
-            raise InvalidInput("Q must be squarefree")
+            raise InvariantViolation("Q must be squarefree")
         acc = Poly.zero(f)
         for ti, Vi in zip(self.t, self.V):
             if Vi.degree >= max(self.Q.degree, 1) and self.Q.degree > 0:
-                raise InvalidInput("deg(V_i) must be below deg(Q)")
+                raise InvariantViolation("deg(V_i) must be below deg(Q)")
             acc = acc + Vi.scale(int(ti))
         if self.Q.degree > 0 and (acc - Poly.x(f)) % self.Q != Poly.zero(f):
-            raise InvalidInput("sum t_i V_i != T mod Q")
+            raise InvariantViolation("sum t_i V_i != T mod Q")
 
     def points(self, roots) -> list:
         return [tuple(Vi.eval(r) for Vi in self.V) for r in roots]

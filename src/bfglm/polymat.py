@@ -312,16 +312,15 @@ def _series_solve(field: Field, Pc: np.ndarray, Y: np.ndarray, prec: int) -> np.
     dp = Pc.shape[2] - 1
     Cinv = mat_inverse(field, Pc[:, :, 0])
     p = field.p
-    # flattened convolution window: row (i), columns indexed by (l, j)
-    if dp > 0:
-        A = np.ascontiguousarray(Pc[:, :, 1:]).reshape(m, m * dp)
+    # x_k = Cinv (Y_k - A window_k), window flattened as (l, j)
     x = field.zeros((m, prec + dp))
-    for k in range(prec):
-        rhs = Y[:, k].copy() if k < Y.shape[1] else field.zeros(m)
-        if dp > 0:
+    Yk = Y[:, :prec]
+    x[:, dp : dp + Yk.shape[1]] = field.matmul(Cinv, Yk)
+    if dp > 0:
+        CA = field.matmul(Cinv, np.ascontiguousarray(Pc[:, :, 1:]).reshape(m, m * dp))
+        for k in range(prec):
             window = x[:, k : k + dp][:, ::-1].reshape(m * dp)
-            rhs = (rhs - field.matmul(A, window)) % p
-        x[:, k + dp] = field.matmul(Cinv, rhs)
+            x[:, k + dp] = (x[:, k + dp] - field.matmul(CA, window)) % p
     return x[:, dp : dp + prec]
 
 

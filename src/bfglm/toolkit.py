@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvalidInput, InvalidSpec
+from .errors import FormatError, InvalidInput, InvalidSpec, InvariantViolation
 from .field import Field, Rng
 from .param import Instance, ZeroDimParam, unit_vector
 from .sparse import SparseMat, combine_matrices, mat_vec, vec_mat
@@ -422,7 +422,7 @@ def verify_solution(inst: Instance, param: ZeroDimParam, truth: GroundTruth | No
     try:
         param.check_invariants()
         check("parametrization invariants", True)
-    except InvalidInput as exc:
+    except InvariantViolation as exc:
         check("parametrization invariants", False, str(exc))
 
     check("deg(Q) <= D", param.Q.degree <= inst.D)

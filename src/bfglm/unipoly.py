@@ -23,6 +23,10 @@ from .errors import (
 from .field import Field
 
 
+# Quotients up to this length (measured), and all on the object tier, use the loop.
+_QUO_SCHOOLBOOK = 8
+
+
 def _trim(c: np.ndarray) -> np.ndarray:
     n = len(c)
     while n > 0 and c[n - 1] == 0:
@@ -30,18 +34,29 @@ def _trim(c: np.ndarray) -> np.ndarray:
     return c[:n]
 
 
+def _fit(c: np.ndarray, n: int, field: Field) -> np.ndarray:
+    """c truncated or zero-padded to length n."""
+    return c[:n] if len(c) >= n else np.concatenate([c, field.zeros(n - len(c))])
+
+
 class Poly:
-    __slots__ = ("field", "c")
+    """Polynomial over a prime field.  Its coefficient array `c` is never
+    mutated after construction: `_rinv` caches rev(self)^{-1} for reductions
+    modulo self, which a mutation would invalidate."""
+
+    __slots__ = ("field", "c", "_rinv")
 
     def __init__(self, field: Field, coeffs=()):
         self.field = field
         self.c = _trim(field.array(list(coeffs)))
+        self._rinv = ()
 
     @classmethod
     def _raw(cls, field: Field, arr: np.ndarray) -> "Poly":
         p = cls.__new__(cls)
         p.field = field
         p.c = _trim(arr)
+        p._rinv = ()
         return p
 
     @classmethod
@@ -153,8 +168,14 @@ class Poly:
         f = self.field
         if self.degree < other.degree:
             return Poly.zero(f), self
-        r = self.c.copy()
         d = other.degree
+        k = len(self.c) - d
+        if k > _QUO_SCHOOLBOOK and f.dtype is np.int64:
+            # Barrett: rev(q) = rev(self) rev(other)^{-1} mod T^k, r = self - q other
+            q = f.convolve(self.c[::-1][:k], other._rev_inv(k))[k - 1 :: -1]
+            r = (self.c[:d] - f.convolve(q[:d], other.c[:d])[:d]) % f.p
+            return Poly._raw(f, q.copy()), Poly._raw(f, r)
+        r = self.c.copy()
         inv_lc = f.inv(int(other.c[-1]))
         q = f.zeros(len(r) - d)
         for i in range(len(r) - 1, d - 1, -1):
@@ -249,6 +270,15 @@ class Poly:
             x = (x * two_minus).truncate(k)
         return x.truncate(prec)
 
+    def _rev_inv(self, n: int) -> np.ndarray:
+        """rev(self)^{-1} mod T^n, rev(self) = T^deg self(1/T), as n coefficients;
+        cached on self, and recomputed at least doubled for a longer n."""
+        if len(self._rinv) < n:
+            n_new = max(n, 2 * len(self._rinv))
+            inv = Poly._raw(self.field, self.c[::-1]).series_inv(n_new)
+            self._rinv = _fit(inv.c, n_new, self.field)
+        return self._rinv[:n]
+
     def compose_linear(self, a) -> "Poly":
         """Returns self(T + a)."""
         f = self.field
@@ -274,40 +304,32 @@ def berlekamp_massey(seq, field: Field, bound: int) -> Poly:
     bound; every caller in this package relies on such a bound.
     """
     p = field.p
-    terms = [int(x) % p for x in seq]
-    if len(terms) < 2 * bound:
-        raise InsufficientTerms(f"need {2 * bound} terms, got {len(terms)}")
-    # C is the current connection polynomial, B the previous one.
-    C = [1]
-    B = [1]
+    terms = field.array(list(seq))
+    N = len(terms)
+    if N < 2 * bound:
+        raise InsufficientTerms(f"need {2 * bound} terms, got {N}")
+    rev = terms[::-1]
+    # C is the current connection polynomial (degree <= L), B the previous one.
+    B = field.array([1])
+    C = _fit(B, N + 1, field)
     L, m, b = 0, 1, 1
-    for n, tn in enumerate(terms):
-        d = tn
-        for i in range(1, L + 1):
-            d = (d + C[i] * terms[n - i]) % p
+    for n in range(N):
+        # discrepancy t_n + sum_{i=1..L} C_i t_{n-i}
+        d = int(terms[n])
+        if L:
+            d = (d + int(field.matmul(C[1 : L + 1], rev[N - n : N - n + L]))) % p
         if d == 0:
             m += 1
-        elif 2 * L <= n:
-            T = C[:]
-            coef = d * pow(b, p - 2, p) % p
-            C = C + [0] * (len(B) + m - len(C))
-            for i, bi in enumerate(B):
-                C[i + m] = (C[i + m] - coef * bi) % p
-            L = n + 1 - L
-            B = T
-            b = d
-            m = 1
-        else:
-            coef = d * pow(b, p - 2, p) % p
-            C = C + [0] * max(0, len(B) + m - len(C))
-            for i, bi in enumerate(B):
-                C[i + m] = (C[i + m] - coef * bi) % p
+            continue
+        coef = d * pow(b, p - 2, p) % p
+        T = C[: L + 1].copy() if 2 * L <= n else None
+        C[m : m + len(B)] = (C[m : m + len(B)] - coef * B) % p
+        if T is None:
             m += 1
+        else:
+            L, B, b, m = n + 1 - L, T, d, 1
     # C(T) = 1 + c_1 T + ... encodes P(T) = T^L + c_1 T^{L-1} + ...
-    rev = [0] * (L + 1)
-    for i in range(min(len(C), L + 1)):
-        rev[L - i] = C[i] % p
-    return Poly(field, rev).monic()
+    return Poly._raw(field, C[L::-1].copy())
 
 
 def scalar_numerator_direct(seq, field: Field, P: Poly) -> Poly:
@@ -327,28 +349,18 @@ def scalar_numerator_direct(seq, field: Field, P: Poly) -> Poly:
 
 
 def laurent_expand(A: Poly, F: Poly, k: int) -> list:
-    """First k coefficients v_s of A/F = sum_s v_s / T^(s+1)."""
+    """First k coefficients v_s of A/F = sum_s v_s / T^(s+1).
+
+    They are the series rev(A)/rev(F) mod T^k.
+    """
     if F.is_zero():
         raise InvalidInput("zero denominator")
     if not A.is_zero() and A.degree >= F.degree:
         raise InvalidInput("numerator degree must be below denominator degree")
     f = A.field
-    r = F.degree
-    inv_lc = f.inv(F.lead())
-    v = []
-    for s in range(k):
-        if s < r:
-            # coefficient of T^(r-1-s) in A equals sum_{j<=s} F_{r-s+j} v_j
-            acc = A.coeff(r - 1 - s)
-            for j in range(s):
-                acc -= F.coeff(r - s + j) * v[j]
-            v.append(acc * inv_lc % f.p)
-        else:
-            acc = 0
-            for i in range(r):
-                acc -= F.coeff(i) * v[s - r + i]
-            v.append(acc * inv_lc % f.p)
-    return v
+    # with u = 1/T: A/F = u rev(A)(u) / rev(F)(u), rev(A) taken at length deg F
+    rev_a = _fit(A.c, F.degree, f)[::-1]
+    return [int(x) for x in _fit(f.convolve(rev_a, F._rev_inv(k)), k, f)]
 
 
 def crt_pair(a1: Poly, q1: Poly, a2: Poly, q2: Poly) -> Poly:
@@ -374,29 +386,31 @@ def squarefree_part(P: Poly) -> Poly:
 # -- power projection ---------------------------------------------------
 
 
+def _recurrence_extend(F: Poly, head: np.ndarray, n: int) -> np.ndarray:
+    """First n terms of the sequence generated by F whose first deg F terms
+    are head: its generating series is N / rev(F), N = rev(F) head mod T^deg F."""
+    f = F.field
+    N = f.convolve(F.c[::-1], head)[: F.degree]
+    return _fit(f.convolve(N, F._rev_inv(n)), n, f)
+
+
 def transposed_modmul(G: Poly, ell, F: Poly):
     """Values of f -> ell(G*f mod F) on the basis 1, T, ..., T^(deg F - 1).
 
-    Uses the extended projection values ell(T^s mod F) for s < 2r-1: the new
-    vector is a windowed dot product of G against that sequence.
+    ell extends to the sequence ext_s = ell(T^s mod F), generated by F; the
+    new values are the middle product sum_j G_j ext_{i+j}, i < deg F (Shoup;
+    Bostan-Lecerf-Schost, "Tellegen's principle into practice", ISSAC 2003).
     """
     f = F.field
     r = F.degree
-    ell = [int(x) % f.p for x in ell]
+    ell = f.array(list(ell))
     if len(ell) != r:
         raise InvalidInput("linear form must have deg(F) values")
     g = G.c
     if len(g) == 0:
         return [0] * r
-    inv_lc = f.inv(F.lead())
-    Fc = f.array(F.c[:r])
-    ext = f.zeros(2 * r - 1)
-    ext[:r] = f.array(ell)
-    for s in range(r, 2 * r - 1):
-        acc = int(f.matmul(Fc, ext[s - r : s]))
-        ext[s] = (-acc * inv_lc) % f.p
-    windows = np.lib.stride_tricks.sliding_window_view(ext, len(g))[:r]
-    return [int(x) for x in f.matmul(windows, g)]
+    ext = _recurrence_extend(F, ell, r + len(g) - 1)
+    return [int(x) for x in f.convolve(ext, g[::-1])[len(g) - 1 : len(g) - 1 + r]]
 
 
 def _power_projection_bsgs(F: Poly, H: Poly, ell, t: int):
@@ -413,15 +427,11 @@ def _power_projection_bsgs(F: Poly, H: Poly, ell, t: int):
         if len(cur_pow.c):
             baby[j, : len(cur_pow.c)] = cur_pow.c
     G = H.modpow(k, F) if t > k else None
-    out = []
-    cur = [int(x) % f.p for x in ell]
-    s = 0
-    while s < t:
-        block = f.matmul(baby, f.array(cur))
-        out.extend(int(x) for x in block[: min(k, t - s)])
-        s += k
-        if s < t:
+    out, cur = [], ell
+    for s in range(0, t, k):
+        if s:
             cur = transposed_modmul(G, cur, F)
+        out.extend(int(x) for x in f.matmul(baby, f.array(list(cur)))[: t - s])
     return out
 
 
@@ -447,7 +457,7 @@ def power_projection(F: Poly, H: Poly, ell, t: int):
     Baby-step/giant-step with transposed modular multiplication while
     s < deg F; beyond that the sequence is linearly recurrent with generator
     of degree <= deg F, so the remaining values are unrolled from the
-    recurrence found by Berlekamp-Massey.
+    recurrence found by Berlekamp-Massey, as one series product.
     """
     if t < 0:
         raise InvalidInput("negative length")
@@ -461,18 +471,7 @@ def power_projection(F: Poly, H: Poly, ell, t: int):
         return _power_projection_bsgs(F, H, ell, t)
     head = _power_projection_bsgs(F, H, ell, 2 * r)
     P = berlekamp_massey(head, f, r)
-    d = P.degree
-    out = list(head)
-    if d == 0:
-        return out + [0] * (t - len(out))
-    inv_lc = f.inv(P.lead())
-    while len(out) < t:
-        s = len(out) - d
-        acc = 0
-        for i in range(d):
-            acc -= P.coeff(i) * out[s + i]
-        out.append(acc * inv_lc % f.p)
-    return out
+    return [int(x) for x in _recurrence_extend(P, f.array(head[: P.degree]), t)]
 
 
 def rational_reconstruct(series: Poly, prec: int, dnum: int, dden: int):
@@ -483,11 +482,9 @@ def rational_reconstruct(series: Poly, prec: int, dnum: int, dden: int):
     f = series.field
     if dnum + dden >= prec:
         raise InvalidInput("precision too low for requested degrees")
-    mod = Poly._raw(f, f.zeros(prec + 1))
-    mod.c = f.zeros(prec + 1)
-    mod.c[prec] = 1
-    mod = Poly._raw(f, mod.c)
-    r0, r1 = mod, series.truncate(prec)
+    mod = f.zeros(prec + 1)
+    mod[prec] = 1
+    r0, r1 = Poly._raw(f, mod), series.truncate(prec)
     t0, t1 = Poly.zero(f), Poly.one(f)
     while not r1.is_zero() and r1.degree > dnum:
         q, r = r0.quo_rem(r1)

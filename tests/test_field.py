@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bfglm.errors import DivisionByZero, InvalidInput
-from bfglm.field import Field, Rng, is_prime, sample_block
+from bfglm.field import _FFT_MAX_SIZE, _FFT_MIN_LEN, Field, Rng, is_prime, sample_block
 
 PRIMES = [101, 65537]
 
@@ -73,7 +73,8 @@ def test_dtype_tiers():
     assert big._acc_limit < 1
 
 
-@pytest.mark.parametrize("p", [101, 65537, (1 << 61) - 1])
+# 2^31 - 1 and 3037000493 sum at most 2 and 1 products in an int64
+@pytest.mark.parametrize("p", [101, 65537, (1 << 31) - 1, 3037000493, (1 << 61) - 1])
 def test_matmul_matches_object_oracle(p):
     f = Field(p)
     rng = np.random.default_rng(3)
@@ -95,6 +96,50 @@ def test_convolve_matches_object_oracle(p):
     assert np.array_equal(np.asarray(got, dtype=object), want)
 
 
+# the int64 tier at three widths, then the object tier (direct path only)
+WIDE_PRIMES = [101, 67108859, (1 << 31) - 1, (1 << 61) - 1]
+
+
+def _schoolbook(a, b, p):
+    return np.convolve(np.asarray(a, dtype=object), np.asarray(b, dtype=object)) % p
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+@pytest.mark.parametrize(
+    "la, lb",
+    [
+        (_FFT_MIN_LEN, _FFT_MIN_LEN + 40),
+        (_FFT_MIN_LEN + 1, _FFT_MIN_LEN + 1),
+        (_FFT_MIN_LEN + 1, 3 * _FFT_MIN_LEN),
+        (3, 3 * _FFT_MIN_LEN),
+    ],
+)
+def test_convolve_across_the_fft_crossover(p, la, lb):
+    f = Field(p)
+    rng = np.random.default_rng(la + lb)
+    a = f.array([int(x) % p for x in rng.integers(0, 1 << 62, la)])
+    b = f.array([int(x) % p for x in rng.integers(0, 1 << 62, lb)])
+    got = np.asarray(f.convolve(a, b), dtype=object)
+    assert np.array_equal(got, _schoolbook(a, b, p))
+    # worst case for the rounding error: every coefficient p - 1
+    top_a, top_b = f.array([p - 1] * la), f.array([p - 1] * lb)
+    got = np.asarray(f.convolve(top_a, top_b), dtype=object)
+    assert np.array_equal(got, _schoolbook(top_a, top_b, p))
+
+
+@pytest.mark.parametrize("p", [101, 67108859, (1 << 31) - 1, 3037000493])
+def test_convolve_exact_at_the_transform_size_cap(p):
+    # 3037000493 is the largest prime of the int64 tier
+    f = Field(p)
+    n = _FFT_MAX_SIZE // 2
+    top = f.array([p - 1] * n)
+    got = f.convolve(top, top)
+    assert len(got) == 2 * n - 1
+    # (p-1)^2 = 1 mod p, so coefficient k counts the products it sums
+    k = np.arange(2 * n - 1)
+    assert np.array_equal(got, np.minimum(k + 1, 2 * n - 1 - k) % p)
+
+
 def test_matmul_chunking_consistent(f101):
     # force the chunked inner-dimension path with a long inner axis
     rng = np.random.default_rng(9)
@@ -103,6 +148,20 @@ def test_matmul_chunking_consistent(f101):
     got = f101.matmul(f101.array(A), f101.array(B))
     want = (A.astype(object) @ B.astype(object)) % 101
     assert np.array_equal(np.asarray(got, dtype=object), want)
+
+
+@pytest.mark.parametrize("p", [67108859, 3037000493])
+def test_matmul_limb_chunks(p):
+    # past the accumulation limit; several chunks of limb products at 3037000493
+    f = Field(p)
+    rng = np.random.default_rng(9)
+    A = rng.integers(0, p, (3, 100000))
+    B = rng.integers(0, p, (100000, 2))
+    got = f.matmul(A, B)
+    want = (A.astype(object) @ B.astype(object)) % p
+    assert np.array_equal(np.asarray(got, dtype=object), want)
+    top = np.full(100000, p - 1)
+    assert int(f.matmul(top, top)) == 100000 % p
 
 
 def test_rng_determinism(f101):

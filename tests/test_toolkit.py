@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from bfglm.cli import main
-from bfglm.errors import FormatError, InvalidSpec
+from bfglm.errors import FormatError, InvalidSpec, InvariantViolation
 from bfglm.field import Field, Rng
-from bfglm.param import solve
+from bfglm.param import ZeroDimParam, solve
 from bfglm.toolkit import (
     GroundTruth,
     PointSpec,
@@ -238,6 +238,42 @@ def test_cli_verify_failure_exit_code(tmp_path):
     with open(sol, "w") as fh:
         fh.write("\n".join(text) + "\n")
     assert run_cli("verify", "--in", inst, "--param", sol, "--truth") == 4
+
+
+def test_cli_reports_broken_solver_output_as_internal_error(tmp_path, monkeypatch, capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("3 5\n9 2\n")
+    inst = str(tmp_path / "inst.txt")
+    run_cli("gen", "--points", str(pts), "--n", "2", "--out", inst, "--seed", "2")
+
+    def broken(self):
+        raise InvariantViolation("Q must be monic")
+
+    monkeypatch.setattr(ZeroDimParam, "check_invariants", broken)
+    for cmd in ("solve", "solve-split"):
+        assert run_cli(cmd, "--in", inst, "--out", str(tmp_path / "sol.txt"), "--seed", "3") == 5
+        assert "internal error" in capsys.readouterr().err
+
+
+def test_cli_verify_reports_user_parametrizations_as_input(tmp_path):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("3 5\n9 2\n")
+    inst = str(tmp_path / "inst.txt")
+    sol = str(tmp_path / "sol.txt")
+    run_cli("gen", "--points", str(pts), "--n", "2", "--out", inst, "--seed", "2")
+    run_cli("solve", "--in", inst, "--out", sol, "--seed", "3")
+    text = open(sol).read().splitlines()
+    # a non-monic Q breaks an invariant of the user's file: a verify failure
+    q = [i for i, ln in enumerate(text) if ln.startswith("Q:")][0]
+    text[q] = "Q: " + " ".join(str(2 * int(c) % F.p) for c in text[q].split()[1:])
+    with open(sol, "w") as fh:
+        fh.write("\n".join(text) + "\n")
+    assert run_cli("verify", "--in", inst, "--param", sol) == 4
+    # a modulus that is not prime is malformed input
+    text[1] = " ".join([str(F.p + 1)] + text[1].split()[1:])
+    with open(sol, "w") as fh:
+        fh.write("\n".join(text) + "\n")
+    assert run_cli("verify", "--in", inst, "--param", sol) == 2
 
 
 def test_cli_bench_smoke(capsys):

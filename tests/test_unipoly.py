@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from bfglm.errors import DivisionByZero, InsufficientTerms, NotCoprime, NotInvertible
 from bfglm.field import Field
 from bfglm.unipoly import (
+    _QUO_SCHOOLBOOK,
     Poly,
     berlekamp_massey,
     crt_pair,
@@ -245,3 +246,126 @@ def test_gcd_divides_both(a, b):
     assert (pa % g).is_zero()
     assert (pb % g).is_zero()
     assert g.lead() == 1
+
+
+# -- the fast paths, against loop references --------------------------------
+
+# the int64 tier at three widths, then the object tier (schoolbook paths)
+WIDE_PRIMES = [101, 67108859, (1 << 31) - 1, (1 << 61) - 1]
+
+
+def _rand(field, n, rng, nonzero_lead=False):
+    c = [int(x) % field.p for x in rng.integers(0, 1 << 62, n)]
+    if nonzero_lead and n:
+        c[-1] = c[-1] or 1
+    return c
+
+
+def _quo_rem_reference(a, b, p):
+    """Long division on Python ints."""
+    r = list(a)
+    d = len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    q = [0] * (len(r) - d)
+    for i in range(len(r) - 1, d - 1, -1):
+        c = r[i] * inv % p
+        q[i - d] = c
+        for j in range(d + 1):
+            r[i - d + j] = (r[i - d + j] - c * b[j]) % p
+    return q, r[:d]
+
+
+def _laurent_reference(A, F, k):
+    """v_s from A = F * sum_s v_s T^-(s+1), one term at a time."""
+    p, r = F.field.p, F.degree
+    inv_lc = pow(F.lead(), p - 2, p)
+    v = []
+    for s in range(k):
+        if s < r:
+            acc = A.coeff(r - 1 - s) - sum(F.coeff(r - s + j) * v[j] for j in range(s))
+        else:
+            acc = -sum(F.coeff(i) * v[s - r + i] for i in range(r))
+        v.append(acc * inv_lc % p)
+    return v
+
+
+def _berlekamp_massey_reference(terms, p):
+    """Connection polynomial of the shortest recurrence, on Python lists."""
+    C, B = [1], [1]
+    L, m, b = 0, 1, 1
+    for n, tn in enumerate(terms):
+        d = (tn + sum(C[i] * terms[n - i] for i in range(1, L + 1))) % p
+        if d == 0:
+            m += 1
+            continue
+        coef = d * pow(b, p - 2, p) % p
+        T = C[:]
+        C = C + [0] * max(0, len(B) + m - len(C))
+        for i, bi in enumerate(B):
+            C[i + m] = (C[i + m] - coef * bi) % p
+        if 2 * L <= n:
+            L, B, b, m = n + 1 - L, T, d, 1
+        else:
+            m += 1
+    return [C[L - i] if L - i < len(C) else 0 for i in range(L + 1)]
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+@pytest.mark.parametrize("d", [5, 600])
+def test_quo_rem_matches_long_division(p, d):
+    f = Field(p)
+    rng = np.random.default_rng(d)
+    b = _rand(f, d + 1, rng, nonzero_lead=True)
+    b[-1] = max(2, b[-1])  # non-monic
+    divisor = Poly(f, b)
+    # quotient lengths around the schoolbook crossover, then long ones; the
+    # divisor keeps its cached inverse and extends it as k grows
+    for k in [_QUO_SCHOOLBOOK - 1, _QUO_SCHOOLBOOK, _QUO_SCHOOLBOOK + 1, 700, _QUO_SCHOOLBOOK + 2]:
+        a = _rand(f, d + k, rng, nonzero_lead=True)
+        q, r = Poly(f, a).quo_rem(divisor)
+        q_ref, r_ref = _quo_rem_reference(a, b, p)
+        assert q == Poly(f, q_ref)
+        assert r == Poly(f, r_ref)
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+def test_laurent_expand_matches_recurrence(p):
+    f = Field(p)
+    rng = np.random.default_rng(7)
+    r = 250
+    den = Poly(f, _rand(f, r + 1, rng, nonzero_lead=True))
+    num = Poly(f, _rand(f, r, rng))
+    for k in [r - 37, r, 2 * r + 13]:
+        assert laurent_expand(num, den, k) == _laurent_reference(num, den, k)
+
+
+@pytest.mark.parametrize("p, r", [(p, 200) for p in WIDE_PRIMES] + [(67108859, 600)])
+def test_power_projection_matches_naive_at_large_degree(p, r):
+    # r = 600 takes every series product through the FFT
+    f = Field(p)
+    rng = np.random.default_rng(r)
+    m = Poly(f, _rand(f, r + 1, rng, nonzero_lead=True))
+    h = Poly(f, _rand(f, r, rng))
+    ell = _rand(f, r, rng)
+    t = 2 * r + 37
+    naive = power_projection_naive(m, h, ell, t + 1)
+    assert power_projection(m, h, ell, t) == naive[:t]
+    # transposing the product by h shifts the projected power sequence
+    moved = transposed_modmul(h, ell, m)
+    assert power_projection_naive(m, h, moved, 20) == naive[1:21]
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+def test_berlekamp_massey_long_recurrence(p):
+    f = Field(p)
+    rng = np.random.default_rng(11)
+    r = 220
+    gen = Poly(f, _rand(f, r, rng) + [1])
+    # impulse response of gen: its minimal polynomial is gen itself
+    seq = [0] * (r - 1) + [1]
+    while len(seq) < 2 * r:
+        seq.append(-sum(gen.coeff(i) * seq[len(seq) - r + i] for i in range(r)) % p)
+    assert berlekamp_massey(seq, f, r) == gen
+    noise = _rand(f, 2 * r, rng)
+    got = berlekamp_massey(noise, f, r)
+    assert [got.coeff(i) for i in range(got.degree + 1)] == _berlekamp_massey_reference(noise, p)
