@@ -121,11 +121,7 @@ class Field:
         if len(a) == 0 or len(b) == 0:
             return self.zeros(0)
         if self.dtype is object:
-            out = self.zeros(len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    out[i : i + len(b)] = (out[i : i + len(b)] + ai * b) % self.p
-            return out
+            return np.convolve(a.astype(object), b.astype(object)) % self.p
         n = len(a) + len(b) - 1
         if min(len(a), len(b)) > _FFT_MIN_LEN and n <= _FFT_MAX_SIZE:
             return self._fft_convolve(a, b, n)

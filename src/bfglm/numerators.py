@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import InsufficientTerms, ShapeError
 from .polymat import PolyMat
-from .sparse import KrylovTable, project_vector
 from .unipoly import Poly
 
 
@@ -23,7 +22,11 @@ class NumeratorInputs:
     Pmat: PolyMat
     s1: Poly
     a_row: PolyMat  # 1 x m, a_row . Pmat = s1 . e_i
-    table: KrylovTable
+    columns: list  # the d terms L_s . W (m x k) of the columns W given to the Krylov pass
+
+    def column(self, j: int) -> list:
+        """The d terms L_s . w (m x 1) of the column w = W[:, j]."""
+        return [c[:, j : j + 1] for c in self.columns]
 
 
 def matrix_numerator(terms, Pmat: PolyMat) -> PolyMat:
@@ -66,16 +69,15 @@ def row_times_column(a_row: PolyMat, omega: PolyMat, j: int = 0) -> Poly:
     return acc
 
 
-def scalar_numerator(inp: NumeratorInputs, w: np.ndarray) -> Poly:
-    """Numerator of (u_i M^s w) with respect to s1, via the block sequence."""
-    terms = project_vector(inp.table, w)
+def scalar_numerator(inp: NumeratorInputs, terms) -> Poly:
+    """Numerator of (u_i M^s w) with respect to s1, from the d block terms
+    L_s . w (m x 1)."""
     omega = matrix_numerator(terms, inp.Pmat)
     return row_times_column(inp.a_row, omega)
 
 
-def scalar_numerator_corrected(inp: NumeratorInputs, w: np.ndarray, corrections) -> Poly:
+def scalar_numerator_corrected(inp: NumeratorInputs, terms, corrections) -> Poly:
     """Same as scalar_numerator with E_s := L_s.w - correction_s."""
-    terms = project_vector(inp.table, w)
     if len(corrections) != len(terms):
         raise ShapeError(
             f"{len(corrections)} corrections for {len(terms)} sequence terms"

@@ -28,14 +28,7 @@ from .errors import (
 from .field import Field, Rng, sample_block
 from .numerators import NumeratorInputs, scalar_numerator, scalar_numerator_corrected
 from .polymat import largest_invariant_factor, left_quotient_row, minimal_matrix_generator
-from .sparse import (
-    KrylovTable,
-    SparseMat,
-    combine_matrices,
-    krylov_left_sequence,
-    mat_vec,
-    project_right,
-)
+from .sparse import SparseMat, combine_matrices, krylov_left_sequence, mat_vec, project_vector
 from .unipoly import Poly, berlekamp_massey, scalar_numerator_direct, squarefree_part
 
 RETRYABLE = (GenericityFailure, NotInvertible, NotCoprime, PrecisionFailure)
@@ -130,12 +123,19 @@ def unit_vector(f: Field, D: int, i: int = 0) -> np.ndarray:
     return e
 
 
+def e1_columns(mats, *extra) -> np.ndarray:
+    """W = [e_1 | M_1 e_1 | ... | M_n e_1 | extra...]: the columns whose
+    projections the numerators and the correction terms read."""
+    e1 = unit_vector(mats[0].field, mats[0].dim)
+    return np.stack([e1] + [mat_vec(Mi, e1) for Mi in mats] + list(extra), axis=1)
+
+
 @dataclass
 class BlockSolveArtifacts:
     """Intermediates of one block_parametrization run, kept for testing."""
 
     M: SparseMat
-    table: KrylovTable  # the first d blocks, the ones the numerators read
+    columns: list  # the d terms L_s . W the numerators read
     seq: list
     Pmat: object
     s1: Poly
@@ -144,14 +144,15 @@ class BlockSolveArtifacts:
     C_coord: list
 
 
-def _block_core(M, U, V, d, rng, workers=1, stats=None, delta=None, target=None, rows=1):
+def _block_core(M, U, V, W, d, rng, workers=1, stats=None, delta=None, target=None, rows=1):
     """The block-Krylov pipeline shared by the plain, X_1 and residual solves.
 
     Returns (seq, inp, Q, a_rows): the 2d terms U^T M^s V (minus the
-    correction terms delta, when given), the NumeratorInputs over the first
-    d Krylov blocks, the squarefree part Q of the largest invariant factor
-    s1 of the terms' minimal matrix generator, and its first `rows` left
-    quotient rows.
+    correction terms delta, when given), the NumeratorInputs over the d
+    terms U^T M^s W of the extra columns W, the squarefree part Q of the
+    largest invariant factor s1 of the terms' minimal matrix generator, and
+    its first `rows` left quotient rows.  One streamed Krylov pass makes
+    both projections.
 
     With a target dimension, a squarefree s1 of lower degree raises
     NonSeparating: the action is semisimple on a proper subspace, so either
@@ -161,10 +162,9 @@ def _block_core(M, U, V, d, rng, workers=1, stats=None, delta=None, target=None,
     """
     f = M.field
     t0 = perf_counter()
-    table = krylov_left_sequence(M, U, 2 * d, workers=workers)
+    seq, columns = krylov_left_sequence(M, U, 2 * d, np.hstack([V, W]), short=d, workers=workers)
     if stats is not None:
         stats.krylov_seconds += perf_counter() - t0
-    seq = project_right(table, V)
     if delta is not None:
         seq = [(s - c) % f.p for s, c in zip(seq, delta)]
     Pmat = minimal_matrix_generator(seq, f, d, d)
@@ -173,21 +173,19 @@ def _block_core(M, U, V, d, rng, workers=1, stats=None, delta=None, target=None,
     if target is not None and s1.degree < target and s1 == Q:
         raise NonSeparating(f"squarefree invariant factor of degree {s1.degree} < {target}")
     a_rows = [left_quotient_row(Pmat, s1, i, rng.child()) for i in range(rows)]
-    inp = NumeratorInputs(Pmat=Pmat, s1=s1, a_row=a_rows[0], table=KrylovTable(f, table.blocks[:d]))
+    inp = NumeratorInputs(Pmat=Pmat, s1=s1, a_row=a_rows[0], columns=columns)
     return seq, inp, Q, a_rows
 
 
-def _numerators(inp: NumeratorInputs, mats, corrections=None) -> list:
-    """Numerators of (u_1 M^s w) for w = e_1, mats[0] e_1, mats[1] e_1, ...
+def _numerators(inp: NumeratorInputs, cols, corrections=None) -> list:
+    """Numerators of (u_1 M^s w) for the columns w = W[:, j], j in cols.
 
-    With corrections (one list of m x 1 terms per w), each is the numerator
-    of the corrected sequence L_s w - corrections[k][s].
+    With corrections (one list of m x 1 terms per column), each is the
+    numerator of the corrected sequence L_s w - corrections[k][s].
     """
-    e1 = unit_vector(inp.table.field, inp.table.dim)
-    ws = [e1] + [mat_vec(Mi, e1) for Mi in mats]
     if corrections is None:
-        return [scalar_numerator(inp, w) for w in ws]
-    return [scalar_numerator_corrected(inp, w, c) for w, c in zip(ws, corrections)]
+        return [scalar_numerator(inp, inp.column(j)) for j in cols]
+    return [scalar_numerator_corrected(inp, inp.column(j), c) for j, c in zip(cols, corrections)]
 
 
 def _coordinates(nums: list, Q: Poly) -> list:
@@ -196,20 +194,24 @@ def _coordinates(nums: list, Q: Poly) -> list:
     return [C.modmul(C1_inv, Q) for C in nums[1:]]
 
 
-def _rank_one_defect(inp: NumeratorInputs, mats, y, nums: list) -> Poly:
+def _rank_one_defect(nums: list, y, c: Poly) -> Poly:
     """a*c - b^2, with a, b, c the numerators of e_1, N e_1 and N^2 e_1 for
-    the probe N = sum y_i mats[i]; nums = _numerators(inp, mats) gives a and
-    b = sum y_i nums[1 + i], as numerators are linear in w.
+    the probe N = sum y_i mats[i]; nums, the numerators of e_1, mats[0] e_1,
+    mats[1] e_1, ..., gives a and b = sum y_i nums[1 + i], as numerators are
+    linear in w.
 
     At a simple root of s1 carrying one simple point P, (a, b, c) is
     proportional to (1, y(P), y(P)^2) and the defect vanishes; at a root
     shared by two points, or carrying a fat point, it generically does not.
     """
-    f = inp.table.field
-    b = sum((C.scale(yi) for yi, C in zip(y, nums[1:])), Poly.zero(f))
-    N = combine_matrices(y, mats)
-    c = scalar_numerator(inp, mat_vec(N, mat_vec(N, unit_vector(f, N.dim))))
+    b = sum((C.scale(yi) for yi, C in zip(y, nums[1:])), Poly.zero(c.field))
     return nums[0] * c - b * b
+
+
+def _probe_column(mats, y) -> np.ndarray:
+    """N^2 e_1 for the probe N = sum y_i mats[i]."""
+    N = combine_matrices(y, mats)
+    return mat_vec(N, mat_vec(N, unit_vector(N.field, N.dim)))
 
 
 def block_parametrization(
@@ -234,8 +236,10 @@ def block_parametrization(
     rng = rng or Rng(0)
     M = combine_matrices(t, inst.mats)
     d = max(1, math.ceil(inst.D / m))
-    seq, inp, Q, _ = _block_core(M, U, V, d, rng, workers=workers, stats=stats, target=inst.D)
-    nums = _numerators(inp, inst.mats)
+    seq, inp, Q, _ = _block_core(
+        M, U, V, e1_columns(inst.mats), d, rng, workers=workers, stats=stats, target=inst.D
+    )
+    nums = _numerators(inp, range(inst.n + 1))
     if inp.s1.degree < inst.D and inp.s1 != Q:
         # repeated roots pass the core's certificate even when t merges two
         # simple points at another root: test the simple roots of s1 with a
@@ -243,14 +247,15 @@ def block_parametrization(
         probe = rng.child()
         y = [probe.nonzero_element(f) for _ in range(inst.n)]
         Q_simple = Q // Q.gcd(inp.s1 // Q)
-        if not (_rank_one_defect(inp, inst.mats, y, nums) % Q_simple).is_zero():
+        c = scalar_numerator(inp, project_vector(M, U, d, _probe_column(inst.mats, y)))
+        if not (_rank_one_defect(nums, y, c) % Q_simple).is_zero():
             raise NonSeparating("a simple root of the invariant factor carries several points")
     param = ZeroDimParam(Q=Q, V=_coordinates(nums, Q), t=[int(x) % f.p for x in t])
     param.check_invariants()
     if artifacts is not None:
         artifacts.append(
             BlockSolveArtifacts(
-                M=M, table=inp.table, seq=seq, Pmat=inp.Pmat, s1=inp.s1, a_row=inp.a_row,
+                M=M, columns=inp.columns, seq=seq, Pmat=inp.Pmat, s1=inp.s1, a_row=inp.a_row,
                 C1=nums[0], C_coord=nums[1:],
             )
         )

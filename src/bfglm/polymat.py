@@ -195,7 +195,11 @@ def approximant_basis(F: PolyMat, order: int, shift=None) -> PolyMat:
     R = Fc.copy()
     deg = [int(s) for s in shift]
 
+    lo_shift = min(deg)
     for k in range(order):
+        # live window: R vanishes below T^k, and row i of B has degree at
+        # most min(deg[i] - min(shift), k)
+        top = min(max(deg) - lo_shift, k) + 1
         idx = sorted(range(r), key=lambda i: (deg[i], i))
         pivots = []  # (row, col, inverse of pivot value)
         for i in idx:
@@ -203,18 +207,18 @@ def approximant_basis(F: PolyMat, order: int, shift=None) -> PolyMat:
                 v = R[i, pcol, k]
                 if v != 0:
                     coef = v * pinv % p
-                    R[i] = (R[i] - coef * R[prow]) % p
-                    B[i] = (B[i] - coef * B[prow]) % p
+                    R[i, :, k:] = (R[i, :, k:] - coef * R[prow, :, k:]) % p
+                    B[i, :, :top] = (B[i, :, :top] - coef * B[prow, :, :top]) % p
             row = R[i, :, k]
             nz = np.flatnonzero(row != 0)
             if len(nz):
                 j = int(nz[0])
                 pivots.append((i, j, f.inv(int(row[j]))))
         for prow, _, _ in pivots:
-            B[prow, :, 1:] = B[prow, :, :-1]
+            B[prow, :, 1 : top + 1] = B[prow, :, :top]
             B[prow, :, 0] = 0
-            R[prow, :, 1:] = R[prow, :, :-1]
-            R[prow, :, 0] = 0
+            R[prow, :, k + 1 :] = R[prow, :, k:-1]
+            R[prow, :, k] = 0
             deg[prow] += 1
     return PolyMat.from_coeff_tensor(f, B)
 

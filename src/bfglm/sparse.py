@@ -1,21 +1,19 @@
-"""Sparse matrices over a prime field and the parallel block-Krylov engine.
+"""Sparse matrices over a prime field and the streamed block-Krylov pass.
 
-Storage is scipy CSR with int64 entries reduced to [0, p).  The Krylov
-sequence needs row-vector times matrix, so everything is tuned for that
-access pattern; the numerators add a few matrix-vector products.  For large
-p the int64 fast path overflows, so both products fall back to one exact
-Python-int product.
+Storage is scipy CSR with int64 entries reduced to [0, p).  The Krylov pass
+advances the block (M^T)^s U by one sparse product per step and projects it
+at once, so no Krylov table is ever stored; the numerators add a few
+matrix-vector products.  Every sparse product follows one overflow policy
+(`_product`).
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ShapeError
-from .field import Field
+from .field import _INT64_MAX, Field
 
 
 class SparseMat:
@@ -108,92 +106,88 @@ def combine_matrices(t, mats) -> SparseMat:
     return SparseMat(field, dim, acc)
 
 
-def _int64_safe(M: SparseMat) -> bool:
-    """Whether int64 sums of D products of reduced entries cannot overflow."""
-    f = M.field
-    return f.dtype is np.int64 and M.dim <= f._acc_limit
+def _product(A: sp.csr_matrix, X: np.ndarray, f: Field) -> np.ndarray:
+    """Exact A . X over the field for A with entries in [0, p), X a vector or
+    a block.
 
-
-def _exact_product(M: SparseMat, x: np.ndarray, left: bool) -> np.ndarray:
-    """Exact x . M (left) or M . x over the field, summed in Python ints."""
-    rows = np.repeat(np.arange(M.dim), np.diff(M.csr.indptr))
-    src, dst = (rows, M.csr.indices) if left else (M.csr.indices, rows)
-    out = np.zeros(M.dim, dtype=object)
-    np.add.at(out, dst, M.csr.data.astype(object) * np.asarray(x, dtype=object)[src])
-    return M.field.array(out)
+    One overflow policy: on the int64 tier a row of A overflows only past
+    f._acc_limit nonzeros; past it, X is split into 16-bit limbs and the
+    columns of A chunked so that no partial sum overflows, as in
+    Field.matmul.  Only the object tier sums exact Python ints.
+    """
+    p = f.p
+    if f.dtype is object:
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        vals = A.data.astype(object).reshape((-1,) + (1,) * (X.ndim - 1))
+        out = f.zeros((A.shape[0],) + X.shape[1:])
+        np.add.at(out, rows, vals * X[A.indices])
+        return out % p
+    # a row has at most as many nonzeros as A has columns
+    if A.shape[1] <= f._acc_limit or np.diff(A.indptr).max() <= f._acc_limit:
+        return A @ X % p
+    step = _INT64_MAX // (0xFFFF * (p - 1))
+    acc = 0
+    for lo in range(0, A.shape[1], step):
+        a = A if step >= A.shape[1] else A[:, lo : lo + step]
+        x = X[lo : lo + step]
+        acc = (acc + (a @ (x >> 16) % p << 16) + a @ (x & 0xFFFF) % p) % p
+    return acc
 
 
 def vec_mat(v: np.ndarray, M: SparseMat) -> np.ndarray:
     """Exact v . M over the field."""
     if v.shape != (M.dim,):
         raise ShapeError(f"vector length {v.shape} does not match {M.dim}")
-    if _int64_safe(M):
-        return (v @ M.csr) % M.field.p
-    return _exact_product(M, v, left=True)
+    return _product(M.csr.T.tocsr(), v, M.field)
 
 
 def mat_vec(M: SparseMat, w: np.ndarray) -> np.ndarray:
     """Exact M . w over the field, for a column vector w."""
     if w.shape != (M.dim,):
         raise ShapeError("vector length mismatch")
-    if _int64_safe(M):
-        return (M.csr @ w) % M.field.p
-    return _exact_product(M, w, left=False)
+    return _product(M.csr, w, M.field)
 
 
-class KrylovTable:
-    """Blocks L_s = U^T M^s for s = 0, ..., count-1."""
-
-    __slots__ = ("field", "m", "dim", "blocks")
-
-    def __init__(self, field: Field, blocks):
-        self.field = field
-        self.blocks = blocks
-        self.m = blocks[0].shape[0]
-        self.dim = blocks[0].shape[1]
-
-    @property
-    def count(self) -> int:
-        return len(self.blocks)
+def project_right(block: np.ndarray, right: np.ndarray, field: Field) -> np.ndarray:
+    """One projected term L . right, for the Krylov block stored as block = L^T."""
+    return field.matmul(block.T, right)
 
 
-def krylov_left_sequence(M: SparseMat, U: np.ndarray, count: int, workers: int = 1) -> KrylovTable:
-    """Left Krylov table; rows iterate independently, so the result is
-    bit-identical for any worker budget."""
+def krylov_left_sequence(M: SparseMat, U: np.ndarray, count: int, right, short=None, workers: int = 1):
+    """Projections of the left Krylov blocks L_s = U^T M^s onto right = [V | W].
+
+    V is as wide as U.  Returns (seq, extra): the count terms L_s . V and the
+    short (default count) terms L_s . W.  One streamed pass: M is
+    transposed once, the D x m block (M^T)^s U advances by one sparse product
+    per step and is projected at once, and only the current block is kept,
+    so memory stays O(nnz + D (m + k)) for k columns of right.  There are no
+    per-row tasks left to share out, so `workers` cannot change the result.
+    """
     if count < 1:
         raise ShapeError("need at least one block")
     if U.shape[0] != M.dim:
         raise ShapeError("U must have D rows")
     f = M.field
-    Ut = f.array(U.T)
-    m = Ut.shape[0]
-
-    def run_row(i):
-        rows = [Ut[i]]
-        for _ in range(count - 1):
-            rows.append(vec_mat(rows[-1], M))
-        return rows
-
-    if workers <= 1 or m == 1:
-        per_row = [run_row(i) for i in range(m)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, m)) as pool:
-            per_row = list(pool.map(run_row, range(m)))
-    blocks = [np.stack([per_row[i][s] for i in range(m)]) for s in range(count)]
-    return KrylovTable(f, blocks)
-
-
-def project_right(table: KrylovTable, V: np.ndarray):
-    """F_s = L_s . V for each block."""
-    if V.shape[0] != table.dim:
-        raise ShapeError("V must have D rows")
-    f = table.field
-    Va = f.array(V)
-    return [f.matmul(L, Va) for L in table.blocks]
+    m = U.shape[1]
+    R = f.array(right).reshape(len(right), -1)
+    if R.shape[0] != M.dim:
+        raise ShapeError("right must have D rows")
+    short = count if short is None else short
+    Mt = M.csr.T.tocsr()
+    X = f.array(U)
+    seq, extra = [], []
+    for s in range(count):
+        F = project_right(X, R if s < short else R[:, :m], f)
+        seq.append(F[:, :m])
+        if s < short:
+            extra.append(F[:, m:])
+        if s + 1 < count:
+            X = _product(Mt, X, f)
+    return seq, extra
 
 
-def project_vector(table: KrylovTable, w: np.ndarray):
-    """E_s = L_s . w, one m x 1 column per block."""
-    if w.shape[0] != table.dim:
+def project_vector(M: SparseMat, U: np.ndarray, count: int, w: np.ndarray) -> list:
+    """The count terms L_s . w (m x 1) of one column w, by a pass of its own."""
+    if w.shape != (M.dim,):
         raise ShapeError("w must have length D")
-    return project_right(table, np.asarray(w).reshape(table.dim, 1))
+    return krylov_left_sequence(M, U, count, w.reshape(-1, 1), short=0)[0]

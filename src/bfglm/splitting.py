@@ -21,14 +21,15 @@ from .param import (
     _block_core,
     _coordinates,
     _numerators,
+    _probe_column,
     _rank_one_defect,
     block_parametrization,
+    e1_columns,
     parametrization_from_minpoly,
     retry_solve,
-    unit_vector,
 )
 from .polymat import PolyMat
-from .sparse import KrylovTable, combine_matrices, mat_vec, project_right
+from .sparse import combine_matrices
 from .unipoly import (
     Poly,
     berlekamp_massey,
@@ -41,7 +42,7 @@ from .unipoly import (
 
 @dataclass
 class X1SolveCache:
-    table: KrylovTable  # first d blocks of U^T M_1^s
+    columns: list  # d terms U^T M_1^s W, W = [e_1 | M_1 e_1 | ... | M_n e_1 | probe]
     seq: list  # 2d terms of U^T M_1^s V
     Pmat: PolyMat
     M_min: Poly  # minimal polynomial of the first variable
@@ -90,14 +91,18 @@ def block_parametrization_x1(
     if len(y) != inst.n - 1:
         raise InvalidInput("probe form needs n-1 coefficients")
     d = max(1, math.ceil(inst.D / m))
+    probe = [_probe_column(inst.mats[1:], y)] if inst.n > 1 else []
+    W = e1_columns(inst.mats, *probe)
     seq, inp, F, a_rows = _block_core(
-        inst.mats[0], U, V, d, rng, workers=workers, stats=stats, rows=m
+        inst.mats[0], U, V, W, d, rng, workers=workers, stats=stats, rows=m
     )
     M_min = inp.s1
     F = (F // F.gcd(M_min.gcd(M_min.derivative()))).monic()
-    nums = _numerators(inp, inst.mats[1:])
-    if inst.n > 1:
-        F = F.gcd(_rank_one_defect(inp, inst.mats[1:], y, nums))
+    # every column but M_1 e_1: the coordinate X_1 is T itself
+    nums = _numerators(inp, [0, *range(2, W.shape[1])])
+    if probe:
+        c = nums.pop()
+        F = F.gcd(_rank_one_defect(nums, y, c))
     t_x1 = [1] + [0] * (inst.n - 1)
     if F.degree == 0:
         param = _empty_param(f, inst.n, t_x1)
@@ -105,7 +110,7 @@ def block_parametrization_x1(
         param = ZeroDimParam(Q=F, V=[Poly.x(f) % F] + _coordinates(nums, F), t=t_x1)
         param.check_invariants()
     cache = X1SolveCache(
-        table=inp.table, seq=seq, Pmat=inp.Pmat, M_min=M_min, a_rows=a_rows, param_A=param,
+        columns=inp.columns, seq=seq, Pmat=inp.Pmat, M_min=M_min, a_rows=a_rows, param_A=param,
         D_A=F.degree,
     )
     return cache, param
@@ -151,10 +156,8 @@ def correction_matrices(cache: X1SolveCache, t, inst: Instance) -> CorrectionSet
     # the terms L_s w for the columns w = e_1, M_1 e_1, ..., M_n e_1
     delta_w = [f.zeros((m, inst.n + 1)) for _ in range(d_B)]
     if cache.D_A > 0:
-        e1 = unit_vector(f, inst.D)
-        W = np.stack([e1] + [mat_vec(Mk, e1) for Mk in inst.mats], axis=1)
-        omega_V = matrix_numerator(cache.seq[: cache.table.count], cache.Pmat)
-        omega_W = matrix_numerator(project_right(cache.table, W), cache.Pmat)
+        omega_V = matrix_numerator(cache.seq[: len(cache.columns)], cache.Pmat)
+        omega_W = matrix_numerator([c[:, : inst.n + 1] for c in cache.columns], cache.Pmat)
         for out, omega in ((delta, omega_V), (delta_w, omega_W)):
             for i in range(m):
                 for j in range(omega.cols):
@@ -187,10 +190,11 @@ def block_parametrization_residual(
     rng = rng or Rng(0)
     M = combine_matrices(t, inst.mats)
     _, inp, R, _ = _block_core(
-        M, U, V, corr.d_B, rng, workers=workers, stats=stats, delta=corr.delta, target=corr.D_B
+        M, U, V, e1_columns(inst.mats), corr.d_B, rng, workers=workers, stats=stats,
+        delta=corr.delta, target=corr.D_B,
     )
     cols = [[x[:, k : k + 1] for x in corr.delta_coord] for k in range(inst.n)]
-    W = _coordinates(_numerators(inp, inst.mats, [corr.delta_one] + cols), R)
+    W = _coordinates(_numerators(inp, range(inst.n + 1), [corr.delta_one] + cols), R)
     param = ZeroDimParam(Q=R, V=W, t=[int(x) % f.p for x in t])
     param.check_invariants()
     return param

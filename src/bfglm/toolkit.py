@@ -16,7 +16,7 @@ import numpy as np
 from .errors import FormatError, InvalidInput, InvalidSpec, InvariantViolation
 from .field import Field, Rng
 from .param import Instance, ZeroDimParam, unit_vector
-from .sparse import SparseMat, combine_matrices, mat_vec, vec_mat
+from .sparse import SparseMat, combine_matrices, krylov_left_sequence, mat_vec
 from .unipoly import Poly, berlekamp_massey
 
 
@@ -399,12 +399,8 @@ def minimal_polynomial_of_combination(inst: Instance, t, rng: Rng) -> Poly:
     M = combine_matrices(t, inst.mats)
     u = rng.vector(f, inst.D)
     v = rng.vector(f, inst.D)
-    seq = []
-    cur = u
-    for _ in range(2 * inst.D):
-        seq.append(int(f.matmul(cur, v)))
-        cur = vec_mat(cur, M)
-    return berlekamp_massey(seq, f, inst.D)
+    seq, _ = krylov_left_sequence(M, u.reshape(-1, 1), 2 * inst.D, v)
+    return berlekamp_massey([int(x[0, 0]) for x in seq], f, inst.D)
 
 
 def verify_solution(inst: Instance, param: ZeroDimParam, truth: GroundTruth | None = None):

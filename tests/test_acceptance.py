@@ -21,7 +21,7 @@ from bfglm.polymat import (
     left_quotient_row,
     minimal_matrix_generator,
 )
-from bfglm.sparse import SparseMat, combine_matrices, krylov_left_sequence, project_right
+from bfglm.sparse import SparseMat, combine_matrices, krylov_left_sequence
 from bfglm.splitting import block_parametrization_with_splitting, solve_split
 from bfglm.toolkit import PointSpec, generate_instance, minimal_polynomial_of_combination
 from bfglm.unipoly import (
@@ -97,8 +97,7 @@ def test_criterion_1_reference_example():
     ok = True
 
     M = combine_matrices(REF_T, mats)
-    table = krylov_left_sequence(M, U, 4)
-    seq = project_right(table, V)
+    seq, _ = krylov_left_sequence(M, U, 4, V)
     ok &= all(np.array_equal(s, F101.array(w)) for s, w in zip(seq, REF_SEQ))
 
     G = minimal_matrix_generator(seq, F101, 2, 2)

@@ -10,10 +10,10 @@ from bfglm.numerators import (
     scalar_numerator_corrected,
 )
 from bfglm.polymat import largest_invariant_factor, left_quotient_row, minimal_matrix_generator
-from bfglm.sparse import SparseMat, combine_matrices, krylov_left_sequence, project_vector
+from bfglm.sparse import SparseMat, combine_matrices, krylov_left_sequence
 from bfglm.unipoly import Poly, berlekamp_massey, laurent_expand, scalar_numerator_direct
 
-from conftest import REF_M1, REF_M2, REF_T, REF_U
+from conftest import REF_M1, REF_M2, REF_T, REF_U, REF_V
 
 F = Field(101)
 
@@ -26,31 +26,25 @@ def ref_setup():
     mats = [SparseMat.from_dense(F, REF_M1), SparseMat.from_dense(F, REF_M2)]
     M = combine_matrices(REF_T, mats)
     U = F.array(REF_U)
-    table = krylov_left_sequence(M, U, 4)
-    from bfglm.sparse import project_right
-    from conftest import REF_V
-
-    seq = project_right(table, F.array(REF_V))
+    # W = [eps_1 | M_1 . eps_1], projected for the first d = 2 steps
+    W = np.stack([np.eye(4, dtype=np.int64)[:, 0], np.asarray(mats[0].to_dense())[:, 0]], axis=1)
+    seq, cols = krylov_left_sequence(M, U, 4, np.hstack([F.array(REF_V), W]), short=2)
     G = minimal_matrix_generator(seq, F, 2, 2)
     s1 = largest_invariant_factor(G, Rng(42))
     a = left_quotient_row(G, s1, 0, Rng(42))
-    short = type(table)(F, table.blocks[:2])
-    return mats, M, NumeratorInputs(Pmat=G, s1=s1, a_row=a, table=short)
+    return mats, M, NumeratorInputs(Pmat=G, s1=s1, a_row=a, columns=cols)
 
 
 def test_reference_numerators():
     mats, M, inp = ref_setup()
-    eps1 = F.zeros(4)
-    eps1[0] = 1
-    terms = project_vector(inp.table, eps1)
+    terms = inp.column(0)  # eps_1
     omega = matrix_numerator(terms, inp.Pmat)
     assert omega.entries[0][0] == P(55, 84)
     assert omega.entries[1][0] == P(11, 38)
-    C1 = scalar_numerator(inp, eps1)
+    C1 = scalar_numerator(inp, terms)
     assert C1 == P(13, 75, 84)
 
-    w = F.array(np.asarray(mats[0].to_dense())[:, 0])  # M_1 . eps_1
-    CX1 = scalar_numerator(inp, w)
+    CX1 = scalar_numerator(inp, inp.column(1))  # M_1 . eps_1
     assert CX1 == P(16, 47, 88)
 
 
@@ -74,10 +68,7 @@ def test_matrix_numerator_degree_bound():
     U = sample_block(rng, F, D, m)
     V = sample_block(rng, F, D, m)
     d = (D + m - 1) // m
-    table = krylov_left_sequence(M, U, 2 * d)
-    from bfglm.sparse import project_right
-
-    seq = project_right(table, V)
+    seq, _ = krylov_left_sequence(M, U, 2 * d, V)
     G = minimal_matrix_generator(seq, F, d, d)
     omega = matrix_numerator(seq[:d], G)
     for i in range(m):
@@ -93,17 +84,16 @@ def test_scalar_case_matches_direct_formula():
     M = SparseMat.from_dense(F, rng.block(F, D, D))
     u = sample_block(rng, F, D, 1)
     w = rng.vector(F, D)
-    table = krylov_left_sequence(M, u, 2 * D)
-    scal = [int(b[0] @ w % 101) for b in table.blocks]
+    terms, _ = krylov_left_sequence(M, u, 2 * D, w)
+    scal = [int(b[0, 0]) for b in terms]
     minpoly = berlekamp_massey(scal, F, D)
     d = minpoly.degree
     direct = scalar_numerator_direct(scal[:d], F, minpoly)
     G = minimal_matrix_generator([F.array([[v]]) for v in scal[:2 * d]], F, d, d)
     assert G.entries[0][0] == minpoly
     a = left_quotient_row(G, minpoly, 0, rng)
-    short = type(table)(F, table.blocks[:d])
-    inp = NumeratorInputs(Pmat=G, s1=minpoly, a_row=a, table=short)
-    assert scalar_numerator(inp, w) == direct.scale(a.entries[0][0].coeff(0))
+    inp = NumeratorInputs(Pmat=G, s1=minpoly, a_row=a, columns=terms[:d])
+    assert scalar_numerator(inp, inp.column(0)) == direct.scale(a.entries[0][0].coeff(0))
     # a is the constant 1 here since G is already the invariant factor
     assert a.entries[0][0].is_one()
 
@@ -117,17 +107,13 @@ def test_scalar_numerator_expands_to_projected_sequence():
     U = sample_block(rng, F, D, m)
     V = sample_block(rng, F, D, m)
     d = (D + m - 1) // m
-    table = krylov_left_sequence(M, U, 2 * d)
-    from bfglm.sparse import project_right
-
-    seq = project_right(table, V)
+    w = rng.vector(F, D)
+    seq, cols = krylov_left_sequence(M, U, 2 * d, np.hstack([V, w.reshape(-1, 1)]), short=d)
     G = minimal_matrix_generator(seq, F, d, d)
     s1 = largest_invariant_factor(G, rng)
     a = left_quotient_row(G, s1, 0, rng)
-    w = rng.vector(F, D)
-    short = type(table)(F, table.blocks[:d])
-    inp = NumeratorInputs(Pmat=G, s1=s1, a_row=a, table=short)
-    C = scalar_numerator(inp, w)
+    inp = NumeratorInputs(Pmat=G, s1=s1, a_row=a, columns=cols)
+    C = scalar_numerator(inp, inp.column(0))
     Md = dense.astype(object)
     scal = []
     cur = U[:, 0].astype(object)
@@ -139,19 +125,16 @@ def test_scalar_numerator_expands_to_projected_sequence():
 
 def test_corrected_with_zero_corrections_matches_plain():
     mats, _, inp = ref_setup()
-    w = F.zeros(4)
-    w[0] = 1
-    zeros = [F.zeros((2, 1)) for _ in range(inp.table.count)]
-    assert scalar_numerator_corrected(inp, w, zeros) == scalar_numerator(inp, w)
+    terms = inp.column(0)
+    zeros = [F.zeros((2, 1)) for _ in range(len(inp.columns))]
+    assert scalar_numerator_corrected(inp, terms, zeros) == scalar_numerator(inp, terms)
     with pytest.raises(ShapeError):
-        scalar_numerator_corrected(inp, w, zeros[:1])
+        scalar_numerator_corrected(inp, terms, zeros[:1])
 
 
 def test_corrected_subtracts_before_expansion():
     _, _, inp = ref_setup()
-    w = F.zeros(4)
-    w[0] = 1
-    terms = project_vector(inp.table, w)
+    terms = inp.column(0)
     # corrections equal to the terms themselves give the zero numerator
-    out = scalar_numerator_corrected(inp, w, [t.copy() for t in terms])
+    out = scalar_numerator_corrected(inp, terms, [t.copy() for t in terms])
     assert out.is_zero()

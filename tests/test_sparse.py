@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bfglm.errors import ShapeError
 from bfglm.field import Field, Rng, sample_block
@@ -7,6 +10,7 @@ from bfglm.sparse import (
     SparseMat,
     combine_matrices,
     krylov_left_sequence,
+    mat_vec,
     project_right,
     project_vector,
     vec_mat,
@@ -81,14 +85,14 @@ def test_vec_mat_matches_dense(p):
 
 
 def test_krylov_reference_blocks():
+    # projecting on [V | I] recovers the blocks L_s = U^T M^s themselves
     mats = [SparseMat.from_dense(F, REF_M1), SparseMat.from_dense(F, REF_M2)]
     M = combine_matrices(REF_T, mats)
-    table = krylov_left_sequence(M, F.array(REF_U), 4)
-    assert table.count == 4
-    assert np.array_equal(table.blocks[1], F.array([[54, 28, 67, 81], [34, 52, 90, 29]]))
-    assert np.array_equal(table.blocks[2], F.array([[33, 91, 3, 2], [47, 77, 47, 7]]))
-    assert np.array_equal(table.blocks[3], F.array([[89, 80, 87, 82], [34, 56, 55, 34]]))
-    seq = project_right(table, F.array(REF_V))
+    seq, blocks = krylov_left_sequence(M, F.array(REF_U), 4, np.hstack([F.array(REF_V), np.eye(4, dtype=np.int64)]))
+    assert len(seq) == len(blocks) == 4
+    assert np.array_equal(blocks[1], F.array([[54, 28, 67, 81], [34, 52, 90, 29]]))
+    assert np.array_equal(blocks[2], F.array([[33, 91, 3, 2], [47, 77, 47, 7]]))
+    assert np.array_equal(blocks[3], F.array([[89, 80, 87, 82], [34, 56, 55, 34]]))
     for got, want in zip(seq, REF_SEQ):
         assert np.array_equal(got, F.array(want))
 
@@ -100,10 +104,27 @@ def test_krylov_matches_dense_oracle(D, m):
     M = SparseMat.from_dense(F, dense)
     U = sample_block(rng, F, D, m)
     V = sample_block(rng, F, D, m)
-    table = krylov_left_sequence(M, U, 7)
+    got, _ = krylov_left_sequence(M, U, 7, V)
     want = dense_mat_pow_seq(F, dense, U, V, 7)
-    got = project_right(table, V)
     for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("short", [3, 7])
+def test_krylov_extra_columns_match_dense_oracle(short):
+    # the W columns are projected for the first `short` steps only
+    rng = Rng(19)
+    D, m = 24, 2
+    dense = rng.block(F, D, D)
+    M = SparseMat.from_dense(F, dense)
+    U = sample_block(rng, F, D, m)
+    V = sample_block(rng, F, D, m)
+    W = sample_block(rng, F, D, 3)
+    seq, extra = krylov_left_sequence(M, U, 7, np.hstack([V, W]), short=short)
+    assert len(seq) == 7 and len(extra) == short
+    for a, b in zip(seq, dense_mat_pow_seq(F, dense, U, V, 7)):
+        assert np.array_equal(a, b)
+    for a, b in zip(extra, dense_mat_pow_seq(F, dense, U, W, short)):
         assert np.array_equal(a, b)
 
 
@@ -112,9 +133,10 @@ def test_krylov_worker_determinism():
     dense = rng.block(F, 30, 30)
     M = SparseMat.from_dense(F, dense)
     U = sample_block(rng, F, 30, 4)
-    t1 = krylov_left_sequence(M, U, 9, workers=1)
-    t4 = krylov_left_sequence(M, U, 9, workers=4)
-    for a, b in zip(t1.blocks, t4.blocks):
+    right = np.hstack([sample_block(rng, F, 30, 4), np.eye(30, dtype=np.int64)])
+    s1, e1 = krylov_left_sequence(M, U, 9, right, short=5, workers=1)
+    s4, e4 = krylov_left_sequence(M, U, 9, right, short=5, workers=4)
+    for a, b in zip(s1 + e1, s4 + e4):
         assert np.array_equal(a, b)
 
 
@@ -123,17 +145,90 @@ def test_project_vector_matches_columns():
     dense = rng.block(F, 10, 10)
     M = SparseMat.from_dense(F, dense)
     U = sample_block(rng, F, 10, 2)
-    table = krylov_left_sequence(M, U, 5)
     w = rng.vector(F, 10)
-    cols = project_vector(table, w)
-    full = project_right(table, w.reshape(-1, 1))
+    cols = project_vector(M, U, 5, w)
+    _, full = krylov_left_sequence(M, U, 5, np.hstack([sample_block(rng, F, 10, 2), w.reshape(-1, 1)]))
+    assert len(cols) == 5
     for a, b in zip(cols, full):
         assert np.array_equal(a, b)
+    # one projected term: L . w for the block stored as L^T = U
+    assert np.array_equal(project_right(U, w.reshape(-1, 1), F), cols[0])
 
 
 def test_project_shape_mismatch():
     rng = Rng(5)
     M = SparseMat.from_dense(F, rng.block(F, 6, 6))
-    table = krylov_left_sequence(M, sample_block(rng, F, 6, 2), 3)
+    U = sample_block(rng, F, 6, 2)
     with pytest.raises(ShapeError):
-        project_right(table, sample_block(rng, F, 7, 2))
+        krylov_left_sequence(M, U, 3, sample_block(rng, F, 7, 2))
+    with pytest.raises(ShapeError):
+        project_vector(M, U, 3, rng.vector(F, 7))
+
+
+def test_krylov_pass_memory_is_linear_in_D():
+    # a Krylov table of 1500 blocks of 2 x 1500 would take 36 MB (69 MB
+    # traced while stacked); the pass keeps one block and the projections
+    D, m, count = 1500, 2, 1500
+    f = Field(67108859)
+    rng = Rng(6)
+    rows = np.repeat(np.arange(D), 4)
+    csr = sp.csr_matrix(
+        (rng.integers(1, f.p, 4 * D), (rows, rng.integers(0, D, 4 * D))), shape=(D, D), dtype=np.int64
+    )
+    csr.sum_duplicates()
+    csr.data %= f.p
+    M = SparseMat(f, D, csr)
+    U = sample_block(rng, f, D, m)
+    V = sample_block(rng, f, D, m)
+    tracemalloc.start()
+    try:
+        seq, _ = krylov_left_sequence(M, U, count, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seq) == count
+    assert peak < 2 * 2**20, f"pass peaked at {peak / 2**20:.1f} MB"
+
+
+def _dense_with_full_row_and_column(f, D, rng):
+    """A sparse matrix whose row 0 and column 0 are full, so that exact
+    products sum D terms per entry there."""
+    dense = np.zeros((D, D), dtype=np.int64)
+    dense[0, :] = rng.integers(1, f.p, D)
+    dense[:, 0] = rng.integers(1, f.p, D)
+    idx = rng.integers(0, D, (2, 3 * D))
+    dense[idx[0], idx[1]] = rng.integers(0, f.p, 3 * D)
+    return dense
+
+
+@pytest.mark.parametrize("p,D", [(2**31 - 1, 40), (67108859, 2100)])
+def test_products_past_the_accumulation_limit(p, D):
+    # int64 sums overflow past f._acc_limit terms (2 at 2^31 - 1, 2048 at
+    # 67108859): the 16-bit limb path must match the object oracle
+    f = Field(p)
+    assert D > f._acc_limit and f.dtype is np.int64
+    rng = Rng(D)
+    dense = _dense_with_full_row_and_column(f, D, rng)
+    M = SparseMat.from_dense(f, dense)
+    obj = dense.astype(object)
+    v = rng.vector(f, D)
+    assert np.array_equal(vec_mat(v, M), (v.astype(object) @ obj) % p)
+    assert np.array_equal(mat_vec(M, v), (obj @ v.astype(object)) % p)
+    U = sample_block(rng, f, D, 2)
+    V = sample_block(rng, f, D, 2)
+    got, _ = krylov_left_sequence(M, U, 2, V)
+    for a, b in zip(got, dense_mat_pow_seq(f, obj, U, V, 2)):
+        assert np.array_equal(a, b)
+
+
+def test_krylov_object_tier_matches_dense_oracle():
+    p = 2**61 - 1
+    f = Field(p)
+    rng = Rng(8)
+    dense = rng.block(f, 12, 12)
+    M = SparseMat.from_dense(f, dense)
+    U = sample_block(rng, f, 12, 2)
+    V = sample_block(rng, f, 12, 2)
+    got, _ = krylov_left_sequence(M, U, 5, V)
+    for a, b in zip(got, dense_mat_pow_seq(f, dense, U, V, 5)):
+        assert np.array_equal(np.asarray(a, dtype=object), np.asarray(b, dtype=object))
