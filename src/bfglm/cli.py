@@ -1,10 +1,9 @@
-"""Command-line interface: solve, solve-split, gen, verify, bench."""
+"""Command-line interface: solve, solve-split, gen, verify."""
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from .errors import BfglmError, FormatError, InvariantViolation, UnluckyRandomness
 from .field import Field, Rng
@@ -110,45 +109,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["pass"] else EXIT_VERIFY
 
 
-def cmd_bench(args) -> int:
-    field = Field(args.p)
-    rng = Rng(args.seed)
-    from .toolkit import PointSpec
-
-    pts = set()
-    while len(pts) < args.D:
-        pts.add(tuple(rng.element(field) for _ in range(args.n)))
-    specs = [PointSpec(coords=c) for c in sorted(pts)]
-    inst, _ = generate_instance(field, args.n, specs, rng.child(), mix=args.mix)
-    from .sparse import combine_matrices
-
-    t_probe = [rng.nonzero_element(field) for _ in range(args.n)]
-    M = combine_matrices(t_probe, inst.mats)
-    print(f"D={inst.D} n={args.n} density(M_1)={inst.mats[0].density:.4f} "
-          f"density(M)={M.density:.4f}")
-    print(f"{'algo':12s} {'m':>3s} {'time(s)':>9s} {'krylov':>7s}")
-    rows = {}
-    for m in args.m:
-        stats = SolveStats()
-        t0 = time.perf_counter()
-        solve(inst, m, Rng(args.seed + m), workers=args.workers, stats=stats)
-        wall = time.perf_counter() - t0
-        frac = stats.krylov_seconds / stats.total_seconds if stats.total_seconds else 0
-        rows[("plain", m)] = wall
-        print(f"{'plain':12s} {m:3d} {wall:9.3f} {frac:7.2f}")
-        stats = SolveStats()
-        t0 = time.perf_counter()
-        solve_split(inst, m, Rng(args.seed + m), workers=args.workers, stats=stats)
-        wall = time.perf_counter() - t0
-        frac = stats.krylov_seconds / stats.total_seconds if stats.total_seconds else 0
-        rows[("split", m)] = wall
-        da = stats.extras.get("D_A", "?")
-        print(f"{'split':12s} {m:3d} {wall:9.3f} {frac:7.2f}  D_A={da}")
-        ratio = rows[("split", m)] / rows[("plain", m)]
-        print(f"{'ratio':12s} {m:3d} {ratio:9.3f}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="bfglm")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -184,17 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--param", required=True)
     s.add_argument("--truth", action="store_true",
                    help="also compare against the embedded ground truth")
-
-    s = sub.add_parser("bench", help="informational timing run")
-    s.add_argument("--D", type=int, default=2000)
-    s.add_argument("--n", type=int, default=3)
-    # large enough that a random combination separates thousands of random
-    # points, small enough for the int64 kernels
-    s.add_argument("--p", type=int, default=67108859)
-    s.add_argument("--m", type=int, nargs="+", default=[2])
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--workers", type=int, default=1)
-    s.add_argument("--mix", type=int, default=2)
     return ap
 
 
@@ -210,8 +159,6 @@ def main(argv=None) -> int:
             return cmd_gen(args)
         if args.cmd == "verify":
             return cmd_verify(args)
-        if args.cmd == "bench":
-            return cmd_bench(args)
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_USAGE

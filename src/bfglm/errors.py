@@ -41,10 +41,6 @@ class GenericityFailure(BfglmError):
     """Unlucky random blocking data; solvers retry with fresh randomness."""
 
 
-class PrecisionFailure(BfglmError):
-    pass
-
-
 class NonSeparating(BfglmError):
     """The chosen linear form does not separate the points."""
 

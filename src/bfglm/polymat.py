@@ -1,6 +1,7 @@
 """Polynomial matrices: minimal approximant bases, minimal matrix generators
 of linearly recurrent matrix sequences, row-reducedness, the largest
-invariant factor, and quotient rows.
+invariant factor (by Berlekamp-Massey on one projected series), and quotient
+rows.
 
 Dense coefficient tensors (shape rows x cols x degree+1) drive the inner
 loops; the PolyMat wrapper of Poly entries is the exchange format.
@@ -10,14 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    GenericityFailure,
-    InvalidInput,
-    PrecisionFailure,
-    ShapeError,
-)
+from .errors import GenericityFailure, InvalidInput, ShapeError
 from .field import Field, Rng
-from .unipoly import Poly, rational_reconstruct
+from .unipoly import Poly, berlekamp_massey
 
 NEG_INF = -1
 
@@ -355,11 +351,22 @@ def _find_shift(P: PolyMat, rng: Rng) -> tuple[int, np.ndarray]:
 
 
 def largest_invariant_factor(P: PolyMat, rng: Rng) -> Poly:
-    """Monic largest invariant factor of a nonsingular row-reduced P.
+    """Monic largest invariant factor s1 of a nonsingular row-reduced P;
+    generically the minimal polynomial of the underlying operator.
 
-    Solves P.x = y for a random constant y by power series and takes the lcm
-    of the denominators after rational reconstruction; generically this is
-    the minimal polynomial of the underlying operator.
+    s1 is the denominator den of P^{-1}; generically it is already that of
+    the random projection w^T P^{-1} y (Wiedemann).  Row-reduced with
+    positive row degrees, P has a strictly proper inverse, so in a variable
+    T shifted to make P(0) invertible, w^T P^{-1} y = N / den with
+    deg N < deg den and den(0) != 0: its series coefficients satisfy the
+    recurrence of rev(den) from the start, and Berlekamp-Massey on the first
+    2 deg det P = 2 sum rowdeg(P) of them returns rev(den).  A row of degree
+    0 (a block wider than the sequence's rank) leaves P^{-1} proper only:
+    deg N <= deg den delays the recurrence by one term, the generator is
+    T rev(den), and two more terms are needed.  An unlucky w or y yields a
+    proper divisor of s1; deg s1 = deg det P certifies s1 outright, below
+    that the caller certifies it by the exact quotient rows
+    (`left_quotient_row`).
     """
     f = P.field
     m = P.rows
@@ -370,25 +377,14 @@ def largest_invariant_factor(P: PolyMat, rng: Rng) -> Poly:
         if e.is_zero():
             raise InvalidInput("singular matrix")
         return e.monic()
-    bound = sum(max(d, 0) for d in P.row_degrees())
-    prec = 2 * bound + 1
+    degs = P.row_degrees()
+    bound = sum(degs) + (min(degs) == 0)
     a, Pc = _find_shift(P, rng)
-    for attempt in range(4):
-        y = rng.vector(f, m).reshape(m, 1)
-        x = _series_solve(f, Pc, y, prec)
-        s1 = Poly.one(f)
-        ok = True
-        for i in range(m):
-            rec = rational_reconstruct(Poly(f, x[i]), prec, bound, bound)
-            if rec is None:
-                ok = False
-                break
-            _, den = rec
-            g = s1.gcd(den)
-            s1 = (s1 * (den // g)).monic()
-        if ok:
-            return s1.compose_linear(-a) if a else s1
-    raise PrecisionFailure("rational reconstruction failed for every right-hand side")
+    y = rng.vector(f, m).reshape(m, 1)
+    w = rng.vector(f, m).reshape(1, m)
+    gen = berlekamp_massey(f.matmul(w, _series_solve(f, Pc, y, 2 * bound))[0], f, bound)
+    s1 = Poly(f, gen.c[::-1]).monic()
+    return s1.compose_linear(-a) if a else s1
 
 
 def left_quotient_row(P: PolyMat, s1: Poly, i: int, rng: Rng) -> PolyMat:

@@ -142,8 +142,8 @@ def vec_mat(v: np.ndarray, M: SparseMat) -> np.ndarray:
 
 
 def mat_vec(M: SparseMat, w: np.ndarray) -> np.ndarray:
-    """Exact M . w over the field, for a column vector w."""
-    if w.shape != (M.dim,):
+    """Exact M . w over the field, for a column vector or a D x k block w."""
+    if w.shape[:1] != (M.dim,) or w.ndim > 2:
         raise ShapeError("vector length mismatch")
     return _product(M.csr, w, M.field)
 

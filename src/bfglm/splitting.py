@@ -116,20 +116,22 @@ def block_parametrization_x1(
     return cache, param
 
 
-def decompose(M_min: Poly, C: Poly, param_A: ZeroDimParam, t, tau: int):
-    """Values of the already-solved component of a linear form at X-powers.
+def decompose(M_min: Poly, nums: list, param_A: ZeroDimParam, t, tau: int) -> np.ndarray:
+    """Values of the already-solved component of linear forms at X-powers.
 
-    With C the numerator of the full sequence against M_min, the partial
-    fraction C/M = A/F + B/E isolates the solved part A/F; its Laurent terms
-    are the form's values on the solved component, and a power projection
-    transports them from X_1-powers to X-powers.
+    With C in nums the numerator of a full sequence against M_min, the
+    partial fraction C/M = A/F + B/E isolates the solved part A/F; its
+    Laurent terms are the form's values on the solved component, and a power
+    projection transports them from X_1-powers to X-powers.  E^{-1} mod F
+    and the image H of X are computed once, and every form goes through one
+    power projection: row k of the len(nums) x tau result belongs to nums[k].
     """
     f = M_min.field
     F = param_A.Q
     if tau < 0:
         raise InvalidInput("negative length")
     if F.degree == 0:
-        return [0] * tau
+        return f.zeros((len(nums), tau))
     E = M_min // F
     if not (E * F - M_min).is_zero():
         raise InvalidInput("F must divide the minimal polynomial")
@@ -137,13 +139,9 @@ def decompose(M_min: Poly, C: Poly, param_A: ZeroDimParam, t, tau: int):
         E_inv = E.modinv(F)
     except NotInvertible as exc:
         raise NotCoprime(f"solved and residual factors share a root: {exc}")
-    A = (C % F).modmul(E_inv, F)
-    v = laurent_expand(A, F, F.degree)
-    H = Poly.zero(f)
-    for ti, Gi in zip(t, param_A.V):
-        H = H + Gi.scale(int(ti))
-    H = H % F
-    return power_projection(F, H, v, tau)
+    forms = [laurent_expand((C % F).modmul(E_inv, F), F, F.degree) for C in nums]
+    H = sum((Gi.scale(int(ti)) for ti, Gi in zip(t, param_A.V)), Poly.zero(f)) % F
+    return power_projection(F, H, f.array(forms), tau)
 
 
 def correction_matrices(cache: X1SolveCache, t, inst: Instance) -> CorrectionSet:
@@ -152,22 +150,25 @@ def correction_matrices(cache: X1SolveCache, t, inst: Instance) -> CorrectionSet
     m = cache.Pmat.rows
     D_B = inst.D - cache.D_A
     d_B = max(1, math.ceil(D_B / m))
-    delta = [f.zeros((m, m)) for _ in range(2 * d_B)]
-    # the terms L_s w for the columns w = e_1, M_1 e_1, ..., M_n e_1
-    delta_w = [f.zeros((m, inst.n + 1)) for _ in range(d_B)]
+    # entry (i, j, s): term s of the sequences L_s V and, for the columns
+    # w = e_1, M_1 e_1, ..., M_n e_1, L_s w
+    vals_V = f.zeros((m, m, 2 * d_B))
+    vals_w = f.zeros((m, inst.n + 1, 2 * d_B))
     if cache.D_A > 0:
         omega_V = matrix_numerator(cache.seq[: len(cache.columns)], cache.Pmat)
         omega_W = matrix_numerator([c[:, : inst.n + 1] for c in cache.columns], cache.Pmat)
-        for out, omega in ((delta, omega_V), (delta_w, omega_W)):
-            for i in range(m):
-                for j in range(omega.cols):
-                    C = row_times_column(cache.a_rows[i], omega, j)
-                    for s, val in enumerate(decompose(cache.M_min, C, cache.param_A, t, len(out))):
-                        out[s][i, j] = val
+        nums = [
+            row_times_column(a_row, omega, j)
+            for omega in (omega_V, omega_W)
+            for a_row in cache.a_rows
+            for j in range(omega.cols)
+        ]
+        vals = decompose(cache.M_min, nums, cache.param_A, t, 2 * d_B)
+        vals_V, vals_w = vals[: m * m].reshape(vals_V.shape), vals[m * m :].reshape(vals_w.shape)
     return CorrectionSet(
-        delta=delta,
-        delta_coord=[x[:, 1:] for x in delta_w],
-        delta_one=[x[:, :1] for x in delta_w],
+        delta=[vals_V[:, :, s] for s in range(2 * d_B)],
+        delta_coord=[vals_w[:, 1:, s] for s in range(d_B)],
+        delta_one=[vals_w[:, :1, s] for s in range(d_B)],
         D_B=D_B,
         d_B=d_B,
     )
@@ -203,11 +204,12 @@ def block_parametrization_residual(
 def change_separating_element(param: ZeroDimParam, t, rng: Rng) -> ZeroDimParam:
     """Transport a parametrization to the separating form X = sum t_i X_i.
 
-    Works inside the univariate quotient by param.Q: a random linear form is
-    projected along powers of the image of X, and the standard univariate
-    reconstruction yields the same point set parametrized by X.  A power
-    sequence whose minimal polynomial has degree below deg Q raises
-    NonSeparating at once: X merges points, and only a fresh t helps.
+    Works inside the univariate quotient by param.Q: a random linear form
+    ell and its products ell(G_i .) are projected along powers of the image
+    of X in one power projection, and the standard univariate reconstruction
+    yields the same point set parametrized by X.  A power sequence whose
+    minimal polynomial has degree below deg Q raises NonSeparating: X merges
+    points, and only a fresh t helps.
     """
     f = param.Q.field
     F = param.Q
@@ -217,13 +219,11 @@ def change_separating_element(param: ZeroDimParam, t, rng: Rng) -> ZeroDimParam:
         return _empty_param(f, param.n, t)
     lam = sum((Gi.scale(ti) for ti, Gi in zip(t, param.V)), Poly.zero(f)) % F
     ell = [rng.element(f) for _ in range(r)]
-    powers = power_projection(F, lam, ell, 2 * r)
+    forms = [ell] + [transposed_modmul(Gi % F, ell, F) for Gi in param.V]
+    powers, *coords = power_projection(F, lam, f.array(forms), 2 * r)
     P = berlekamp_massey(powers, f, r)
     if P.degree < r:
         raise NonSeparating("the requested form does not separate the solved points")
-    coords = [
-        power_projection(F, lam, transposed_modmul(Gi % F, ell, F), 2 * r) for Gi in param.V
-    ]
     new = parametrization_from_minpoly(P, powers, coords, t)
     new.check_invariants()
     return new

@@ -413,25 +413,26 @@ def transposed_modmul(G: Poly, ell, F: Poly):
     return [int(x) for x in f.convolve(ext, g[::-1])[len(g) - 1 : len(g) - 1 + r]]
 
 
-def _power_projection_bsgs(F: Poly, H: Poly, ell, t: int):
+def _power_projection_bsgs(F: Poly, H: Poly, ells: np.ndarray, t: int) -> np.ndarray:
+    """k x t values ell_i(H^s mod F) for the k rows ell_i of ells, from one
+    shared table of nb baby steps H^j mod F and the giant step H^nb."""
     f = F.field
-    r = F.degree
+    k, r = ells.shape
     H = H % F
-    k = max(1, math.isqrt(t - 1) + 1)
-    nb = min(k, t)
+    nb = min(t, math.isqrt(k * t - 1) + 1, math.isqrt(2 * r - 1) + 1)
     baby = f.zeros((nb, r))
     cur_pow = Poly.one(f) % F
     for j in range(nb):
         if j:
             cur_pow = cur_pow.modmul(H, F)
-        if len(cur_pow.c):
-            baby[j, : len(cur_pow.c)] = cur_pow.c
-    G = H.modpow(k, F) if t > k else None
-    out, cur = [], ell
-    for s in range(0, t, k):
+        baby[j, : len(cur_pow.c)] = cur_pow.c
+    G = cur_pow.modmul(H, F) if t > nb else None
+    out = f.zeros((k, t))
+    cur = ells
+    for s in range(0, t, nb):
         if s:
-            cur = transposed_modmul(G, cur, F)
-        out.extend(int(x) for x in f.matmul(baby, f.array(list(cur)))[: t - s])
+            cur = f.array([transposed_modmul(G, row, F) for row in cur])
+        out[:, s : s + nb] = f.matmul(baby, cur.T)[: t - s].T
     return out
 
 
@@ -454,24 +455,35 @@ def power_projection_naive(F: Poly, H: Poly, ell, t: int):
 def power_projection(F: Poly, H: Poly, ell, t: int):
     """Compute ell(H^s mod F) for s = 0, ..., t-1.
 
-    Baby-step/giant-step with transposed modular multiplication while
-    s < deg F; beyond that the sequence is linearly recurrent with generator
-    of degree <= deg F, so the remaining values are unrolled from the
-    recurrence found by Berlekamp-Massey, as one series product.
+    ell is one form (deg F values), answered by a list, or a k x deg F block
+    of forms, answered by a k x t array.  All forms share one table of
+    nb = min(t, ceil(sqrt(k t)), ceil(sqrt(2 deg F))) baby steps H^j mod F;
+    each giant step multiplies by H^nb transposed, form by form, and reads
+    nb values of every form off one (nb x deg F) . (deg F x k) product.
+    The cap keeps the table at the size one form of length 2 deg F needs.
+    Beyond s = 2 deg F the sequence is linearly recurrent with generator of
+    degree <= deg F, so the remaining values of each form are unrolled from
+    the recurrence found by Berlekamp-Massey, as one series product.
     """
     if t < 0:
         raise InvalidInput("negative length")
-    if t == 0:
-        return []
     f = F.field
     r = F.degree
-    if r <= 0:
-        return [0] * t
-    if t <= 2 * r:
-        return _power_projection_bsgs(F, H, ell, t)
-    head = _power_projection_bsgs(F, H, ell, 2 * r)
-    P = berlekamp_massey(head, f, r)
-    return [int(x) for x in _recurrence_extend(P, f.array(head[: P.degree]), t)]
+    ells = f.array(ell)
+    single = ells.ndim == 1
+    if single:
+        ells = ells[None, :]
+    if t == 0 or r <= 0:
+        out = f.zeros((len(ells), t))
+    elif t <= 2 * r:
+        out = _power_projection_bsgs(F, H, ells, t)
+    else:
+        head = _power_projection_bsgs(F, H, ells, 2 * r)
+        out = f.zeros((len(ells), t))
+        for i, row in enumerate(head):
+            P = berlekamp_massey(row, f, r)
+            out[i] = _recurrence_extend(P, row[: P.degree], t)
+    return [int(x) for x in out[0]] if single else out
 
 
 def rational_reconstruct(series: Poly, prec: int, dnum: int, dden: int):

@@ -258,3 +258,35 @@ def test_nilpotent_instance_yields_radical_parametrization():
     assert param.Q.degree == 2  # distinct points only
     rep = verify_against_points(param, truth.points, f)
     assert rep["pass"]
+
+
+def test_unlucky_invariant_factor_is_redrawn(monkeypatch):
+    # the first invariant factor is replaced by a proper divisor, as an
+    # unlucky projection would give; its quotient rows fail, the solve
+    # redraws and returns every point
+    from bfglm import param as param_mod
+
+    spec = [
+        PointSpec(coords=(4, 10), nu=2, c=(1, 2)),
+        PointSpec(coords=(5, 20)),
+        PointSpec(coords=(9, 1)),
+    ]
+    inst, truth = generate_instance(F, 2, spec, Rng(3))
+    real = param_mod.largest_invariant_factor
+    seen = []
+
+    def unlucky_first(Pmat, rng):
+        s1 = real(Pmat, rng)
+        seen.append(s1)
+        g = s1.gcd(s1.derivative())
+        return g * g if len(seen) == 1 else s1
+
+    monkeypatch.setattr(param_mod, "largest_invariant_factor", unlucky_first)
+    stats = SolveStats()
+    out = solve(inst, 2, Rng(4), stats=stats)
+    # the divisor (T - x)^2 of the double root x is not squarefree, so only
+    # the quotient rows can reject it
+    assert seen[0].degree == 4 and seen[0].gcd(seen[0].derivative()).degree == 1
+    assert stats.retries == 1
+    assert out.Q.degree == 3
+    assert verify_against_points(out, truth.points, F)["pass"]

@@ -250,6 +250,58 @@ def test_largest_invariant_factor_diagonal_oracle():
     assert s1 == lcm.monic()
 
 
+class _Draws:
+    """A stand-in Rng handing out fixed vectors: y first, then w."""
+
+    def __init__(self, *vectors):
+        self.vectors = list(vectors)
+
+    def vector(self, field, n):
+        return field.array(self.vectors.pop(0))
+
+
+def test_unlucky_projection_gives_a_divisor_that_the_quotient_rows_reject():
+    # w = e_1 sees only the first diagonal entry: w^T D^{-1} y = y_1 / a, so
+    # the projected denominator is a, a proper divisor of s1 = lcm(a, b).
+    # Row 0 of a D^{-1} is polynomial, row 1 is not: only the check of
+    # every quotient row rejects it.
+    a = P(99, 1) * P(96, 1)
+    b = P(99, 1) * P(94, 1)
+    D = PolyMat(F, [[a, Poly.zero(F)], [Poly.zero(F), b]])
+    s1 = largest_invariant_factor(D, _Draws([1, 1], [1, 0]))
+    assert s1 == a.monic() and s1.degree < sum(D.row_degrees())
+    left_quotient_row(D, s1, 0, Rng(1))
+    with pytest.raises(GenericityFailure):
+        left_quotient_row(D, s1, 1, Rng(1))
+
+
+def test_block_core_checks_every_quotient_row(monkeypatch):
+    # M = diag(2, 5, 2, 7) and U = V blocked by pairs make the generator
+    # diag((T-2)(T-5), (T-2)(T-7)), so the same unlucky w projects a proper
+    # divisor; the core must raise, not return it
+    from bfglm import param
+    from bfglm.sparse import SparseMat
+
+    M = SparseMat.from_dense(F, np.diag([2, 5, 2, 7]))
+    U = F.array([[1, 0], [1, 0], [0, 1], [0, 1]])
+    _, inp, _, a_rows = param._block_core(M, U, U, U, 2, Rng(0))
+    assert inp.s1 == P(99, 1) * P(96, 1) * P(94, 1) and len(a_rows) == 2
+    real = param.largest_invariant_factor
+    monkeypatch.setattr(
+        param, "largest_invariant_factor", lambda Pmat, rng: real(Pmat, _Draws([1, 1], [1, 0]))
+    )
+    with pytest.raises(GenericityFailure):
+        param._block_core(M, U, U, U, 2, Rng(0))
+
+
+def test_largest_invariant_factor_with_a_constant_row():
+    # row degrees (0, 1): P^{-1} = [[1/3, -1/(3(T-2))], [0, 1/(T-2)]] is
+    # proper but not strictly proper, and s1 = T - 2
+    D = PolyMat(F, [[P(3), P(1)], [Poly.zero(F), P(99, 1)]])
+    for seed in range(5):
+        assert largest_invariant_factor(D, Rng(seed)) == P(99, 1)
+
+
 def test_largest_invariant_factor_1x1():
     q = P(61, 8, 1).scale(5)
     D = PolyMat(F, [[q]])

@@ -93,10 +93,10 @@ def test_x1_probe_form_detects_hidden_structure():
 
 def test_decompose_edges():
     cache, param = x1_solve(make([PointSpec(coords=(3, 5)), PointSpec(coords=(9, 2))], 9)[0], 1, 10)
-    assert decompose(cache.M_min, P(0), cache.param_A, [1, 1], 5) == [0, 0, 0, 0, 0]
-    assert decompose(cache.M_min, P(1), cache.param_A, [1, 1], 0) == []
+    assert decompose(cache.M_min, [P(0)], cache.param_A, [1, 1], 5).tolist() == [[0, 0, 0, 0, 0]]
+    assert decompose(cache.M_min, [P(1)], cache.param_A, [1, 1], 0).tolist() == [[]]
     with pytest.raises(InvalidInput):
-        decompose(cache.M_min, P(1), ZeroDimParam(Q=P(1, 1), V=[P(0), P(0)], t=[1, 0]), [1, 1], 3)
+        decompose(cache.M_min, [P(1)], ZeroDimParam(Q=P(1, 1), V=[P(0), P(0)], t=[1, 0]), [1, 1], 3)
 
 
 def test_decompose_full_component_matches_laurent():
@@ -106,9 +106,9 @@ def test_decompose_full_component_matches_laurent():
     cache, param = x1_solve(inst, 1, 12)
     assert cache.D_A == 3 and cache.M_min == param.Q
     C = P(4, 7, 1)
-    got = decompose(cache.M_min, C, param, [1, 0], 6)
+    got = decompose(cache.M_min, [C, P(2, 5)], param, [1, 0], 6)
     want = laurent_expand(C % param.Q, param.Q, 6)
-    assert got == want
+    assert got.tolist() == [want, laurent_expand(P(2, 5), param.Q, 6)]
 
 
 def test_correction_matrices_zero_when_nothing_solved():
@@ -266,6 +266,19 @@ def test_solve_split_matches_solve_results():
     # same point set even though the separating forms differ
     assert verify_against_points(other, truth.points, F)["pass"]
     assert param.Q.degree == other.Q.degree == 5
+
+
+def test_split_with_a_residual_narrower_than_the_block():
+    # D_B = 2 < m: the residual generator has rows of degree 0, whose
+    # inverse is proper but not strictly proper; no retry may be needed
+    spec = [PointSpec(coords=(i, 3 * i + 1)) for i in range(1, 9)]
+    spec += [PointSpec(coords=(20, 5)), PointSpec(coords=(20, 6))]
+    inst, truth = make(spec, 1)
+    for m in (3, 4):
+        stats = SolveStats()
+        param = solve_split(inst, m, Rng(2), stats=stats)
+        assert stats.extras["D_B"] == 2 and stats.retries == 0
+        assert verify_against_points(param, truth.points, F)["pass"]
 
 
 def test_probe_quadratic_statistics():

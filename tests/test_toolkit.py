@@ -164,6 +164,24 @@ def test_verify_solution_positive_and_negative():
     assert rep2["status"] == "failed"
 
 
+def test_verify_rejects_a_polynomial_that_does_not_annihilate(monkeypatch):
+    # a recomputed minimal polynomial missing one root must fail the block
+    # annihilation check
+    from bfglm import toolkit
+
+    inst, truth = generate_instance(F, 2, SPEC5, Rng(17))
+    param = solve(inst, 2, Rng(18))
+    real = toolkit.minimal_polynomial_of_combination
+    # the X-value of the simple point (9, 2)
+    root = sum(int(t) * c for t, c in zip(param.t, truth.points[-1])) % F.p
+    monkeypatch.setattr(
+        toolkit, "minimal_polynomial_of_combination",
+        lambda *args: real(*args) // Poly(F, [-root % F.p, 1]),
+    )
+    checks = {c["name"]: c["ok"] for c in verify_solution(inst, param)["checks"]}
+    assert not checks["recomputed minimal polynomial annihilates the combination"]
+
+
 def test_verify_certifies_full_degree():
     pts = [PointSpec(coords=(i, i * i % F.p)) for i in range(1, 7)]
     inst, truth = generate_instance(F, 2, pts, Rng(19))
@@ -274,9 +292,3 @@ def test_cli_verify_reports_user_parametrizations_as_input(tmp_path):
     with open(sol, "w") as fh:
         fh.write("\n".join(text) + "\n")
     assert run_cli("verify", "--in", inst, "--param", sol) == 2
-
-
-def test_cli_bench_smoke(capsys):
-    assert run_cli("bench", "--D", "40", "--n", "2", "--m", "1", "--seed", "1") == 0
-    out = capsys.readouterr().out
-    assert "plain" in out and "split" in out and "ratio" in out

@@ -355,6 +355,57 @@ def test_power_projection_matches_naive_at_large_degree(p, r):
     assert power_projection_naive(m, h, moved, 20) == naive[1:21]
 
 
+@pytest.mark.parametrize("p", [101, 67108859, (1 << 61) - 1])
+@pytest.mark.parametrize("k", [1, 4, 12])
+@pytest.mark.parametrize("t", [23, 60, 97])
+def test_power_projection_of_a_block_matches_naive(p, k, t):
+    # r = 30: t below 2r, at 2r, and past it through the recurrence tail
+    f = Field(p)
+    rng = np.random.default_rng(k * t)
+    m = Poly(f, _rand(f, 31, rng, nonzero_lead=True))
+    h = Poly(f, _rand(f, 30, rng))
+    ells = [_rand(f, 30, rng) for _ in range(k)]
+    got = power_projection(m, h, f.array(ells), t)
+    assert got.shape == (k, t)
+    for row, ell in zip(got, ells):
+        assert [int(x) for x in row] == power_projection_naive(m, h, ell, t)
+
+
+def test_power_projection_shares_one_baby_step_table(monkeypatch):
+    # four forms of length 2r: one table of nb = ceil(sqrt(2r)) baby steps
+    # (nb modular products with the giant step) and at most 4 ceil(2r/nb)
+    # transposed products; a loop over the forms would build four tables
+    import math
+
+    from bfglm import unipoly
+
+    f = Field(67108859)
+    rng = np.random.default_rng(5)
+    r = 50
+    nb = math.isqrt(2 * r - 1) + 1
+    m = Poly(f, _rand(f, r + 1, rng, nonzero_lead=True))
+    h = Poly(f, _rand(f, r, rng))
+    ells = f.array([_rand(f, r, rng) for _ in range(4)])
+    want = [power_projection_naive(m, h, ell, 2 * r) for ell in ells]
+    calls = {"modmul": 0, "transposed": 0}
+    modmul, transposed = Poly.modmul, unipoly.transposed_modmul
+
+    def counting_modmul(*args):
+        calls["modmul"] += 1
+        return modmul(*args)
+
+    def counting_transposed(*args):
+        calls["transposed"] += 1
+        return transposed(*args)
+
+    monkeypatch.setattr(Poly, "modmul", counting_modmul)
+    monkeypatch.setattr(unipoly, "transposed_modmul", counting_transposed)
+    got = power_projection(m, h, ells, 2 * r)
+    assert got.tolist() == want
+    assert calls["modmul"] <= nb
+    assert calls["transposed"] <= 4 * math.ceil(2 * r / nb)
+
+
 @pytest.mark.parametrize("p", WIDE_PRIMES)
 def test_berlekamp_massey_long_recurrence(p):
     f = Field(p)
