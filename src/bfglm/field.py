@@ -17,6 +17,8 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _INT64_MAX = 2**63 - 1
 
+_as_int = np.frompyfunc(int, 1, 1)
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
@@ -66,25 +68,10 @@ class Field:
 
     # -- scalar ops -------------------------------------------------------
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise DivisionByZero("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     # -- array helpers ----------------------------------------------------
 
@@ -92,7 +79,8 @@ class Field:
         a = np.asarray(data, dtype=object) % self.p
         if self.dtype is np.int64:
             return a.astype(np.int64)
-        return a
+        # numpy integers kept in an object array would wrap around in products
+        return np.asarray(_as_int(a), dtype=object)
 
     def zeros(self, shape) -> np.ndarray:
         if self.dtype is np.int64:

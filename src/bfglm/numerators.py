@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientTerms, ShapeError
-from .polymat import PolyMat
+from .polymat import PolyMat, pm_mul
 from .unipoly import Poly
 
 
@@ -30,7 +30,9 @@ class NumeratorInputs:
 
 
 def matrix_numerator(terms, Pmat: PolyMat) -> PolyMat:
-    """Omega = (Pmat . sum_{s<d} E_{d-1-s} T^s) div T^d with d = #terms.
+    """Omega = (Pmat . S) div T^d, one pm_mul: S is the m x k coefficient
+    tensor of the reversed series sum_{s<d} E_{d-1-s} T^s of the d = #terms
+    terms E_s (m x k), and div T^d drops the first d coefficients.
 
     Using every available term (d >= deg Pmat) is exact: the neglected tail
     of the generating series only contributes below the T^d cutoff.
@@ -39,41 +41,17 @@ def matrix_numerator(terms, Pmat: PolyMat) -> PolyMat:
     d = len(terms)
     if d < Pmat.max_degree():
         raise InsufficientTerms(f"need {Pmat.max_degree()} terms, got {d}")
-    m = Pmat.cols
-    cols = terms[0].shape[1]
-    if terms[0].shape[0] != m:
+    if terms[0].shape[0] != Pmat.cols:
         raise ShapeError("term height must match generator size")
-    # reversed series R with R[:, :, s] = E_{d-1-s}
-    rev = f.zeros((m, cols, d))
-    for s in range(d):
-        rev[:, :, d - 1 - s] = terms[s] % f.p
-    out = []
-    for i in range(Pmat.rows):
-        row = []
-        for j in range(cols):
-            acc = Poly.zero(f)
-            for k in range(m):
-                e = Pmat.entries[i][k]
-                if not e.is_zero():
-                    acc = acc + Poly(f, f.convolve(e.c, rev[k, j]))
-            row.append(acc.div_power(d))
-        out.append(row)
-    return PolyMat(f, out)
-
-
-def row_times_column(a_row: PolyMat, omega: PolyMat, j: int = 0) -> Poly:
-    """a_row . (column j of omega)."""
-    acc = Poly.zero(a_row.field)
-    for k in range(a_row.cols):
-        acc = acc + a_row.entries[0][k] * omega.entries[k][j]
-    return acc
+    rev = f.zeros(terms[0].shape + (d,))
+    rev[...] = np.stack(terms[::-1], axis=-1) % f.p
+    return PolyMat(f, pm_mul(Pmat, PolyMat(f, rev)).c[:, :, d:])
 
 
 def scalar_numerator(inp: NumeratorInputs, terms) -> Poly:
     """Numerator of (u_i M^s w) with respect to s1, from the d block terms
     L_s . w (m x 1)."""
-    omega = matrix_numerator(terms, inp.Pmat)
-    return row_times_column(inp.a_row, omega)
+    return pm_mul(inp.a_row, matrix_numerator(terms, inp.Pmat))[0, 0]
 
 
 def scalar_numerator_corrected(inp: NumeratorInputs, terms, corrections) -> Poly:
@@ -86,5 +64,4 @@ def scalar_numerator_corrected(inp: NumeratorInputs, terms, corrections) -> Poly
     terms = [
         (t - np.asarray(c).reshape(t.shape)) % f.p for t, c in zip(terms, corrections)
     ]
-    omega = matrix_numerator(terms, inp.Pmat)
-    return row_times_column(inp.a_row, omega)
+    return pm_mul(inp.a_row, matrix_numerator(terms, inp.Pmat))[0, 0]

@@ -3,8 +3,9 @@ of linearly recurrent matrix sequences, row-reducedness, the largest
 invariant factor (by Berlekamp-Massey on one projected series), and quotient
 rows.
 
-Dense coefficient tensors (shape rows x cols x degree+1) drive the inner
-loops; the PolyMat wrapper of Poly entries is the exchange format.
+A polynomial matrix is one coefficient tensor (rows x cols x degree+1);
+`pm_mul` is its one product, and `PolyMat[i, j]` is the only way out to a
+univariate `Poly`.
 """
 
 from __future__ import annotations
@@ -13,122 +14,63 @@ import numpy as np
 
 from .errors import GenericityFailure, InvalidInput, ShapeError
 from .field import Field, Rng
-from .unipoly import Poly, berlekamp_massey
+from .unipoly import Poly, _fit, berlekamp_massey, taylor_shift
 
 NEG_INF = -1
 
 
+def _degrees(nz: np.ndarray) -> np.ndarray:
+    """Index of the last True along the last axis of nz, NEG_INF if none."""
+    last = nz.shape[-1] - 1 - np.argmax(nz[..., ::-1], axis=-1)
+    return np.where(nz.any(axis=-1), last, NEG_INF)
+
+
 class PolyMat:
-    """Rectangular matrix of Poly entries over a common field."""
+    """Matrix over F_p[T] as its coefficient tensor c: entry (i, j) is
+    sum_k c[i, j, k] T^k.  c is trimmed to max(degree, 0) + 1 coefficients
+    and, like the row degrees fixed here, never changes afterwards."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "c", "rows", "cols", "_rdeg")
 
-    def __init__(self, field: Field, entries):
+    def __init__(self, field: Field, c: np.ndarray):
+        if c.ndim != 3:
+            raise ShapeError("coefficient tensor must be rows x cols x length")
         self.field = field
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ShapeError("ragged polynomial matrix")
+        self.rows, self.cols, length = c.shape
+        c = _fit(c, max(length, 1), field)
+        self._rdeg = [int(e) for e in _degrees((c != 0).any(axis=1))]
+        self.c = c[:, :, : max(self.max_degree(), 0) + 1]
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "PolyMat":
-        return cls(
-            field,
-            [[Poly.one(field) if i == j else Poly.zero(field) for j in range(n)] for i in range(n)],
-        )
+    def __getitem__(self, ij) -> Poly:
+        return Poly._raw(self.field, self.c[ij].copy())
 
-    @classmethod
-    def zero(cls, field: Field, rows: int, cols: int) -> "PolyMat":
-        z = Poly.zero(field)
-        return cls(field, [[z] * cols for _ in range(rows)])
-
-    @classmethod
-    def from_coeff_tensor(cls, field: Field, tensor: np.ndarray) -> "PolyMat":
-        r, c, _ = tensor.shape
-        return cls(field, [[Poly(field, tensor[i, j]) for j in range(c)] for i in range(r)])
-
-    def coeff_tensor(self, degree: int | None = None) -> np.ndarray:
-        d = self.max_degree() if degree is None else degree
-        d = max(d, 0)
-        out = self.field.zeros((self.rows, self.cols, d + 1))
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                if not e.is_zero():
-                    k = min(len(e.c), d + 1)
-                    out[i, j, :k] = e.c[:k]
-        return out
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyMat)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                self.entries[i][j] == other.entries[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
-        )
-
-    def __repr__(self):
-        return "PolyMat([" + ",\n         ".join(str([str(e) for e in row]) for row in self.entries) + "])"
-
-    def row_degree(self, i: int) -> int:
-        degs = [e.degree for e in self.entries[i]]
-        return max(degs) if degs else NEG_INF
-
-    def row_degrees(self):
-        return [self.row_degree(i) for i in range(self.rows)]
+    def row_degrees(self) -> list:
+        return list(self._rdeg)
 
     def max_degree(self) -> int:
-        return max((self.row_degree(i) for i in range(self.rows)), default=NEG_INF)
+        return max(self._rdeg, default=NEG_INF)
 
     def leading_matrix(self) -> np.ndarray:
-        """Entry (i,j) is the coefficient of T^rowdeg(i) in entry (i,j)."""
-        lm = self.field.zeros((self.rows, self.cols))
-        for i in range(self.rows):
-            d = self.row_degree(i)
-            if d < 0:
-                continue
-            for j in range(self.cols):
-                lm[i, j] = self.entries[i][j].coeff(d)
-        return lm
+        """Entry (i,j) is the coefficient of T^rowdeg(i) in entry (i,j); a
+        zero row reads its zero constant coefficients."""
+        return self.c[np.arange(self.rows), :, np.maximum(self._rdeg, 0)]
 
-    def matmul(self, other: "PolyMat") -> "PolyMat":
-        if self.cols != other.rows:
-            raise ShapeError("inner dimensions differ")
-        f = self.field
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Poly.zero(f)
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return PolyMat(f, out)
 
-    def scale_rows_left(self, C: np.ndarray) -> "PolyMat":
-        """Left-multiply by a constant matrix C."""
-        f = self.field
-        out = []
-        for i in range(C.shape[0]):
-            row = []
-            for j in range(self.cols):
-                acc = Poly.zero(f)
-                for k in range(self.rows):
-                    c = int(C[i, k]) % f.p
-                    if c:
-                        acc = acc + self.entries[k][j].scale(c)
-                row.append(acc)
-            out.append(row)
-        return PolyMat(f, out)
+def pm_mul(A: PolyMat, B: PolyMat) -> PolyMat:
+    """A . B, entry (i, j) the sum over k of the products of trimmed entries
+    A[i, k] B[k, j], each one Field.convolve."""
+    if A.cols != B.rows:
+        raise ShapeError("inner dimensions differ")
+    f = A.field
+    da, db = _degrees(A.c != 0), _degrees(B.c != 0)
+    out = f.zeros((A.rows, B.cols, A.c.shape[2] + B.c.shape[2] - 1))
+    for i in range(A.rows):
+        for j in range(B.cols):
+            for k in range(A.cols):
+                if da[i, k] >= 0 and db[k, j] >= 0:
+                    prod = f.convolve(A.c[i, k, : da[i, k] + 1], B.c[k, j, : db[k, j] + 1])
+                    out[i, j, : len(prod)] = (out[i, j, : len(prod)] + prod) % f.p
+    return PolyMat(f, out)
 
 
 def mat_inverse(field: Field, A: np.ndarray) -> np.ndarray:
@@ -182,13 +124,12 @@ def approximant_basis(F: PolyMat, order: int, shift=None) -> PolyMat:
         raise ShapeError("shift length must match row count")
     p = f.p
 
-    Fc = F.coeff_tensor(order - 1)[:, :, :order]
     # basis coefficients, degrees 0..order
     B = f.zeros((r, r, order + 1))
     for i in range(r):
         B[i, i, 0] = 1
     # residual B.F mod T^order
-    R = Fc.copy()
+    R = _fit(F.c, order, f).copy()
     deg = [int(s) for s in shift]
 
     lo_shift = min(deg)
@@ -216,13 +157,13 @@ def approximant_basis(F: PolyMat, order: int, shift=None) -> PolyMat:
             R[prow, :, k + 1 :] = R[prow, :, k:-1]
             R[prow, :, k] = 0
             deg[prow] += 1
-    return PolyMat.from_coeff_tensor(f, B)
+    return PolyMat(f, B)
 
 
 def is_row_reduced(P: PolyMat) -> bool:
     if P.rows != P.cols:
         raise ShapeError("row-reducedness is defined for square matrices here")
-    if any(P.row_degree(i) < 0 for i in range(P.rows)):
+    if min(P.row_degrees()) < 0:
         return False
     try:
         mat_inverse(P.field, P.leading_matrix())
@@ -261,27 +202,21 @@ def minimal_matrix_generator(terms, field: Field, deg_left: int, deg_right: int)
     stacked[:m] = series
     for i in range(m):
         stacked[m + i, i, 0] = field.p - 1
-    F = PolyMat.from_coeff_tensor(field, stacked)
-    basis = approximant_basis(F, d, shift)
-    sdeg = [
-        max(
-            (basis.entries[i][j].degree + shift[j] for j in range(2 * m) if not basis.entries[i][j].is_zero()),
-            default=NEG_INF,
-        )
-        for i in range(2 * m)
-    ]
+    basis = approximant_basis(PolyMat(field, stacked), d, shift)
+    edeg = _degrees(basis.c != 0)
+    sdeg = np.where(edeg >= 0, edeg + np.array(shift), NEG_INF).max(axis=1)
     selected = [i for i in range(2 * m) if 0 <= sdeg[i] <= deg_left]
     if len(selected) != m:
         raise GenericityFailure(
             f"expected {m} generator rows of degree <= {deg_left}, found {len(selected)}"
         )
-    gen = PolyMat(field, [[basis.entries[i][j] for j in range(m)] for i in selected])
-    degs = gen.row_degrees()
-    if len(set(degs)) == 1:
+    gen = PolyMat(field, basis.c[selected, :m])
+    if len(set(gen.row_degrees())) == 1:
         # uniform row degrees admit a unique generator with identity leading
         # matrix, which keeps outputs canonical across block choices
-        lead = gen.leading_matrix()
-        gen = gen.scale_rows_left(mat_inverse(field, lead))
+        c = gen.c
+        lead_inv = mat_inverse(field, gen.leading_matrix())
+        gen = PolyMat(field, field.matmul(lead_inv, c.reshape(m, -1)).reshape(c.shape))
     if not is_row_reduced(gen):
         raise GenericityFailure("selected rows are not row-reduced")
     return gen
@@ -292,7 +227,7 @@ def generator_cancels(gen: PolyMat, terms) -> bool:
     f = gen.field
     m = gen.cols
     dmax = gen.max_degree()
-    coeffs = gen.coeff_tensor(dmax)
+    coeffs = gen.c
     n_terms = len(terms)
     for s in range(n_terms - dmax):
         acc = f.zeros((m, m))
@@ -324,26 +259,14 @@ def _series_solve(field: Field, Pc: np.ndarray, Y: np.ndarray, prec: int) -> np.
     return x[:, dp : dp + prec]
 
 
-def _shifted_tensor(P: PolyMat, a: int) -> np.ndarray:
-    f = P.field
-    d = P.max_degree()
-    out = f.zeros((P.rows, P.cols, d + 1))
-    for i in range(P.rows):
-        for j in range(P.cols):
-            e = P.entries[i][j].compose_linear(a)
-            if not e.is_zero():
-                out[i, j, : len(e.c)] = e.c
-    return out
-
-
-def _find_shift(P: PolyMat, rng: Rng) -> tuple[int, np.ndarray]:
-    """Evaluation shift a with P(a) invertible, plus the shifted tensor."""
-    f = P.field
+def _find_shift(field: Field, c: np.ndarray, rng: Rng) -> tuple[int, np.ndarray]:
+    """Evaluation shift a with P(a) invertible, plus the coefficient tensor
+    of P(T + a), P given by its coefficient tensor c."""
     for attempt in range(32):
-        a = 0 if attempt == 0 else rng.element(f)
-        Pc = P.coeff_tensor() if a == 0 else _shifted_tensor(P, a)
+        a = 0 if attempt == 0 else rng.element(field)
+        Pc = taylor_shift(c, a, field)
         try:
-            mat_inverse(f, Pc[:, :, 0])
+            mat_inverse(field, Pc[:, :, 0])
             return a, Pc
         except GenericityFailure:
             continue
@@ -373,13 +296,13 @@ def largest_invariant_factor(P: PolyMat, rng: Rng) -> Poly:
     if m != P.cols:
         raise ShapeError("square matrix required")
     if m == 1:
-        e = P.entries[0][0]
+        e = P[0, 0]
         if e.is_zero():
             raise InvalidInput("singular matrix")
         return e.monic()
     degs = P.row_degrees()
     bound = sum(degs) + (min(degs) == 0)
-    a, Pc = _find_shift(P, rng)
+    a, Pc = _find_shift(f, P.c, rng)
     y = rng.vector(f, m).reshape(m, 1)
     w = rng.vector(f, m).reshape(1, m)
     gen = berlekamp_massey(f.matmul(w, _series_solve(f, Pc, y, 2 * bound))[0], f, bound)
@@ -396,20 +319,13 @@ def left_quotient_row(P: PolyMat, s1: Poly, i: int, rng: Rng) -> PolyMat:
     ds = s1.degree
     prec = ds + P.max_degree() + 1
     # transpose so the row solve becomes a column solve
-    Pt = PolyMat(f, [[P.entries[j][k] for j in range(m)] for k in range(m)])
-    a_shift, Pc = _find_shift(Pt, rng)
-    s1s = s1.compose_linear(a_shift) if a_shift else s1
+    a_shift, Pc = _find_shift(f, P.c.transpose(1, 0, 2), rng)
     Y = f.zeros((m, prec))
-    Y[i, : len(s1s.c)] = s1s.c
-    x = _series_solve(f, Pc, Y, prec)
-    row = []
-    for j in range(m):
-        e = Poly(f, x[j][: ds + 1])
-        row.append(e.compose_linear(-a_shift) if a_shift else e)
-    a_row = PolyMat(f, [row])
-    prod = a_row.matmul(P)
-    for j in range(m):
-        expect = s1 if j == i else Poly.zero(f)
-        if prod.entries[0][j] != expect:
-            raise GenericityFailure("quotient row verification failed")
+    Y[i, : ds + 1] = taylor_shift(s1.c, a_shift, f)
+    x = _series_solve(f, Pc, Y, prec)[:, : ds + 1]
+    a_row = PolyMat(f, taylor_shift(x, -a_shift, f)[None])
+    want = f.zeros((1, m, ds + 1))
+    want[0, i] = s1.c
+    if not np.array_equal(pm_mul(a_row, P).c, want):
+        raise GenericityFailure("quotient row verification failed")
     return a_row

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidInput, NonSeparating, NotCoprime, NotInvertible
 from .field import Field, Rng
-from .numerators import matrix_numerator, row_times_column
+from .numerators import matrix_numerator
 from .param import (
     Instance,
     SolveStats,
@@ -28,10 +28,11 @@ from .param import (
     parametrization_from_minpoly,
     retry_solve,
 )
-from .polymat import PolyMat
+from .polymat import PolyMat, pm_mul
 from .sparse import combine_matrices
 from .unipoly import (
     Poly,
+    _fit,
     berlekamp_massey,
     crt_pair,
     laurent_expand,
@@ -155,13 +156,17 @@ def correction_matrices(cache: X1SolveCache, t, inst: Instance) -> CorrectionSet
     vals_V = f.zeros((m, m, 2 * d_B))
     vals_w = f.zeros((m, inst.n + 1, 2 * d_B))
     if cache.D_A > 0:
+        # the m quotient rows as one m x m matrix, so one product per
+        # matrix numerator gives every scalar numerator
+        ds = cache.M_min.degree
+        A = PolyMat(f, np.concatenate([_fit(a.c, ds + 1, f) for a in cache.a_rows]))
         omega_V = matrix_numerator(cache.seq[: len(cache.columns)], cache.Pmat)
         omega_W = matrix_numerator([c[:, : inst.n + 1] for c in cache.columns], cache.Pmat)
         nums = [
-            row_times_column(a_row, omega, j)
-            for omega in (omega_V, omega_W)
-            for a_row in cache.a_rows
-            for j in range(omega.cols)
+            N[i, j]
+            for N in (pm_mul(A, omega_V), pm_mul(A, omega_W))
+            for i in range(m)
+            for j in range(N.cols)
         ]
         vals = decompose(cache.M_min, nums, cache.param_A, t, 2 * d_B)
         vals_V, vals_w = vals[: m * m].reshape(vals_V.shape), vals[m * m :].reshape(vals_w.shape)

@@ -35,8 +35,26 @@ def _trim(c: np.ndarray) -> np.ndarray:
 
 
 def _fit(c: np.ndarray, n: int, field: Field) -> np.ndarray:
-    """c truncated or zero-padded to length n."""
-    return c[:n] if len(c) >= n else np.concatenate([c, field.zeros(n - len(c))])
+    """c truncated or zero-padded to length n along its last axis."""
+    k = c.shape[-1]
+    if k >= n:
+        return c[..., :n]
+    return np.concatenate([c, field.zeros(c.shape[:-1] + (n - k,))], axis=-1)
+
+
+def taylor_shift(c: np.ndarray, a, field: Field) -> np.ndarray:
+    """Coefficients of c(T + a) along the last axis of c, by Horner's rule
+    vectorised over the leading axes."""
+    p = field.p
+    a %= p
+    if a == 0:
+        return c
+    out = field.zeros(c.shape)
+    for i in range(c.shape[-1] - 1, -1, -1):
+        # out <- out * (T + a) + c_i
+        out[..., 1:] = (a * out[..., 1:] % p + out[..., :-1]) % p
+        out[..., 0] = (a * out[..., 0] % p + c[..., i]) % p
+    return out
 
 
 class Poly:
@@ -230,16 +248,6 @@ class Poly:
     def modmul(self, other: "Poly", modulus: "Poly") -> "Poly":
         return (self * other) % modulus
 
-    def modpow(self, e: int, modulus: "Poly") -> "Poly":
-        result = Poly.one(self.field) % modulus
-        base = self % modulus
-        while e:
-            if e & 1:
-                result = result.modmul(base, modulus)
-            base = base.modmul(base, modulus)
-            e >>= 1
-        return result
-
     def eval(self, x) -> int:
         f = self.field
         acc = 0
@@ -281,15 +289,7 @@ class Poly:
 
     def compose_linear(self, a) -> "Poly":
         """Returns self(T + a)."""
-        f = self.field
-        a %= f.p
-        if a == 0 or self.is_zero():
-            return self
-        out = Poly.zero(f)
-        lin = Poly(f, (a, 1))
-        for coef in self.c[::-1]:
-            out = out * lin + Poly.constant(f, int(coef))
-        return out
+        return Poly._raw(self.field, taylor_shift(self.c, a, self.field))
 
 
 # -- sequences ----------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from bfglm.field import Field, Rng
 from bfglm.param import Instance
+from bfglm.polymat import PolyMat
 from bfglm.sparse import SparseMat
 
 F101 = Field(101)
@@ -73,3 +74,14 @@ def dense_mat_pow_seq(field, M, U, V, count):
         out.append((cur @ V) % field.p)
         cur = (cur @ M) % field.p
     return [field.array(b.astype(np.int64)) for b in out]
+
+
+def polymat_of(field, entries):
+    """The PolyMat whose entry (i, j) is the Poly entries[i][j], its
+    coefficients stacked into one tensor."""
+    length = max(len(e.c) for row in entries for e in row)
+    c = field.zeros((len(entries), len(entries[0]), max(length, 1)))
+    for i, row in enumerate(entries):
+        for j, e in enumerate(row):
+            c[i, j, : len(e.c)] = e.c
+    return PolyMat(field, c)

@@ -21,7 +21,7 @@ from bfglm.splitting import (
     solve_split,
     union_params,
 )
-from bfglm.toolkit import PointSpec, generate_instance
+from bfglm.toolkit import PointSpec, generate_instance, verify_solution
 from bfglm.unipoly import Poly, laurent_expand, power_projection
 
 F = Field(65537)
@@ -279,6 +279,26 @@ def test_split_with_a_residual_narrower_than_the_block():
         param = solve_split(inst, m, Rng(2), stats=stats)
         assert stats.extras["D_B"] == 2 and stats.retries == 0
         assert verify_against_points(param, truth.points, F)["pass"]
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_solves_past_the_accumulation_limit_and_on_the_object_tier(p, m):
+    # 14 simple points, one more sharing X_1 with the first, one double
+    # point: D = 17; 2^31 - 1 sums 2 products per int64, 2^61 - 1 runs on
+    # Python ints
+    f = Field(p)
+    spec = [PointSpec(coords=(i, 3 * i + 1)) for i in range(1, 15)]
+    spec += [PointSpec(coords=(1, 9)), PointSpec(coords=(20, 5), nu=2, c=(1, 2))]
+    inst, truth = generate_instance(f, 2, spec, Rng(m))
+    assert inst.D == 17
+    stats = SolveStats()
+    plain = solve(inst, m, Rng(7))
+    split = solve_split(inst, m, Rng(7), stats=stats)
+    assert (stats.extras["D_A"], stats.extras["D_B"]) == (13, 4)
+    assert verify_solution(inst, plain, truth)["pass"]
+    assert verify_solution(inst, split, truth)["pass"]
+    assert plain.Q == split.Q and plain.V == split.V
 
 
 def test_probe_quadratic_statistics():

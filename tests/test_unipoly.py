@@ -16,6 +16,7 @@ from bfglm.unipoly import (
     rational_reconstruct,
     scalar_numerator_direct,
     squarefree_part,
+    taylor_shift,
     transposed_modmul,
 )
 
@@ -81,16 +82,6 @@ def test_modinv_and_modmul():
         P(99, 1).modinv(P(14, 92, 1))
 
 
-def test_modpow():
-    m = P(61, 8, 1)
-    x = Poly.x(F)
-    acc = Poly.one(F)
-    for _ in range(13):
-        acc = acc.modmul(x, m)
-    assert x.modpow(13, m) == acc
-    assert x.modpow(0, m).is_one()
-
-
 def test_eval_and_derivative():
     q = P(61, 8, 1)
     assert q.eval(33) == 0
@@ -99,11 +90,22 @@ def test_eval_and_derivative():
     assert P(7, 5, 3).derivative() == P(5, 6)
 
 
-def test_compose_linear():
-    a = P(4, 0, 1)
+@pytest.mark.parametrize("p", [101, (1 << 61) - 1])
+def test_compose_linear(p):
+    f = Field(p)
+    a = Poly(f, (4, 0, 1))
     shifted = a.compose_linear(3)
     for x in range(10):
-        assert shifted.eval(x) == a.eval((x + 3) % 101)
+        assert shifted.eval(x) == a.eval((x + 3) % p)
+    # a 3 x 2 tensor of coefficient rows shifted at once, checked entry by entry
+    c = f.array(np.random.default_rng(5).integers(0, p, (3, 2, 6)))
+    shift = p - 7
+    out = taylor_shift(c, shift, f)
+    for i in range(3):
+        for j in range(2):
+            e, e_shifted = Poly(f, c[i, j]), Poly(f, out[i, j])
+            for x in range(6):
+                assert e_shifted.eval(x) == e.eval((x + shift) % p)
 
 
 def test_series_inv():
