@@ -63,11 +63,11 @@ def cmd_solve(args, split: bool) -> int:
                     print("x1-index out of range", file=sys.stderr)
                     return EXIT_USAGE
                 work, order = _reorder_instance(inst, args.x1_index)
-            param = solve_split(work, args.m, rng, workers=args.workers, retries=args.retries, stats=stats)
+            param = solve_split(work, args.m, rng, retries=args.retries, stats=stats)
             if order:
                 param = _restore_order(param, order)
         else:
-            param = solve(inst, args.m, rng, workers=args.workers, retries=args.retries, stats=stats)
+            param = solve(inst, args.m, rng, retries=args.retries, stats=stats)
     except UnluckyRandomness as exc:
         print(f"no generic draw found: {exc}", file=sys.stderr)
         return EXIT_UNLUCKY
@@ -118,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--out", default=None)
         s.add_argument("--m", type=int, default=1)
         s.add_argument("--seed", type=int, default=0)
-        s.add_argument("--workers", type=int, default=1)
         s.add_argument("--retries", type=int, default=3)
 
     s = sub.add_parser("solve", help="block parametrization")

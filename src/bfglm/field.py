@@ -89,42 +89,42 @@ class Field:
         z[...] = 0
         return z
 
-    def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Exact A @ B mod p; past the int64 accumulation limit, A is split
-        into 16-bit limbs and the inner dimension chunked against overflow."""
+    def exact(self, prod, a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+        """prod(a, b) mod p, exactly, for a bilinear product prod of reduced
+        operands whose outputs each sum at most k terms.
+
+        The one overflow policy of every int64 product: up to _acc_limit terms
+        the int64 sum cannot overflow; past it, b is cut into w-bit limbs, w the
+        widest with k (p-1) (2**w - 1) <= 2**63 - 1, one product per limb, and
+        the products are recombined mod p by Horner.  There k (p-1)**2 exceeds
+        that bound, so 2**w < p and the shifted accumulator stays below
+        p**2 < 2**63: no inner dimension needs chunking.  The object tier sums
+        exact Python ints.
+        """
+        p = self.p
         if self.dtype is object:
-            return np.dot(A.astype(object), B.astype(object)) % self.p
-        k = A.shape[-1]
+            return prod(a.astype(object), b.astype(object)) % p
         if k <= self._acc_limit:
-            return np.dot(A, B) % self.p
-        step = _INT64_MAX // (0xFFFF * (self.p - 1))
+            return prod(a, b) % p
+        w = (_INT64_MAX // (k * (p - 1)) + 1).bit_length() - 1
         acc = 0
-        for lo in range(0, k, step):
-            a, b = A[..., lo : lo + step], B[lo : lo + step]
-            acc = (acc + (np.dot(a >> 16, b) % self.p << 16) + np.dot(a & 0xFFFF, b) % self.p) % self.p
+        for shift in reversed(range(0, (p - 1).bit_length(), w)):
+            acc = ((acc << w) + prod(a, b >> shift & (1 << w) - 1) % p) % p
         return acc
+
+    def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Exact A @ B mod p."""
+        return self.exact(np.dot, A, B, A.shape[-1])
 
     def convolve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact polynomial-coefficient convolution mod p."""
         if len(a) == 0 or len(b) == 0:
             return self.zeros(0)
-        if self.dtype is object:
-            return np.convolve(a.astype(object), b.astype(object)) % self.p
         n = len(a) + len(b) - 1
-        if min(len(a), len(b)) > _FFT_MIN_LEN and n <= _FFT_MAX_SIZE:
+        k = min(len(a), len(b))
+        if self.dtype is np.int64 and k > _FFT_MIN_LEN and n <= _FFT_MAX_SIZE:
             return self._fft_convolve(a, b, n)
-        lim = self._acc_limit
-        if min(len(a), len(b)) <= lim:
-            return np.convolve(a, b) % self.p
-        # chunk the shorter operand
-        if len(b) > len(a):
-            a, b = b, a
-        out = np.zeros(n, dtype=np.int64)
-        for lo in range(0, len(b), lim):
-            hi = min(lo + lim, len(b))
-            seg = np.convolve(a, b[lo:hi]) % self.p
-            out[lo : lo + len(seg)] = (out[lo : lo + len(seg)] + seg) % self.p
-        return out
+        return self.exact(np.convolve, a, b, k)
 
     def _fft_convolve(self, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
         """a*b mod p (n coefficients) from 11-bit limbs by a float FFT, exactly.
@@ -155,11 +155,6 @@ class Field:
 _LIMB_BITS = 11
 _FFT_MIN_LEN = 500
 _FFT_MAX_SIZE = 1 << 18
-
-
-# Named constants used throughout the tests and examples.
-P_SMALL = 101
-P_DEFAULT = 65537
 
 
 class Rng:

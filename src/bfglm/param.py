@@ -102,10 +102,9 @@ def parametrization_from_minpoly(P: Poly, ell_powers, ell_coord, t=None) -> Zero
     power sequence, is known."""
     field = P.field
     Q = squarefree_part(P)
-    C1_inv = scalar_numerator_direct(ell_powers, field, P).modinv(Q)
-    V = [scalar_numerator_direct(seq, field, P).modmul(C1_inv, Q) for seq in ell_coord]
+    nums = [scalar_numerator_direct(seq, field, P) for seq in [ell_powers, *ell_coord]]
     t = t if t is not None else [0] * len(ell_coord)
-    return ZeroDimParam(Q=Q, V=V, t=[int(x) % field.p for x in t])
+    return ZeroDimParam(Q=Q, V=_coordinates(nums, Q), t=[int(x) % field.p for x in t])
 
 
 @dataclass
@@ -143,7 +142,7 @@ class BlockSolveArtifacts:
     C_coord: list
 
 
-def _block_core(M, U, V, W, d, rng, workers=1, stats=None, delta=None, target=None, rows=1):
+def _block_core(M, U, V, W, d, rng, stats=None, delta=None, target=None, rows=1):
     """The block-Krylov pipeline shared by the plain, X_1 and residual solves.
 
     Returns (seq, inp, Q, a_rows): the 2d terms U^T M^s V (minus the
@@ -162,7 +161,7 @@ def _block_core(M, U, V, W, d, rng, workers=1, stats=None, delta=None, target=No
     """
     f = M.field
     t0 = perf_counter()
-    seq, columns = krylov_left_sequence(M, U, 2 * d, np.hstack([V, W]), short=d, workers=workers)
+    seq, columns = krylov_left_sequence(M, U, 2 * d, np.hstack([V, W]), short=d)
     if stats is not None:
         stats.krylov_seconds += perf_counter() - t0
     if delta is not None:
@@ -225,7 +224,6 @@ def block_parametrization(
     t,
     m: int,
     rng: Rng | None = None,
-    workers: int = 1,
     stats: SolveStats | None = None,
     artifacts: list | None = None,
 ) -> ZeroDimParam:
@@ -240,9 +238,7 @@ def block_parametrization(
     rng = rng or Rng(0)
     M = combine_matrices(t, inst.mats)
     d = max(1, math.ceil(inst.D / m))
-    seq, inp, Q, _ = _block_core(
-        M, U, V, e1_columns(inst.mats), d, rng, workers=workers, stats=stats, target=inst.D
-    )
+    seq, inp, Q, _ = _block_core(M, U, V, e1_columns(inst.mats), d, rng, stats=stats, target=inst.D)
     nums = _numerators(inp, range(inst.n + 1))
     if inp.s1.degree < inst.D and inp.s1 != Q:
         # repeated roots pass the core's certificate even when t merges two
@@ -333,13 +329,14 @@ def solve(
     stats: SolveStats | None = None,
     artifacts: list | None = None,
 ) -> ZeroDimParam:
-    """The block algorithm under the retry policy of `retry_solve`."""
+    """The block algorithm under the retry policy of `retry_solve`.
+
+    `workers` has no effect: the streamed Krylov pass has no tasks to share.
+    """
     stats = stats if stats is not None else SolveStats()
 
     def attempt(U, V, t):
-        return block_parametrization(
-            inst, U, V, t, m, rng=rng, workers=workers, stats=stats, artifacts=artifacts
-        )
+        return block_parametrization(inst, U, V, t, m, rng=rng, stats=stats, artifacts=artifacts)
 
     return retry_solve(inst, m, rng, attempt, (inst.n,), retries, stats)
 

@@ -3,17 +3,19 @@
 Storage is scipy CSR with int64 entries reduced to [0, p).  The Krylov pass
 advances the block (M^T)^s U by one sparse product per step and projects it
 at once, so no Krylov table is ever stored; the numerators add a few
-matrix-vector products.  Every sparse product follows one overflow policy
-(`_product`).
+matrix-vector products.  Every sparse product follows the field's one
+overflow policy (`Field.exact`).
 """
 
 from __future__ import annotations
+
+from operator import matmul
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ShapeError
-from .field import _INT64_MAX, Field
+from .field import Field
 
 
 class SparseMat:
@@ -95,7 +97,7 @@ def combine_matrices(t, mats) -> SparseMat:
             continue
         part = M.csr.copy()
         # keep data in [0, p) so further sums cannot overflow int64
-        if field._acc_limit >= 1:
+        if field.dtype is np.int64:
             part.data = part.data * ti % field.p
         else:
             part.data = (part.data.astype(object) * ti % field.p).astype(np.int64)
@@ -110,28 +112,19 @@ def _product(A: sp.csr_matrix, X: np.ndarray, f: Field) -> np.ndarray:
     """Exact A . X over the field for A with entries in [0, p), X a vector or
     a block.
 
-    One overflow policy: on the int64 tier a row of A overflows only past
-    f._acc_limit nonzeros; past it, X is split into 16-bit limbs and the
-    columns of A chunked so that no partial sum overflows, as in
-    Field.matmul.  Only the object tier sums exact Python ints.
+    On the int64 tier a row of A sums at most its nonzeros, so Field.exact's
+    overflow policy applies with k the largest row count; a matrix with at
+    most f._acc_limit columns needs no scan.  Only the object tier sums exact
+    Python ints.
     """
-    p = f.p
     if f.dtype is object:
         rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
         vals = A.data.astype(object).reshape((-1,) + (1,) * (X.ndim - 1))
         out = f.zeros((A.shape[0],) + X.shape[1:])
         np.add.at(out, rows, vals * X[A.indices])
-        return out % p
-    # a row has at most as many nonzeros as A has columns
-    if A.shape[1] <= f._acc_limit or np.diff(A.indptr).max() <= f._acc_limit:
-        return A @ X % p
-    step = _INT64_MAX // (0xFFFF * (p - 1))
-    acc = 0
-    for lo in range(0, A.shape[1], step):
-        a = A if step >= A.shape[1] else A[:, lo : lo + step]
-        x = X[lo : lo + step]
-        acc = (acc + (a @ (x >> 16) % p << 16) + a @ (x & 0xFFFF) % p) % p
-    return acc
+        return out % f.p
+    k = A.shape[1] if A.shape[1] <= f._acc_limit else int(np.diff(A.indptr).max())
+    return f.exact(matmul, A, X, k)
 
 
 def vec_mat(v: np.ndarray, M: SparseMat) -> np.ndarray:
@@ -153,15 +146,14 @@ def project_right(block: np.ndarray, right: np.ndarray, field: Field) -> np.ndar
     return field.matmul(block.T, right)
 
 
-def krylov_left_sequence(M: SparseMat, U: np.ndarray, count: int, right, short=None, workers: int = 1):
+def krylov_left_sequence(M: SparseMat, U: np.ndarray, count: int, right, short=None):
     """Projections of the left Krylov blocks L_s = U^T M^s onto right = [V | W].
 
     V is as wide as U.  Returns (seq, extra): the count terms L_s . V and the
     short (default count) terms L_s . W.  One streamed pass: M is
     transposed once, the D x m block (M^T)^s U advances by one sparse product
     per step and is projected at once, and only the current block is kept,
-    so memory stays O(nnz + D (m + k)) for k columns of right.  There are no
-    per-row tasks left to share out, so `workers` cannot change the result.
+    so memory stays O(nnz + D (m + k)) for k columns of right.
     """
     if count < 1:
         raise ShapeError("need at least one block")

@@ -76,7 +76,6 @@ def block_parametrization_x1(
     y,
     m: int,
     rng: Rng | None = None,
-    workers: int = 1,
     stats: SolveStats | None = None,
 ):
     """Parametrization by X_1 of the points that X_1 alone can see.
@@ -94,9 +93,7 @@ def block_parametrization_x1(
     d = max(1, math.ceil(inst.D / m))
     probe = [_probe_column(inst.mats[1:], y)] if inst.n > 1 else []
     W = e1_columns(inst.mats, *probe)
-    seq, inp, F, a_rows = _block_core(
-        inst.mats[0], U, V, W, d, rng, workers=workers, stats=stats, rows=m
-    )
+    seq, inp, F, a_rows = _block_core(inst.mats[0], U, V, W, d, rng, stats=stats, rows=m)
     M_min = inp.s1
     F = (F // F.gcd(M_min.gcd(M_min.derivative()))).monic()
     # every column but M_1 e_1: the coordinate X_1 is T itself
@@ -186,7 +183,6 @@ def block_parametrization_residual(
     corr: CorrectionSet,
     t,
     rng: Rng | None = None,
-    workers: int = 1,
     stats: SolveStats | None = None,
 ) -> ZeroDimParam:
     """Parametrization of the residual points from corrected short sequences."""
@@ -196,8 +192,8 @@ def block_parametrization_residual(
     rng = rng or Rng(0)
     M = combine_matrices(t, inst.mats)
     _, inp, R, _ = _block_core(
-        M, U, V, e1_columns(inst.mats), corr.d_B, rng, workers=workers, stats=stats,
-        delta=corr.delta, target=corr.D_B,
+        M, U, V, e1_columns(inst.mats), corr.d_B, rng,
+        stats=stats, delta=corr.delta, target=corr.D_B,
     )
     cols = [[x[:, k : k + 1] for x in corr.delta_coord] for k in range(inst.n)]
     W = _coordinates(_numerators(inp, range(inst.n + 1), [corr.delta_one] + cols), R)
@@ -260,27 +256,22 @@ def block_parametrization_with_splitting(
     y,
     m: int,
     rng: Rng | None = None,
-    workers: int = 1,
     stats: SolveStats | None = None,
 ) -> ZeroDimParam:
     """One attempt of the splitting pipeline with fixed randomness."""
     rng = rng or Rng(0)
-    cache, param_A = block_parametrization_x1(
-        inst, U, V, y, m, rng=rng, workers=workers, stats=stats
-    )
+    cache, param_A = block_parametrization_x1(inst, U, V, y, m, rng=rng, stats=stats)
     D_B = inst.D - cache.D_A
     if stats is not None:
         stats.extras["D_A"] = cache.D_A
         stats.extras["D_B"] = D_B
     if cache.D_A == 0:
-        return block_parametrization(inst, U, V, t, m, rng=rng, workers=workers, stats=stats)
+        return block_parametrization(inst, U, V, t, m, rng=rng, stats=stats)
     pA = change_separating_element(param_A, t, rng.child())
     if D_B == 0:
         return pA
     corr = correction_matrices(cache, t, inst)
-    pB = block_parametrization_residual(
-        inst, U, V, corr, t, rng=rng, workers=workers, stats=stats
-    )
+    pB = block_parametrization_residual(inst, U, V, corr, t, rng=rng, stats=stats)
     return union_params(pA, pB)
 
 
@@ -293,12 +284,13 @@ def solve_split(
     stats: SolveStats | None = None,
 ) -> ZeroDimParam:
     """The splitting pipeline under the retry policy of `param.retry_solve`,
-    which draws t and then the probe y."""
+    which draws t and then the probe y.
+
+    `workers` has no effect: the streamed Krylov pass has no tasks to share.
+    """
     stats = stats if stats is not None else SolveStats()
 
     def attempt(U, V, t, y):
-        return block_parametrization_with_splitting(
-            inst, U, V, t, y, m, rng=rng, workers=workers, stats=stats
-        )
+        return block_parametrization_with_splitting(inst, U, V, t, y, m, rng=rng, stats=stats)
 
     return retry_solve(inst, m, rng, attempt, (inst.n, inst.n - 1), retries, stats)

@@ -31,11 +31,21 @@ class PointSpec:
 class GroundTruth:
     points: list  # list of coordinate tuples
     structure: list  # parallel list of PointSpec
-    collisions: list  # pairs of point indices sharing the first coordinate
 
     @property
     def D(self) -> int:
         return sum(s.nu for s in self.structure)
+
+    @property
+    def collisions(self) -> list:
+        """Pairs of point indices sharing the first coordinate."""
+        pts = self.points
+        return [
+            (a, b)
+            for a in range(len(pts))
+            for b in range(a + 1, len(pts))
+            if pts[a][0] == pts[b][0]
+        ]
 
     def simple_separated_dimension(self) -> int:
         """Dimension of the component the first variable can solve alone."""
@@ -176,12 +186,7 @@ def generate_instance(
             X[lo:hi, :] = field.matmul(Linv, X[lo:hi, :])
         out.append(SparseMat.from_dense(field, X))
 
-    collisions = []
-    for a in range(len(points)):
-        for b in range(a + 1, len(points)):
-            if points[a][0] == points[b][0]:
-                collisions.append((a, b))
-    truth = GroundTruth(points=points, structure=list(spec), collisions=collisions)
+    truth = GroundTruth(points=points, structure=list(spec))
     inst = Instance(field=field, n=n, D=D, mats=out)
     return inst, truth
 
@@ -299,14 +304,7 @@ def read_instance(path: str):
             else:
                 raise FormatError(f"unknown point tag {tag!r}", line=lineno)
             pos += 1
-        points = [s.coords for s in specs]
-        collisions = [
-            (a, b)
-            for a in range(len(points))
-            for b in range(a + 1, len(points))
-            if points[a][0] == points[b][0]
-        ]
-        truth = GroundTruth(points=points, structure=specs, collisions=collisions)
+        truth = GroundTruth(points=[s.coords for s in specs], structure=specs)
         if truth.D != D:
             raise FormatError(
                 f"truth blocks sum to {truth.D}, header says D={D}", line=lineno

@@ -133,7 +133,7 @@ def test_convolve_exact_at_the_transform_size_cap(p):
 
 
 def test_matmul_chunking_consistent(f101):
-    # force the chunked inner-dimension path with a long inner axis
+    # a long inner axis, still within the accumulation limit at p = 101
     rng = np.random.default_rng(9)
     A = rng.integers(0, 101, (3, 5000))
     B = rng.integers(0, 101, (5000, 2))
@@ -144,7 +144,7 @@ def test_matmul_chunking_consistent(f101):
 
 @pytest.mark.parametrize("p", [67108859, 3037000493])
 def test_matmul_limb_chunks(p):
-    # past the accumulation limit; several chunks of limb products at 3037000493
+    # past the accumulation limit: 2 limb products at 67108859, 3 at 3037000493
     f = Field(p)
     rng = np.random.default_rng(9)
     A = rng.integers(0, p, (3, 100000))
@@ -154,6 +154,45 @@ def test_matmul_limb_chunks(p):
     assert np.array_equal(np.asarray(got, dtype=object), want)
     top = np.full(100000, p - 1)
     assert int(f.matmul(top, top)) == 100000 % p
+
+
+@pytest.mark.parametrize("p", [67108859, (1 << 31) - 1])
+@pytest.mark.parametrize("past", [0, 1])
+def test_matmul_at_the_accumulation_limit(p, past):
+    # inner dimension _acc_limit (one int64 product) and one more (limbs),
+    # every term at its largest
+    f = Field(p)
+    k = f._acc_limit + past
+    A, B = np.full((3, k), p - 1), np.full((k, 2), p - 1)
+    want = (A.astype(object) @ B.astype(object)) % p
+    assert np.array_equal(np.asarray(f.matmul(A, B), dtype=object), want)
+
+
+def test_matmul_limb_recombination_cannot_overflow():
+    # two terms at 3037000493 take 30-bit limbs of B; with low limbs of all
+    # ones, the top product (p - 2) shifted by 30 bits plus the low product
+    # passes 2**63 unless the low product is reduced mod p first
+    p = 3037000493
+    f = Field(p)
+    A, B = np.full(2, p - 1), np.full(2, (1 << 31) - 1)
+    assert int(f.matmul(A, B)) == 2 * (p - 1) * ((1 << 31) - 1) % p
+
+
+@pytest.mark.parametrize("p", [(1 << 31) - 1, 3037000493])
+def test_convolve_past_the_accumulation_limit_in_two_products(p, monkeypatch):
+    # _acc_limit is 2 and 1 here; 400 terms need two limb products, not one
+    # product per chunk of _acc_limit terms
+    f = Field(p)
+    calls = []
+    convolve = np.convolve
+    monkeypatch.setattr(np, "convolve", lambda a, b: calls.append(1) or convolve(a, b))
+    n = 400
+    top = f.array([p - 1] * n)
+    got = f.convolve(top, top)
+    # (p-1)^2 = 1 mod p, so coefficient k counts the products it sums
+    k = np.arange(2 * n - 1)
+    assert np.array_equal(got, np.minimum(k + 1, 2 * n - 1 - k) % p)
+    assert len(calls) <= 2
 
 
 def test_rng_determinism(f101):

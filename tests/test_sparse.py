@@ -128,18 +128,6 @@ def test_krylov_extra_columns_match_dense_oracle(short):
         assert np.array_equal(a, b)
 
 
-def test_krylov_worker_determinism():
-    rng = Rng(77)
-    dense = rng.block(F, 30, 30)
-    M = SparseMat.from_dense(F, dense)
-    U = sample_block(rng, F, 30, 4)
-    right = np.hstack([sample_block(rng, F, 30, 4), np.eye(30, dtype=np.int64)])
-    s1, e1 = krylov_left_sequence(M, U, 9, right, short=5, workers=1)
-    s4, e4 = krylov_left_sequence(M, U, 9, right, short=5, workers=4)
-    for a, b in zip(s1 + e1, s4 + e4):
-        assert np.array_equal(a, b)
-
-
 def test_project_vector_matches_columns():
     rng = Rng(5)
     dense = rng.block(F, 10, 10)
@@ -204,7 +192,7 @@ def _dense_with_full_row_and_column(f, D, rng):
 @pytest.mark.parametrize("p,D", [(2**31 - 1, 40), (67108859, 2100)])
 def test_products_past_the_accumulation_limit(p, D):
     # int64 sums overflow past f._acc_limit terms (2 at 2^31 - 1, 2048 at
-    # 67108859): the 16-bit limb path must match the object oracle
+    # 67108859): Field.exact's limb path must match the object oracle
     f = Field(p)
     assert D > f._acc_limit and f.dtype is np.int64
     rng = Rng(D)
