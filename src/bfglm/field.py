@@ -71,7 +71,7 @@ class Field:
     def inv(self, a):
         if a % self.p == 0:
             raise DivisionByZero("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     # -- array helpers ----------------------------------------------------
 
@@ -123,38 +123,63 @@ class Field:
         n = len(a) + len(b) - 1
         k = min(len(a), len(b))
         if self.dtype is np.int64 and k > _FFT_MIN_LEN and n <= _FFT_MAX_SIZE:
-            return self._fft_convolve(a, b, n)
+            return self.fft_product(a[None, None], b[None, None], 0, n)[0, 0]
         return self.exact(np.convolve, a, b, k)
 
-    def _fft_convolve(self, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-        """a*b mod p (n coefficients) from 11-bit limbs by a float FFT, exactly.
+    def fft_product(self, a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Coefficients lo..hi-1 of the polynomial-matrix product a.b mod p, a
+        (r, k, la) and b (k, c, lb) int64-tier coefficient tensors, by a float
+        FFT of the least size N = 2**s >= la, lb that wraps nothing onto them,
+        N >= max(hi, la + lb - 1 - lo); exact when k N <= 2**18.
 
         Percival (Math. Comp. 72, 2003, Thm 5.1), twiddle error <= e = 2**-53:
-        a double FFT product of size N = 2**k <= _FFT_MAX_SIZE = 2**18 is off by
-        at most ||x|| ||y|| ((1+e)**(6k) (1+e*sqrt5)**(3k+1) - 1) < 2**-45.1
-        ||x|| ||y||, and 11-bit limbs give ||x|| ||y|| <= 2**22 N <= 2**40.  At
-        most 3 limb products share a shift, so every value is within 0.09 of
-        its integer and rint is exact (0.001 in practice).
+        a double FFT product of size N = 2**s <= 2**18 is off by at most
+        ||x|| ||y|| ((1+e)**(6s) (1+e*sqrt5)**(3s+1) - 1) < 2**-45.1 ||x|| ||y||,
+        and w-bit limbs give ||x|| ||y|| <= 2**(2w) N.  The inner-dimension sum
+        is taken on the spectra, and each error term of the bound adds over the
+        summands, so an output summing k terms of at most nl limb products per
+        shift is within nl k 2**(2w) N 2**-45.1 of its integer.  nl is the
+        fewest limbs, of w = ceil(log2 p / nl) bits, that keep this below
+        3 2**40 2**-45.1 < 0.09 (three 11-bit limbs do when k N <= 2**18, as
+        p < 2**32), and rint is exact.  Tiles of rows of a keep the transient
+        buffers besides the spectra of b near _FFT_TILE_BYTES.
         """
-        size = 1 << (n - 1).bit_length()
-        nl = -(-self.p.bit_length() // _LIMB_BITS)
-        shifts = _LIMB_BITS * np.arange(nl)[:, None]
-        fa, fb = (np.fft.rfft((v >> shifts) % (1 << _LIMB_BITS), size) for v in (a, b))
-        prods = np.zeros((2 * nl - 1, fa.shape[1]), dtype=np.complex128)
-        for i in range(nl):
-            prods[i : i + nl] += fa[i] * fb
-        limbs = np.rint(np.fft.irfft(prods, size)[:, :n]).astype(np.int64)
-        acc = limbs[-1] % self.p
-        for c in limbs[-2::-1]:
-            acc = ((acc << _LIMB_BITS) + c) % self.p
-        return acc
+        (r, k, la), (c, lb) = a.shape, b.shape[1:]
+        size = 1 << (max(hi, la + lb - 1 - lo, la, lb) - 1).bit_length()
+        bits = self.p.bit_length()
+        nl = next(nl for nl in (1, 2, 3) if nl * k * size << 2 * -(-bits // nl) <= 3 << 40)
+        w = -(-bits // nl)
+
+        def spectra(x):
+            out = np.empty((nl,) + x.shape[:2] + (size // 2 + 1,), dtype=np.complex128)
+            for i in range(nl):
+                out[i] = np.fft.rfft((x >> w * i) % (1 << w), size)
+            return out
+
+        fb = spectra(b)
+        # bytes per row of a: its spectra, and the products' spectra, values
+        # and integers
+        tile = max(1, _FFT_TILE_BYTES // (16 * (size // 2 + 1) * (nl * k + 3 * (2 * nl - 1) * c)))
+        out = np.empty((r, c, hi - lo), dtype=np.int64)
+        for i0 in range(0, r, tile):
+            fa = spectra(a[i0 : i0 + tile])
+            prods = np.zeros((2 * nl - 1,) + fa.shape[1:2] + fb.shape[2:], dtype=np.complex128)
+            for i in range(nl):
+                for j in range(nl):
+                    prods[i + j] += np.einsum("ikh,kjh->ijh", fa[i], fb[j])
+            limbs = np.rint(np.fft.irfft(prods, size)[..., lo:hi]).astype(np.int64)
+            acc = limbs[-1] % self.p
+            for limb in limbs[-2::-1]:
+                acc = ((acc << w) + limb) % self.p
+            out[i0 : i0 + tile] = acc
+        return out
 
 
-# FFT convolution: limb width, the operand length above which it beats
-# np.convolve (measured), the transform size that keeps it exact.
-_LIMB_BITS = 11
+# FFT products: the length above which a convolution beats np.convolve
+# (measured), the size that keeps one exact, the working set of a tile.
 _FFT_MIN_LEN = 500
 _FFT_MAX_SIZE = 1 << 18
+_FFT_TILE_BYTES = 1 << 19
 
 
 class Rng:

@@ -142,16 +142,16 @@ class BlockSolveArtifacts:
     C_coord: list
 
 
-def _block_core(M, U, V, W, d, rng, stats=None, delta=None, target=None, rows=1):
+def _block_core(M, U, V, W, d, rng, stats=None, delta=None, target=None):
     """The block-Krylov pipeline shared by the plain, X_1 and residual solves.
 
     Returns (seq, inp, Q, a_rows): the 2d terms U^T M^s V (minus the
     correction terms delta, when given), the NumeratorInputs over the d
     terms U^T M^s W of the extra columns W, the squarefree part Q of the
     largest invariant factor s1 of the terms' minimal matrix generator, and
-    its first `rows` left quotient rows, or all of them when deg s1 is below
-    deg det P: their exact check certifies s1.  One streamed Krylov pass
-    makes both projections.
+    its first left quotient row, or all of them when deg s1 is below deg det
+    P: their exact check certifies s1.  One streamed Krylov pass makes both
+    projections.
 
     With a target dimension, a squarefree s1 of lower degree raises
     NonSeparating: the action is semisimple on a proper subspace, so either
@@ -171,10 +171,9 @@ def _block_core(M, U, V, W, d, rng, stats=None, delta=None, target=None, rows=1)
     Q = squarefree_part(s1)
     if target is not None and s1.degree < target and s1 == Q:
         raise NonSeparating(f"squarefree invariant factor of degree {s1.degree} < {target}")
-    if s1.degree < sum(Pmat.row_degrees()):
-        # below deg det P only the exact check of every quotient row proves
-        # that s1 P^{-1} is polynomial, i.e. that s1 is not a proper divisor
-        rows = Pmat.rows
+    # below deg det P only the exact check of every quotient row proves that
+    # s1 P^{-1} is polynomial, i.e. that s1 is not a proper divisor
+    rows = Pmat.rows if s1.degree < sum(Pmat.row_degrees()) else 1
     a_rows = [left_quotient_row(Pmat, s1, i, rng.child()) for i in range(rows)]
     inp = NumeratorInputs(Pmat=Pmat, s1=s1, a_row=a_rows[0], columns=columns)
     return seq, inp, Q, a_rows

@@ -13,10 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GenericityFailure, InvalidInput, ShapeError
-from .field import Field, Rng
+from .field import _FFT_MAX_SIZE, Field, Rng
 from .unipoly import Poly, _fit, berlekamp_massey, taylor_shift
 
 NEG_INF = -1
+# Orders up to _LEAF_ORDER run the M-Basis loop, and products whose operands
+# are both longer than _PM_FFT_MIN_LEN take the FFT (both measured).
+_LEAF_ORDER = 32
+_PM_FFT_MIN_LEN = 16
 
 
 def _degrees(nz: np.ndarray) -> np.ndarray:
@@ -57,20 +61,34 @@ class PolyMat:
 
 
 def pm_mul(A: PolyMat, B: PolyMat) -> PolyMat:
-    """A . B, entry (i, j) the sum over k of the products of trimmed entries
-    A[i, k] B[k, j], each one Field.convolve."""
+    """A . B."""
     if A.cols != B.rows:
         raise ShapeError("inner dimensions differ")
-    f = A.field
-    da, db = _degrees(A.c != 0), _degrees(B.c != 0)
-    out = f.zeros((A.rows, B.cols, A.c.shape[2] + B.c.shape[2] - 1))
-    for i in range(A.rows):
-        for j in range(B.cols):
-            for k in range(A.cols):
-                if da[i, k] >= 0 and db[k, j] >= 0:
-                    prod = f.convolve(A.c[i, k, : da[i, k] + 1], B.c[k, j, : db[k, j] + 1])
-                    out[i, j, : len(prod)] = (out[i, j, : len(prod)] + prod) % f.p
-    return PolyMat(f, out)
+    return PolyMat(A.field, _product(A.field, A.c, B.c))
+
+
+def _product(f: Field, a: np.ndarray, b: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Coefficients lo..hi-1 (default: all) of a . b, a (r, k, la) and b
+    (k, c, lb) coefficient tensors: one batched limb FFT for long operands on
+    the int64 tier while its bound k N <= 2**18 holds, else one Field.matmul
+    per coefficient of the shorter operand (sums of < min(la, lb) reduced
+    products cannot overflow int64)."""
+    (r, k, la), (c, lb) = a.shape, b.shape[1:]
+    n = la + lb - 1
+    hi = n if hi is None else hi
+    size = 1 << (max(hi, n - lo, la, lb) - 1).bit_length()
+    if f.dtype is np.int64 and min(la, lb) > _PM_FFT_MIN_LEN and k * size <= _FFT_MAX_SIZE:
+        return f.fft_product(a, b, lo, hi)
+    out = f.zeros((r, c, n))
+    if la <= lb:
+        flat = b.reshape(k, c * lb)
+        for s in range(la):
+            out[:, :, s : s + lb] += f.matmul(a[:, :, s], flat).reshape(r, c, lb)
+    else:
+        flat = a.transpose(0, 2, 1).reshape(r * la, k)
+        for s in range(lb):
+            out[:, :, s : s + la] += f.matmul(flat, b[:, :, s]).reshape(r, la, c).transpose(0, 2, 1)
+    return _fit(out[:, :, lo:], hi - lo, f) % f.p
 
 
 def mat_inverse(field: Field, A: np.ndarray) -> np.ndarray:
@@ -110,54 +128,76 @@ def mat_inverse(field: Field, A: np.ndarray) -> np.ndarray:
 def approximant_basis(F: PolyMat, order: int, shift=None) -> PolyMat:
     """Shift-reduced basis of { p : p.F = 0 mod T^order }.
 
-    Iterative order-by-order elimination: at each order the constant residual
-    is reduced by rows of minimal shifted degree, and the surviving pivot
-    rows are multiplied by T.
+    PM-Basis (Giorgi, Jeannerod, Villard, ISSAC 2003) over the order-by-order
+    M-Basis loop of `_m_basis`: the basis of the lower half of the order,
+    then that of the residual it leaves on the upper half, shifted by the row
+    degrees so far, multiplied together.  An order's elimination depends only
+    on its residual and on those degrees, so the product is the loop's basis
+    bit for bit.
     """
     if order < 1:
         raise InvalidInput("order must be >= 1")
     f = F.field
-    r, c = F.rows, F.cols
     if shift is None:
-        shift = [0] * r
-    if len(shift) != r:
+        shift = [0] * F.rows
+    if len(shift) != F.rows:
         raise ShapeError("shift length must match row count")
-    p = f.p
+    return PolyMat(f, _pm_basis(f, _fit(F.c, order, f), [int(s) for s in shift])[0])
 
-    # basis coefficients, degrees 0..order
+
+def _pm_basis(f: Field, R: np.ndarray, deg: list) -> tuple:
+    """(basis, shifted row degrees) for the residual R, order its length."""
+    order = R.shape[2]
+    if order <= _LEAF_ORDER:
+        return _m_basis(f, R, deg)
+    half = order // 2
+    P1, deg = _pm_basis(f, R[:, :, :half], deg)
+    P2, deg = _pm_basis(f, _product(f, P1, R, half, order), deg)
+    return PolyMat(f, _product(f, P2, P1)).c, deg
+
+
+def _m_basis(f: Field, R: np.ndarray, deg: list) -> tuple:
+    """The iterative M-Basis: at each order the constant residual is reduced
+    by rows of minimal shifted degree, and the surviving pivot rows are
+    multiplied by T."""
+    r, c, order = R.shape
     B = f.zeros((r, r, order + 1))
-    for i in range(r):
-        B[i, i, 0] = 1
-    # residual B.F mod T^order
-    R = _fit(F.c, order, f).copy()
-    deg = [int(s) for s in shift]
-
-    lo_shift = min(deg)
+    B[range(r), range(r), 0] = 1
+    R = R.copy()
+    deg = list(deg)
+    lo = min(deg)
     for k in range(order):
         # live window: R vanishes below T^k, and row i of B has degree at
-        # most min(deg[i] - min(shift), k)
-        top = min(max(deg) - lo_shift, k) + 1
-        idx = sorted(range(r), key=lambda i: (deg[i], i))
-        pivots = []  # (row, col, inverse of pivot value)
-        for i in idx:
-            for prow, pcol, pinv in pivots:
-                v = R[i, pcol, k]
-                if v != 0:
-                    coef = v * pinv % p
-                    R[i, :, k:] = (R[i, :, k:] - coef * R[prow, :, k:]) % p
-                    B[i, :, :top] = (B[i, :, :top] - coef * B[prow, :, :top]) % p
-            row = R[i, :, k]
-            nz = np.flatnonzero(row != 0)
-            if len(nz):
-                j = int(nz[0])
-                pivots.append((i, j, f.inv(int(row[j]))))
-        for prow, _, _ in pivots:
-            B[prow, :, 1 : top + 1] = B[prow, :, :top]
-            B[prow, :, 0] = 0
-            R[prow, :, k + 1 :] = R[prow, :, k:-1]
-            R[prow, :, k] = 0
-            deg[prow] += 1
-    return PolyMat(f, B)
+        # most min(deg[i] - lo, k)
+        top = min(max(deg) - lo, k) + 1
+        E, pivots = _eliminate(f, R[:, :, k].tolist(), deg)
+        R[:, :, k:] = f.matmul(E, R[:, :, k:].reshape(r, -1)).reshape(r, c, -1)
+        B[:, :, :top] = f.matmul(E, B[:, :, :top].reshape(r, -1)).reshape(r, r, top)
+        B[pivots, :, 1 : top + 1] = B[pivots, :, :top]
+        B[pivots, :, 0] = 0
+        R[pivots, :, k + 1 :] = R[pivots, :, k:-1]
+        R[pivots, :, k] = 0
+        for i in pivots:
+            deg[i] += 1
+    return PolyMat(f, B).c, deg
+
+
+def _eliminate(f: Field, rows: list, deg: list) -> tuple:
+    """Gaussian elimination of a constant residual on Python ints, rows in
+    order of (deg, index), each reduced by the pivots before it: returns the
+    transform E that applies it in one product, and the pivot rows."""
+    p, r, c = f.p, len(rows), len(rows[0])
+    aug = [row + [0] * i + [1] + [0] * (r - 1 - i) for i, row in enumerate(rows)]
+    pivots = []  # (row, col, inverse of pivot value)
+    for i in sorted(range(r), key=lambda i: (deg[i], i)):
+        for prow, pcol, pinv in pivots:
+            if aug[i][pcol]:
+                coef = aug[i][pcol] * pinv % p
+                aug[i] = [(x - coef * y) % p for x, y in zip(aug[i], aug[prow])]
+        j = next((j for j in range(c) if aug[i][j]), None)
+        if j is not None:
+            pivots.append((i, j, f.inv(aug[i][j])))
+    return np.array([row[c:] for row in aug], dtype=f.dtype), [i for i, _, _ in pivots]
 
 
 def is_row_reduced(P: PolyMat) -> bool:

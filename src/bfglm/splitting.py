@@ -28,7 +28,7 @@ from .param import (
     parametrization_from_minpoly,
     retry_solve,
 )
-from .polymat import PolyMat, pm_mul
+from .polymat import PolyMat, left_quotient_row, pm_mul
 from .sparse import combine_matrices
 from .unipoly import (
     Poly,
@@ -47,7 +47,8 @@ class X1SolveCache:
     seq: list  # 2d terms of U^T M_1^s V
     Pmat: PolyMat
     M_min: Poly  # minimal polynomial of the first variable
-    a_rows: list  # m quotient rows
+    a_rows: list  # the quotient rows the core computed, the first ones
+    row_streams: list  # the streams of the other rows, which only the correction reads
     param_A: ZeroDimParam  # ((F, T, G_2, ..., G_n), X_1)
     D_A: int
 
@@ -93,7 +94,9 @@ def block_parametrization_x1(
     d = max(1, math.ceil(inst.D / m))
     probe = [_probe_column(inst.mats[1:], y)] if inst.n > 1 else []
     W = e1_columns(inst.mats, *probe)
-    seq, inp, F, a_rows = _block_core(inst.mats[0], U, V, W, d, rng, stats=stats, rows=m)
+    seq, inp, F, a_rows = _block_core(inst.mats[0], U, V, W, d, rng, stats=stats)
+    # drawn now, in row order, so that every later stream stays the same
+    row_streams = [rng.child() for _ in range(m - len(a_rows))]
     M_min = inp.s1
     F = (F // F.gcd(M_min.gcd(M_min.derivative()))).monic()
     # every column but M_1 e_1: the coordinate X_1 is T itself
@@ -108,8 +111,8 @@ def block_parametrization_x1(
         param = ZeroDimParam(Q=F, V=[Poly.x(f) % F] + _coordinates(nums, F), t=t_x1)
         param.check_invariants()
     cache = X1SolveCache(
-        columns=inp.columns, seq=seq, Pmat=inp.Pmat, M_min=M_min, a_rows=a_rows, param_A=param,
-        D_A=F.degree,
+        columns=inp.columns, seq=seq, Pmat=inp.Pmat, M_min=M_min, a_rows=a_rows,
+        row_streams=row_streams, param_A=param, D_A=F.degree,
     )
     return cache, param
 
@@ -156,7 +159,11 @@ def correction_matrices(cache: X1SolveCache, t, inst: Instance) -> CorrectionSet
         # the m quotient rows as one m x m matrix, so one product per
         # matrix numerator gives every scalar numerator
         ds = cache.M_min.degree
-        A = PolyMat(f, np.concatenate([_fit(a.c, ds + 1, f) for a in cache.a_rows]))
+        rest = [
+            left_quotient_row(cache.Pmat, cache.M_min, i, stream)
+            for i, stream in enumerate(cache.row_streams, len(cache.a_rows))
+        ]
+        A = PolyMat(f, np.concatenate([_fit(a.c, ds + 1, f) for a in cache.a_rows + rest]))
         omega_V = matrix_numerator(cache.seq[: len(cache.columns)], cache.Pmat)
         omega_W = matrix_numerator([c[:, : inst.n + 1] for c in cache.columns], cache.Pmat)
         nums = [

@@ -17,6 +17,7 @@ from .errors import (
     DivisionByZero,
     InsufficientTerms,
     InvalidInput,
+    InvariantViolation,
     NotCoprime,
     NotInvertible,
 )
@@ -224,20 +225,24 @@ class Poly:
         return a.monic()
 
     def xgcd(self, other: "Poly"):
-        """Returns (g, s, t) monic with s*self + t*other = g."""
+        """Returns (g, s, t) monic with s*self + t*other = g.  The loop tracks
+        s alone; t is the exact quotient (g - s*self) / other."""
         f = self.field
         r0, r1 = self, other
         s0, s1 = Poly.one(f), Poly.zero(f)
-        t0, t1 = Poly.zero(f), Poly.one(f)
         while not r1.is_zero():
             q, r = r0.quo_rem(r1)
             r0, r1 = r1, r
             s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if r0.is_zero():
-            return r0, s0, t0
-        inv_lc = f.inv(r0.lead())
-        return r0.scale(inv_lc), s0.scale(inv_lc), t0.scale(inv_lc)
+        if not r0.is_zero():
+            inv_lc = f.inv(r0.lead())
+            r0, s0 = r0.scale(inv_lc), s0.scale(inv_lc)
+        if other.is_zero():
+            return r0, s0, Poly.zero(f)
+        t, rem = (r0 - s0 * self).quo_rem(other)
+        if not rem.is_zero():
+            raise InvariantViolation("Bezout cofactor is not an exact quotient")
+        return r0, s0, t
 
     def modinv(self, modulus: "Poly") -> "Poly":
         g, s, _ = self.xgcd(modulus)

@@ -132,6 +132,17 @@ def test_convolve_exact_at_the_transform_size_cap(p):
     assert np.array_equal(got, np.minimum(k + 1, 2 * n - 1 - k) % p)
 
 
+@pytest.mark.parametrize("p,n", [(101, 1 << 17), (67108859, 1 << 13), (67108859, (1 << 13) + 1)])
+def test_convolve_exact_at_the_limb_count_switches(p, n):
+    # the largest transforms on fewer limbs: one 7-bit limb at p = 101 up to
+    # size 2^18, two 13-bit limbs at 67108859 up to 2^14, three past it
+    f = Field(p)
+    top = f.array([p - 1] * n)
+    got = f.convolve(top, top)
+    k = np.arange(2 * n - 1)
+    assert np.array_equal(got, np.minimum(k + 1, 2 * n - 1 - k) % p)
+
+
 def test_matmul_chunking_consistent(f101):
     # a long inner axis, still within the accumulation limit at p = 101
     rng = np.random.default_rng(9)

@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bfglm import polymat
 from bfglm.errors import GenericityFailure
-from bfglm.field import Field, Rng
+from bfglm.field import _FFT_MAX_SIZE, Field, Rng
 from bfglm.polymat import (
     PolyMat,
     approximant_basis,
@@ -16,7 +18,7 @@ from bfglm.polymat import (
     minimal_matrix_generator,
     pm_mul,
 )
-from bfglm.unipoly import Poly
+from bfglm.unipoly import Poly, _fit
 
 from conftest import REF_SEQ, polymat_of
 
@@ -190,6 +192,151 @@ def test_approximant_basis_small_oracle():
         assert is_row_reduced(B)
         for v in brute_force_kernel_rows(Fmat, order, max(B.row_degrees())):
             assert in_row_space(v, B)
+
+
+def reference_m_basis(F, order, shift):
+    """The full-order M-Basis loop, kept as the reference of the PM-Basis
+    recursion: at each order the constant residual is reduced by rows of
+    minimal shifted degree, and the surviving pivot rows are multiplied by T."""
+    f = F.field
+    r = F.rows
+    p = f.p
+    B = f.zeros((r, r, order + 1))
+    for i in range(r):
+        B[i, i, 0] = 1
+    R = _fit(F.c, order, f).copy()
+    deg = [int(s) for s in shift]
+    for k in range(order):
+        idx = sorted(range(r), key=lambda i: (deg[i], i))
+        pivots = []  # (row, col, inverse of pivot value)
+        for i in idx:
+            for prow, pcol, pinv in pivots:
+                v = R[i, pcol, k]
+                if v != 0:
+                    coef = v * pinv % p
+                    R[i, :, k:] = (R[i, :, k:] - coef * R[prow, :, k:]) % p
+                    B[i] = (B[i] - coef * B[prow]) % p
+            row = R[i, :, k]
+            nz = np.flatnonzero(row != 0)
+            if len(nz):
+                j = int(nz[0])
+                pivots.append((i, j, f.inv(int(row[j]))))
+        for prow, _, _ in pivots:
+            B[prow, :, 1:] = B[prow, :, :-1]
+            B[prow, :, 0] = 0
+            R[prow, :, k + 1 :] = R[prow, :, k:-1]
+            R[prow, :, k] = 0
+            deg[prow] += 1
+    return PolyMat(f, B)
+
+
+LEAF = polymat._LEAF_ORDER
+ORDERS = (1, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 3, 257)
+
+
+def _random_series(f, rows, cols, order, rng):
+    return PolyMat(f, f.array(rng.integers(0, f.p, (rows, cols, order), dtype=np.int64)))
+
+
+def _stacked(f, S):
+    """[S; -I], the generator's approximant input, S an m x m series."""
+    m = S.shape[0]
+    c = f.zeros((2 * m, m, S.shape[2]))
+    c[:m] = S
+    c[m + np.arange(m), np.arange(m), 0] = f.p - 1
+    return PolyMat(f, c)
+
+
+@pytest.mark.parametrize("p", [101, 67108859, 2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("lifted", [False, True])
+def test_approximant_basis_matches_the_loop(p, m, lifted):
+    # the recursion reproduces the loop's basis bit for bit, across the leaf
+    f = Field(p)
+    rng = np.random.default_rng(p % 1000 + 10 * m + lifted)
+    shift = [0] * m + [1] * m if lifted else [0] * (2 * m)
+    for order in ORDERS:
+        for F in (_random_series(f, 2 * m, m, order, rng), _stacked(f, _random_series(f, m, m, order, rng).c)):
+            got = approximant_basis(F, order, shift)
+            assert np.array_equal(got.c, reference_m_basis(F, order, shift).c), (order, F.rows)
+
+
+@pytest.mark.parametrize("p", [101, 67108859])
+@pytest.mark.parametrize("lifted", [False, True])
+def test_approximant_basis_degenerate_inputs_match_the_loop(p, lifted):
+    # a zero series, and residuals of rank below m: zero columns, as in the
+    # corrected sequences of a residual with D_B < m, and a rank-one block
+    f = Field(p)
+    rng = np.random.default_rng(5)
+    m = 4
+    shift = [0] * m + [1] * m if lifted else [0] * (2 * m)
+    for order in (LEAF + 1, 2 * LEAF + 3, 257):
+        S = _random_series(f, m, m, order, rng).c
+        S[:, 2:] = 0
+        u, v = rng.integers(0, p, (2, m, order))
+        rank_one = f.array(u[:, None, :] * v[None, :, :] % p)
+        for F in (PolyMat(f, f.zeros((2 * m, m, order))), _stacked(f, S), _stacked(f, rank_one)):
+            got = approximant_basis(F, order, shift)
+            assert np.array_equal(got.c, reference_m_basis(F, order, shift).c), order
+
+
+def _per_entry_product(f, a, b):
+    """Oracle of pm_mul: every entry a sum of Field.convolve products."""
+    r, k, la = a.shape
+    c, lb = b.shape[1:]
+    out = f.zeros((r, c, la + lb - 1))
+    for i, j, l in itertools.product(range(r), range(c), range(k)):
+        out[i, j] = (out[i, j] + f.convolve(a[i, l], b[l, j])) % f.p
+    return out
+
+
+@pytest.mark.parametrize("p", [67108859, 2**31 - 1, 3037000493, 2**61 - 1])
+def test_pm_mul_matches_the_per_entry_oracle(p):
+    # all-(p-1) operands are the worst case of the FFT's rounding bound;
+    # lengths straddle the crossover of the product's two paths
+    f = Field(p)
+    T = polymat._PM_FFT_MIN_LEN
+    rng = np.random.default_rng(3)
+    for k, (la, lb) in itertools.product((1, 3, 8), ((T, T + 7), (T + 1, T + 1), (T + 1, 3 * T), (2, 4 * T))):
+        for a, b in (
+            (f.array(np.full((2, k, la), p - 1)), f.array(np.full((k, 3, lb), p - 1))),
+            (f.array(rng.integers(0, p, (2, k, la))), f.array(rng.integers(0, p, (k, 3, lb)))),
+        ):
+            want = _per_entry_product(f, a, b)
+            assert np.array_equal(pm_mul(PolyMat(f, a), PolyMat(f, b)).c, PolyMat(f, want).c), (k, la, lb)
+
+
+@pytest.mark.parametrize("p", [67108859, 2**31 - 1, 3037000493])
+@pytest.mark.parametrize("size", [2048, _FFT_MAX_SIZE // 8])
+def test_pm_mul_exact_with_inner_dimension_8(p, size):
+    # k = 8 at the largest transform the generators of the benchmark
+    # workloads use (2048) and at the bound's cap k N = 2**18; with all-(p-1)
+    # operands entry (i, j) is 8 (p-1)^2 = 8 times the number of overlapping
+    # terms, mod p
+    f = Field(p)
+    half = size // 2
+    a = f.array(np.full((2, 8, half), p - 1))
+    b = f.array(np.full((8, 1, half), p - 1))
+    got = pm_mul(PolyMat(f, a), PolyMat(f, b)).c
+    t = np.arange(2 * half - 1)
+    overlap = np.minimum(np.minimum(t + 1, half), 2 * half - 1 - t)
+    assert np.array_equal(got, np.broadcast_to(8 * overlap % p, got.shape))
+
+
+def test_approximant_basis_memory_stays_small():
+    # an order-1000, 8 x 4 basis (the radical workload's generator) holds an
+    # 8 x 8 x 1001 basis (0.5 MB) and the 8 x 4 x 1000 residual (0.25 MB);
+    # the products' tiled FFT buffers add well under 1 MB to that
+    f = Field(67108859)
+    F = _stacked(f, _random_series(f, 4, 4, 1000, np.random.default_rng(8)).c)
+    tracemalloc.start()
+    try:
+        B = approximant_basis(F, 1000, [0] * 4 + [1] * 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert B.rows == 8
+    assert peak < 2 * 2**20, f"basis peaked at {peak / 2**20:.1f} MB"
 
 
 def test_generator_reference_sequence():
