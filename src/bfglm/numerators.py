@@ -1,9 +1,11 @@
 """Matrix and scalar numerators of linearly recurrent block sequences.
 
-The scalar numerator of the sequence (u_1 M^s w) with respect to the largest
-invariant factor is obtained without ever forming that scalar sequence to
-full length: a matrix numerator of the short block sequence followed by a
-dot product with the quotient row.
+A block sequence is one array of shape d x m x k, term E_s = L_s . W (m x k)
+at index s.  The scalar numerators of the sequences (u_1 M^s w) for the k
+columns w of W, with respect to the largest invariant factor, are obtained
+without ever forming those scalar sequences to full length: one matrix
+numerator of the short block sequence, then one product with the quotient
+row.
 """
 
 from __future__ import annotations
@@ -13,26 +15,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientTerms, ShapeError
-from .polymat import PolyMat, pm_mul
+from .polymat import PolyMat, pm_mul, reversed_series
 from .unipoly import Poly
 
 
 @dataclass
 class NumeratorInputs:
-    Pmat: PolyMat
+    Pmat: PolyMat  # m x m minimal generator of the sequence L_s . V
     s1: Poly
     a_row: PolyMat  # 1 x m, a_row . Pmat = s1 . e_i
-    columns: list  # the d terms L_s . W (m x k) of the columns W given to the Krylov pass
-
-    def column(self, j: int) -> list:
-        """The d terms L_s . w (m x 1) of the column w = W[:, j]."""
-        return [c[:, j : j + 1] for c in self.columns]
+    columns: np.ndarray  # d x m x k: term s is L_s . W for the columns W given to the Krylov pass
 
 
 def matrix_numerator(terms, Pmat: PolyMat) -> PolyMat:
-    """Omega = (Pmat . S) div T^d, one pm_mul: S is the m x k coefficient
-    tensor of the reversed series sum_{s<d} E_{d-1-s} T^s of the d = #terms
-    terms E_s (m x k), and div T^d drops the first d coefficients.
+    """Omega = (Pmat . S) div T^d, one pm_mul: S is the reversed series of
+    the d x m x k terms E_s (`reversed_series`), and div T^d drops the first
+    d coefficients.
 
     Using every available term (d >= deg Pmat) is exact: the neglected tail
     of the generating series only contributes below the T^d cutoff.
@@ -41,27 +39,23 @@ def matrix_numerator(terms, Pmat: PolyMat) -> PolyMat:
     d = len(terms)
     if d < Pmat.max_degree():
         raise InsufficientTerms(f"need {Pmat.max_degree()} terms, got {d}")
-    if terms[0].shape[0] != Pmat.cols:
+    S = reversed_series(f, terms)
+    if S.shape[0] != Pmat.cols:
         raise ShapeError("term height must match generator size")
-    rev = f.zeros(terms[0].shape + (d,))
-    rev[...] = np.stack(terms[::-1], axis=-1) % f.p
-    return PolyMat(f, pm_mul(Pmat, PolyMat(f, rev)).c[:, :, d:])
+    return PolyMat(f, pm_mul(Pmat, PolyMat(f, S)).c[:, :, d:])
 
 
-def scalar_numerator(inp: NumeratorInputs, terms) -> Poly:
-    """Numerator of (u_i M^s w) with respect to s1, from the d block terms
-    L_s . w (m x 1)."""
-    return pm_mul(inp.a_row, matrix_numerator(terms, inp.Pmat))[0, 0]
+def scalar_numerator(inp: NumeratorInputs, terms) -> list:
+    """Numerators of (u_i M^s w) with respect to s1, one per column w, from
+    the d x m x k block terms L_s . W: one matrix numerator, one product."""
+    N = pm_mul(inp.a_row, matrix_numerator(terms, inp.Pmat))
+    return [N[0, j] for j in range(N.cols)]
 
 
 def scalar_numerator_corrected(inp: NumeratorInputs, terms, corrections) -> Poly:
-    """Same as scalar_numerator with E_s := L_s.w - correction_s."""
+    """Numerator of one column, as scalar_numerator, with E_s := L_s.w -
+    correction_s for the d x m x 1 terms L_s . w."""
     if len(corrections) != len(terms):
-        raise ShapeError(
-            f"{len(corrections)} corrections for {len(terms)} sequence terms"
-        )
-    f = inp.Pmat.field
-    terms = [
-        (t - np.asarray(c).reshape(t.shape)) % f.p for t, c in zip(terms, corrections)
-    ]
-    return pm_mul(inp.a_row, matrix_numerator(terms, inp.Pmat))[0, 0]
+        raise ShapeError(f"{len(corrections)} corrections for {len(terms)} sequence terms")
+    terms = np.asarray(terms)
+    return scalar_numerator(inp, terms - np.reshape(corrections, terms.shape))[0]

@@ -25,7 +25,7 @@ from .errors import (
     UnluckyRandomness,
 )
 from .field import Field, Rng, sample_block
-from .numerators import NumeratorInputs, scalar_numerator, scalar_numerator_corrected
+from .numerators import NumeratorInputs, scalar_numerator
 from .polymat import largest_invariant_factor, left_quotient_row, minimal_matrix_generator
 from .sparse import SparseMat, combine_matrices, krylov_left_sequence, mat_vec, project_vector
 from .unipoly import Poly, berlekamp_massey, scalar_numerator_direct, squarefree_part
@@ -133,8 +133,8 @@ class BlockSolveArtifacts:
     """Intermediates of one block_parametrization run, kept for testing."""
 
     M: SparseMat
-    columns: list  # the d terms L_s . W the numerators read
-    seq: list
+    columns: np.ndarray  # d x m x (n + 1): the terms L_s . W the numerators read
+    seq: np.ndarray  # 2d x m x m: the terms L_s . V
     Pmat: object
     s1: Poly
     a_row: object
@@ -145,13 +145,14 @@ class BlockSolveArtifacts:
 def _block_core(M, U, V, W, d, rng, stats=None, delta=None, target=None):
     """The block-Krylov pipeline shared by the plain, X_1 and residual solves.
 
-    Returns (seq, inp, Q, a_rows): the 2d terms U^T M^s V (minus the
-    correction terms delta, when given), the NumeratorInputs over the d
-    terms U^T M^s W of the extra columns W, the squarefree part Q of the
-    largest invariant factor s1 of the terms' minimal matrix generator, and
-    its first left quotient row, or all of them when deg s1 is below deg det
-    P: their exact check certifies s1.  One streamed Krylov pass makes both
-    projections.
+    Returns (seq, inp, Q, a_rows): the 2d x m x m terms U^T M^s V, the
+    NumeratorInputs over the d x m x #W terms U^T M^s W of the extra columns
+    W, the squarefree part Q of the largest invariant factor s1 of the
+    terms' minimal matrix generator, and its first left quotient row, or all
+    of them when deg s1 is below deg det P: their exact check certifies s1.
+    One streamed Krylov pass makes both projections.  The corrections delta,
+    when given, line up with [U^T M^s V | U^T M^s W] (2d x m x (m + #W)) and
+    are subtracted from both, so every numerator reads corrected terms.
 
     With a target dimension, a squarefree s1 of lower degree raises
     NonSeparating: the action is semisimple on a proper subspace, so either
@@ -165,7 +166,9 @@ def _block_core(M, U, V, W, d, rng, stats=None, delta=None, target=None):
     if stats is not None:
         stats.krylov_seconds += perf_counter() - t0
     if delta is not None:
-        seq = [(s - c) % f.p for s, c in zip(seq, delta)]
+        m = seq.shape[2]
+        seq = (seq - delta[:, :, :m]) % f.p
+        columns = (columns - delta[:d, :, m:]) % f.p
     Pmat = minimal_matrix_generator(seq, f, d, d)
     s1 = largest_invariant_factor(Pmat, rng.child())
     Q = squarefree_part(s1)
@@ -177,17 +180,6 @@ def _block_core(M, U, V, W, d, rng, stats=None, delta=None, target=None):
     a_rows = [left_quotient_row(Pmat, s1, i, rng.child()) for i in range(rows)]
     inp = NumeratorInputs(Pmat=Pmat, s1=s1, a_row=a_rows[0], columns=columns)
     return seq, inp, Q, a_rows
-
-
-def _numerators(inp: NumeratorInputs, cols, corrections=None) -> list:
-    """Numerators of (u_1 M^s w) for the columns w = W[:, j], j in cols.
-
-    With corrections (one list of m x 1 terms per column), each is the
-    numerator of the corrected sequence L_s w - corrections[k][s].
-    """
-    if corrections is None:
-        return [scalar_numerator(inp, inp.column(j)) for j in cols]
-    return [scalar_numerator_corrected(inp, inp.column(j), c) for j, c in zip(cols, corrections)]
 
 
 def _coordinates(nums: list, Q: Poly) -> list:
@@ -238,7 +230,7 @@ def block_parametrization(
     M = combine_matrices(t, inst.mats)
     d = max(1, math.ceil(inst.D / m))
     seq, inp, Q, _ = _block_core(M, U, V, e1_columns(inst.mats), d, rng, stats=stats, target=inst.D)
-    nums = _numerators(inp, range(inst.n + 1))
+    nums = scalar_numerator(inp, inp.columns)
     if inp.s1.degree < inst.D and inp.s1 != Q:
         # repeated roots pass the core's certificate even when t merges two
         # simple points at another root: test the simple roots of s1 with a
@@ -246,7 +238,7 @@ def block_parametrization(
         probe = rng.child()
         y = [probe.nonzero_element(f) for _ in range(inst.n)]
         Q_simple = Q // Q.gcd(inp.s1 // Q)
-        c = scalar_numerator(inp, project_vector(M, U, d, _probe_column(inst.mats, y)))
+        c = scalar_numerator(inp, project_vector(M, U, d, _probe_column(inst.mats, y)))[0]
         if not (_rank_one_defect(nums, y, c) % Q_simple).is_zero():
             raise NonSeparating("a simple root of the invariant factor carries several points")
     param = ZeroDimParam(Q=Q, V=_coordinates(nums, Q), t=[int(x) % f.p for x in t])

@@ -212,8 +212,19 @@ def is_row_reduced(P: PolyMat) -> bool:
         return False
 
 
+def reversed_series(f: Field, terms) -> np.ndarray:
+    """The m x k x d coefficient tensor of sum_{s<d} E_{d-1-s} T^s, for the
+    d x m x k terms E_s of a sequence (an array, or a list that converts to
+    one with np.asarray)."""
+    terms = np.asarray(terms)
+    rev = f.zeros(terms.shape[1:] + (len(terms),))
+    rev[...] = np.moveaxis(terms[::-1], 0, -1) % f.p
+    return rev
+
+
 def minimal_matrix_generator(terms, field: Field, deg_left: int, deg_right: int) -> PolyMat:
-    """Row-reduced minimal left generator of a matrix sequence prefix.
+    """Row-reduced minimal left generator of a matrix sequence prefix, for
+    the count x m x m terms of the sequence.
 
     Stacks the reversed series of the terms over -I and reads the generator
     off the low-degree rows of an approximant basis.  With the full
@@ -222,22 +233,14 @@ def minimal_matrix_generator(terms, field: Field, deg_left: int, deg_right: int)
     shift 1, which caps the remainder part one degree lower and thereby
     enforces every recurrence window the data supports.
     """
-    if not terms:
+    if not len(terms):
         raise InvalidInput("empty sequence")
-    m = terms[0].shape[0]
-    if len(terms) >= deg_left + deg_right + 1:
-        d = deg_left + deg_right + 1
-        shift = [0] * (2 * m)
-    else:
-        d = len(terms)
-        if d < deg_left + deg_right:
-            raise InvalidInput(
-                f"need at least {deg_left + deg_right} terms, got {d}"
-            )
-        shift = [0] * m + [1] * m
-    series = field.zeros((m, m, d))
-    for s in range(d):
-        series[:, :, d - s - 1] = terms[s] % field.p
+    d = min(len(terms), deg_left + deg_right + 1)
+    if d < deg_left + deg_right:
+        raise InvalidInput(f"need at least {deg_left + deg_right} terms, got {d}")
+    series = reversed_series(field, terms[:d])
+    m = series.shape[0]
+    shift = [0] * (2 * m) if d > deg_left + deg_right else [0] * m + [1] * m
     stacked = field.zeros((2 * m, m, d))
     stacked[:m] = series
     for i in range(m):
@@ -263,19 +266,14 @@ def minimal_matrix_generator(terms, field: Field, deg_left: int, deg_right: int)
 
 
 def generator_cancels(gen: PolyMat, terms) -> bool:
-    """Check sum_k P_k . F_{s+k} = 0 for every window that fits."""
-    f = gen.field
-    m = gen.cols
-    dmax = gen.max_degree()
-    coeffs = gen.c
-    n_terms = len(terms)
-    for s in range(n_terms - dmax):
-        acc = f.zeros((m, m))
-        for k in range(dmax + 1):
-            acc = (acc + f.matmul(coeffs[:, :, k], f.array(terms[s + k]))) % f.p
-        if np.any(acc != 0):
-            return False
-    return True
+    """Check sum_k P_k . F_{s+k} = 0 for every window that fits: for the n
+    terms F_s, these sums are the coefficients deg P..n-1 of P times the
+    reversed series."""
+    f, n = gen.field, len(terms)
+    lo = max(gen.max_degree(), 0)
+    if lo >= n:
+        return True
+    return not _product(f, gen.c, reversed_series(f, terms), lo, n).any()
 
 
 def _series_solve(field: Field, Pc: np.ndarray, Y: np.ndarray, prec: int) -> np.ndarray:

@@ -149,11 +149,13 @@ def project_right(block: np.ndarray, right: np.ndarray, field: Field) -> np.ndar
 def krylov_left_sequence(M: SparseMat, U: np.ndarray, count: int, right, short=None):
     """Projections of the left Krylov blocks L_s = U^T M^s onto right = [V | W].
 
-    V is as wide as U.  Returns (seq, extra): the count terms L_s . V and the
-    short (default count) terms L_s . W.  One streamed pass: M is
-    transposed once, the D x m block (M^T)^s U advances by one sparse product
-    per step and is projected at once, and only the current block is kept,
-    so memory stays O(nnz + D (m + k)) for k columns of right.
+    V is as wide as U, or is all of right when right is narrower.  Returns
+    (seq, extra): the count x m x #V array of the terms L_s . V and the
+    short (default count) x m x #W array of the terms L_s . W, term s at
+    index s.  One streamed pass: M is transposed once, the D x m block
+    (M^T)^s U advances by one sparse product per step and is projected at
+    once, and only the current block is kept, so memory stays
+    O(nnz + D (m + k)) for k columns of right.
     """
     if count < 1:
         raise ShapeError("need at least one block")
@@ -164,22 +166,25 @@ def krylov_left_sequence(M: SparseMat, U: np.ndarray, count: int, right, short=N
     R = f.array(right).reshape(len(right), -1)
     if R.shape[0] != M.dim:
         raise ShapeError("right must have D rows")
-    short = count if short is None else short
+    short = count if short is None else min(short, count)
+    v = min(m, R.shape[1])
+    seq = f.zeros((count, m, v))
+    extra = f.zeros((short, m, R.shape[1] - v))
     Mt = M.csr.T.tocsr()
     X = f.array(U)
-    seq, extra = [], []
     for s in range(count):
-        F = project_right(X, R if s < short else R[:, :m], f)
-        seq.append(F[:, :m])
+        F = project_right(X, R if s < short else R[:, :v], f)
+        seq[s] = F[:, :v]
         if s < short:
-            extra.append(F[:, m:])
+            extra[s] = F[:, v:]
         if s + 1 < count:
             X = _product(Mt, X, f)
     return seq, extra
 
 
-def project_vector(M: SparseMat, U: np.ndarray, count: int, w: np.ndarray) -> list:
-    """The count terms L_s . w (m x 1) of one column w, by a pass of its own."""
+def project_vector(M: SparseMat, U: np.ndarray, count: int, w: np.ndarray) -> np.ndarray:
+    """The count x m x 1 array of the terms L_s . w of one column w, by a
+    pass of its own."""
     if w.shape != (M.dim,):
         raise ShapeError("w must have length D")
     return krylov_left_sequence(M, U, count, w.reshape(-1, 1), short=0)[0]

@@ -13,14 +13,13 @@ import numpy as np
 
 from .errors import InvalidInput, NonSeparating, NotCoprime, NotInvertible
 from .field import Field, Rng
-from .numerators import matrix_numerator
+from .numerators import matrix_numerator, scalar_numerator
 from .param import (
     Instance,
     SolveStats,
     ZeroDimParam,
     _block_core,
     _coordinates,
-    _numerators,
     _probe_column,
     _rank_one_defect,
     block_parametrization,
@@ -43,8 +42,8 @@ from .unipoly import (
 
 @dataclass
 class X1SolveCache:
-    columns: list  # d terms U^T M_1^s W, W = [e_1 | M_1 e_1 | ... | M_n e_1 | probe]
-    seq: list  # 2d terms of U^T M_1^s V
+    columns: np.ndarray  # d x m x #W: U^T M_1^s W, W = [e_1 | M_1 e_1 | ... | M_n e_1 | probe]
+    seq: np.ndarray  # 2d x m x m: U^T M_1^s V
     Pmat: PolyMat
     M_min: Poly  # minimal polynomial of the first variable
     a_rows: list  # the quotient rows the core computed, the first ones
@@ -55,9 +54,7 @@ class X1SolveCache:
 
 @dataclass
 class CorrectionSet:
-    delta: list  # 2*d_B matrices, m x m
-    delta_coord: list  # d_B matrices, m x n
-    delta_one: list  # d_B vectors, m x 1
+    delta: np.ndarray  # 2d_B x m x (m + n + 1), lined up with [L_s V | L_s W]
     D_B: int
     d_B: int
 
@@ -98,9 +95,10 @@ def block_parametrization_x1(
     # drawn now, in row order, so that every later stream stays the same
     row_streams = [rng.child() for _ in range(m - len(a_rows))]
     M_min = inp.s1
-    F = (F // F.gcd(M_min.gcd(M_min.derivative()))).monic()
-    # every column but M_1 e_1: the coordinate X_1 is T itself
-    nums = _numerators(inp, [0, *range(2, W.shape[1])])
+    F = F // F.gcd(M_min // F)
+    nums = scalar_numerator(inp, inp.columns)
+    # the coordinate X_1 is T itself
+    del nums[1]
     if probe:
         c = nums.pop()
         F = F.gcd(_rank_one_defect(nums, y, c))
@@ -151,12 +149,11 @@ def correction_matrices(cache: X1SolveCache, t, inst: Instance) -> CorrectionSet
     m = cache.Pmat.rows
     D_B = inst.D - cache.D_A
     d_B = max(1, math.ceil(D_B / m))
-    # entry (i, j, s): term s of the sequences L_s V and, for the columns
-    # w = e_1, M_1 e_1, ..., M_n e_1, L_s w
-    vals_V = f.zeros((m, m, 2 * d_B))
-    vals_w = f.zeros((m, inst.n + 1, 2 * d_B))
+    # term s of [L_s V | L_s W], W = [e_1 | M_1 e_1 | ... | M_n e_1]
+    k = m + inst.n + 1
+    delta = f.zeros((2 * d_B, m, k))
     if cache.D_A > 0:
-        # the m quotient rows as one m x m matrix, so one product per
+        # the m quotient rows as one m x m matrix, so one product of one
         # matrix numerator gives every scalar numerator
         ds = cache.M_min.degree
         rest = [
@@ -164,23 +161,13 @@ def correction_matrices(cache: X1SolveCache, t, inst: Instance) -> CorrectionSet
             for i, stream in enumerate(cache.row_streams, len(cache.a_rows))
         ]
         A = PolyMat(f, np.concatenate([_fit(a.c, ds + 1, f) for a in cache.a_rows + rest]))
-        omega_V = matrix_numerator(cache.seq[: len(cache.columns)], cache.Pmat)
-        omega_W = matrix_numerator([c[:, : inst.n + 1] for c in cache.columns], cache.Pmat)
-        nums = [
-            N[i, j]
-            for N in (pm_mul(A, omega_V), pm_mul(A, omega_W))
-            for i in range(m)
-            for j in range(N.cols)
-        ]
+        d = len(cache.columns)
+        terms = np.concatenate([cache.seq[:d], cache.columns[:, :, : inst.n + 1]], axis=2)
+        N = pm_mul(A, matrix_numerator(terms, cache.Pmat))
+        nums = [N[i, j] for i in range(m) for j in range(k)]
         vals = decompose(cache.M_min, nums, cache.param_A, t, 2 * d_B)
-        vals_V, vals_w = vals[: m * m].reshape(vals_V.shape), vals[m * m :].reshape(vals_w.shape)
-    return CorrectionSet(
-        delta=[vals_V[:, :, s] for s in range(2 * d_B)],
-        delta_coord=[vals_w[:, 1:, s] for s in range(d_B)],
-        delta_one=[vals_w[:, :1, s] for s in range(d_B)],
-        D_B=D_B,
-        d_B=d_B,
-    )
+        delta = np.moveaxis(vals.reshape(m, k, 2 * d_B), -1, 0)
+    return CorrectionSet(delta=delta, D_B=D_B, d_B=d_B)
 
 
 def block_parametrization_residual(
@@ -202,8 +189,7 @@ def block_parametrization_residual(
         M, U, V, e1_columns(inst.mats), corr.d_B, rng,
         stats=stats, delta=corr.delta, target=corr.D_B,
     )
-    cols = [[x[:, k : k + 1] for x in corr.delta_coord] for k in range(inst.n)]
-    W = _coordinates(_numerators(inp, range(inst.n + 1), [corr.delta_one] + cols), R)
+    W = _coordinates(scalar_numerator(inp, inp.columns), R)
     param = ZeroDimParam(Q=R, V=W, t=[int(x) % f.p for x in t])
     param.check_invariants()
     return param
@@ -245,12 +231,9 @@ def union_params(pA: ZeroDimParam, pB: ZeroDimParam) -> ZeroDimParam:
         return pB
     if pB.is_empty():
         return pA
-    f = pA.Q.field
-    if not pA.Q.gcd(pB.Q).is_one():
-        raise NotCoprime("components share a root of the separating form")
-    Q = pA.Q * pB.Q
-    V = [crt_pair(a, pA.Q, b, pB.Q) for a, b in zip(pA.V, pB.V)]
-    out = ZeroDimParam(Q=Q, V=V, t=pA.t)
+    # crt_pair's one xgcd also checks that the components share no root
+    V = crt_pair(pA.V, pA.Q, pB.V, pB.Q)
+    out = ZeroDimParam(Q=pA.Q * pB.Q, V=V, t=pA.t)
     out.check_invariants()
     return out
 

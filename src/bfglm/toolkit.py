@@ -398,7 +398,7 @@ def minimal_polynomial_of_combination(inst: Instance, t, rng: Rng) -> Poly:
     u = rng.vector(f, inst.D)
     v = rng.vector(f, inst.D)
     seq, _ = krylov_left_sequence(M, u.reshape(-1, 1), 2 * inst.D, v)
-    return berlekamp_massey([int(x[0, 0]) for x in seq], f, inst.D)
+    return berlekamp_massey(seq[:, 0, 0], f, inst.D)
 
 
 def verify_solution(inst: Instance, param: ZeroDimParam, truth: GroundTruth | None = None):

@@ -368,15 +368,17 @@ def laurent_expand(A: Poly, F: Poly, k: int) -> list:
     return [int(x) for x in _fit(f.convolve(rev_a, F._rev_inv(k)), k, f)]
 
 
-def crt_pair(a1: Poly, q1: Poly, a2: Poly, q2: Poly) -> Poly:
-    """Unique r mod q1*q2 with r = a1 mod q1 and r = a2 mod q2."""
+def crt_pair(a1s, q1: Poly, a2s, q2: Poly) -> list:
+    """For each pair (a1, a2) of a1s and a2s, the unique r mod q1*q2 with
+    r = a1 mod q1 and r = a2 mod q2.  One xgcd serves every pair; its gcd is
+    the coprimality check."""
     g, s, _ = q1.xgcd(q2)
     if not g.is_one():
         raise NotCoprime("moduli share a common factor")
     # r = a1 + q1 * ((a2 - a1) * inv(q1) mod q2)
-    diff = (a2 - a1) % q2
-    lift = (diff * (s % q2)) % q2
-    return (a1 + q1 * lift) % (q1 * q2)
+    inv = s % q2
+    q = q1 * q2
+    return [(a1 + q1 * ((a2 - a1) % q2 * inv % q2)) % q for a1, a2 in zip(a1s, a2s)]
 
 
 def squarefree_part(P: Poly) -> Poly:

@@ -37,14 +37,14 @@ def ref_setup():
 
 def test_reference_numerators():
     mats, M, inp = ref_setup()
-    terms = inp.column(0)  # eps_1
+    terms = inp.columns[:, :, 0:1]  # eps_1
     omega = matrix_numerator(terms, inp.Pmat)
     assert omega[0, 0] == P(55, 84)
     assert omega[1, 0] == P(11, 38)
-    C1 = scalar_numerator(inp, terms)
+    C1 = scalar_numerator(inp, terms)[0]
     assert C1 == P(13, 75, 84)
 
-    CX1 = scalar_numerator(inp, inp.column(1))  # M_1 . eps_1
+    CX1 = scalar_numerator(inp, inp.columns[:, :, 1:2])[0]  # M_1 . eps_1
     assert CX1 == P(16, 47, 88)
 
 
@@ -92,7 +92,7 @@ def test_scalar_case_matches_direct_formula():
     assert G[0, 0] == minpoly
     a = left_quotient_row(G, minpoly, 0, rng)
     inp = NumeratorInputs(Pmat=G, s1=minpoly, a_row=a, columns=terms[:d])
-    assert scalar_numerator(inp, inp.column(0)) == direct.scale(a[0, 0].coeff(0))
+    assert scalar_numerator(inp, inp.columns[:, :, 0:1])[0] == direct.scale(a[0, 0].coeff(0))
     # a is the constant 1 here since G is already the invariant factor
     assert a[0, 0].is_one()
 
@@ -112,7 +112,7 @@ def test_scalar_numerator_expands_to_projected_sequence():
     s1 = largest_invariant_factor(G, rng)
     a = left_quotient_row(G, s1, 0, rng)
     inp = NumeratorInputs(Pmat=G, s1=s1, a_row=a, columns=cols)
-    C = scalar_numerator(inp, inp.column(0))
+    C = scalar_numerator(inp, inp.columns[:, :, 0:1])[0]
     Md = dense.astype(object)
     scal = []
     cur = U[:, 0].astype(object)
@@ -124,16 +124,43 @@ def test_scalar_numerator_expands_to_projected_sequence():
 
 def test_corrected_with_zero_corrections_matches_plain():
     mats, _, inp = ref_setup()
-    terms = inp.column(0)
+    terms = inp.columns[:, :, 0:1]
     zeros = [F.zeros((2, 1)) for _ in range(len(inp.columns))]
-    assert scalar_numerator_corrected(inp, terms, zeros) == scalar_numerator(inp, terms)
+    assert scalar_numerator_corrected(inp, terms, zeros) == scalar_numerator(inp, terms)[0]
     with pytest.raises(ShapeError):
         scalar_numerator_corrected(inp, terms, zeros[:1])
 
 
 def test_corrected_subtracts_before_expansion():
     _, _, inp = ref_setup()
-    terms = inp.column(0)
+    terms = inp.columns[:, :, 0:1]
     # corrections equal to the terms themselves give the zero numerator
     out = scalar_numerator_corrected(inp, terms, [t.copy() for t in terms])
     assert out.is_zero()
+
+
+def test_scalar_numerator_gives_every_column():
+    # one product for the whole block equals one call per column
+    _, _, inp = ref_setup()
+    both = scalar_numerator(inp, inp.columns)
+    assert both == [scalar_numerator(inp, inp.columns[:, :, j : j + 1])[0] for j in range(2)]
+    assert both == [P(13, 75, 84), P(16, 47, 88)]
+
+
+def test_list_of_terms_and_stacked_array_agree():
+    # a list of m x k terms converts with one np.asarray: the generator and
+    # the numerators must not depend on which form they are given
+    rng = Rng(29)
+    D, m = 12, 3
+    M = SparseMat.from_dense(F, rng.block(F, D, D))
+    U = sample_block(rng, F, D, m)
+    V = sample_block(rng, F, D, m)
+    W = sample_block(rng, F, D, 2)
+    d = (D + m - 1) // m
+    seq, cols = krylov_left_sequence(M, U, 2 * d, np.hstack([V, W]), short=d)
+    assert seq.shape == (2 * d, m, m) and cols.shape == (d, m, 2)
+    G = minimal_matrix_generator(seq, F, d, d)
+    G_list = minimal_matrix_generator(list(seq), F, d, d)
+    assert np.array_equal(G.c, G_list.c)
+    for terms in (seq[:d], cols):
+        assert np.array_equal(matrix_numerator(terms, G).c, matrix_numerator(list(terms), G).c)

@@ -375,6 +375,13 @@ def test_generator_cancels_random_rational_sequence():
     terms, _ = krylov_left_sequence(M, U, 2 * d, V)
     G = minimal_matrix_generator(terms, F, d, d)
     assert generator_cancels(G, terms)
+    # every window counts: a change to any one term is seen
+    for s in (0, d, 2 * d - 1):
+        bad = terms.copy()
+        bad[s, 1, 0] = (bad[s, 1, 0] + 1) % F.p
+        assert not generator_cancels(G, bad)
+    # fewer terms than the degree leave no window to check
+    assert generator_cancels(G, terms[: G.max_degree()])
 
 
 def test_largest_invariant_factor_reference():

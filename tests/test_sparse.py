@@ -128,6 +128,34 @@ def test_krylov_extra_columns_match_dense_oracle(short):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize(
+    "m,k,short",
+    [
+        (2, 5, 3),  # V = the first 2 columns, W = 3 columns for 3 of 7 steps
+        (2, 5, 0),  # W never projected
+        (3, 1, 0),  # right narrower than U, as project_vector passes it
+        (3, 2, None),  # right narrower than U, projected at every step
+    ],
+)
+def test_krylov_sequence_shapes(m, k, short):
+    # term s at index s: seq is count x m x #V and extra short x m x #W
+    rng = Rng(23)
+    D, count = 9, 7
+    dense = rng.block(F, D, D)
+    M = SparseMat.from_dense(F, dense)
+    U = sample_block(rng, F, D, m)
+    right = sample_block(rng, F, D, k)
+    seq, extra = krylov_left_sequence(M, U, count, right, short=short)
+    v = min(m, k)
+    n_extra = count if short is None else short
+    assert seq.shape == (count, m, v)
+    assert extra.shape == (n_extra, m, k - v)
+    assert np.array_equal(seq, np.asarray(dense_mat_pow_seq(F, dense, U, right[:, :v], count)))
+    if n_extra and k > v:
+        want = dense_mat_pow_seq(F, dense, U, right[:, v:], n_extra)
+        assert np.array_equal(extra, np.asarray(want))
+
+
 def test_project_vector_matches_columns():
     rng = Rng(5)
     dense = rng.block(F, 10, 10)
@@ -137,6 +165,7 @@ def test_project_vector_matches_columns():
     cols = project_vector(M, U, 5, w)
     _, full = krylov_left_sequence(M, U, 5, np.hstack([sample_block(rng, F, 10, 2), w.reshape(-1, 1)]))
     assert len(cols) == 5
+    assert cols.shape == full.shape == (5, 2, 1)
     for a, b in zip(cols, full):
         assert np.array_equal(a, b)
     # one projected term: L . w for the block stored as L^T = U

@@ -3,10 +3,13 @@ import pytest
 
 from bfglm.errors import InvalidInput, NonSeparating, NotCoprime
 from bfglm.field import Field, Rng, sample_block
+from bfglm.numerators import NumeratorInputs, scalar_numerator, scalar_numerator_corrected
 from bfglm.param import (
     SolveStats,
     ZeroDimParam,
+    _block_core,
     block_parametrization,
+    e1_columns,
     solve,
     verify_against_points,
 )
@@ -21,6 +24,7 @@ from bfglm.splitting import (
     solve_split,
     union_params,
 )
+from bfglm.sparse import combine_matrices, krylov_left_sequence
 from bfglm.toolkit import PointSpec, generate_instance, verify_solution
 from bfglm.unipoly import Poly, laurent_expand, power_projection
 
@@ -116,9 +120,49 @@ def test_correction_matrices_zero_when_nothing_solved():
     cache, _ = x1_solve(inst, 2, 14)
     corr = correction_matrices(cache, [1, 1], inst)
     assert corr.D_B == inst.D
-    assert all(np.all(d == 0) for d in corr.delta)
-    assert all(np.all(d == 0) for d in corr.delta_coord)
-    assert all(np.all(d == 0) for d in corr.delta_one)
+    # one array lined up with [L_s V | L_s e_1 | L_s M_1 e_1 | L_s M_2 e_1]
+    assert corr.delta.shape == (2 * corr.d_B, 2, 2 + inst.n + 1)
+    assert np.all(corr.delta == 0)
+
+
+def test_residual_numerators_match_per_column_corrections():
+    # _block_core subtracts the corrections from the columns as well as from
+    # the sequence; the old path corrected each column's terms on its own,
+    # with the slices delta_one and delta_coord of the corrections, and is
+    # the oracle here
+    spec = [
+        PointSpec(coords=(3, 5)),
+        PointSpec(coords=(7, 11)),
+        PointSpec(coords=(9, 2)),
+        PointSpec(coords=(9, 6)),
+        PointSpec(coords=(13, 1)),
+    ]
+    inst, _ = make(spec, 15)
+    rng = Rng(16)
+    m = 2
+    U = sample_block(rng, F, inst.D, m)
+    V = sample_block(rng, F, inst.D, m)
+    cache, _ = block_parametrization_x1(inst, U, V, [rng.nonzero_element(F)], m, rng=rng.child())
+    t = [5, 9]
+    corr = correction_matrices(cache, t, inst)
+    d = corr.d_B
+    assert cache.D_A == 3 and np.any(corr.delta[:d, :, m:])
+    M = combine_matrices(t, inst.mats)
+    W = e1_columns(inst.mats)
+    seq, inp, _, _ = _block_core(M, U, V, W, d, Rng(30), delta=corr.delta, target=corr.D_B)
+    raw_seq, raw_cols = krylov_left_sequence(M, U, 2 * d, np.hstack([V, W]), short=d)
+    assert np.array_equal(seq, (raw_seq - corr.delta[:, :, :m]) % F.p)
+    got = scalar_numerator(inp, inp.columns)
+
+    oracle = NumeratorInputs(Pmat=inp.Pmat, s1=inp.s1, a_row=inp.a_row, columns=raw_cols)
+    delta_one = [corr.delta[s, :, m : m + 1] for s in range(d)]
+    delta_coord = [corr.delta[s, :, m + 1 :] for s in range(d)]
+    cols = [[x[:, k : k + 1] for x in delta_coord] for k in range(inst.n)]
+    want = [
+        scalar_numerator_corrected(oracle, oracle.columns[:, :, j : j + 1], c)
+        for j, c in enumerate([delta_one] + cols)
+    ]
+    assert got == want
 
 
 def test_corrections_match_component_difference():

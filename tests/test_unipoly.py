@@ -155,11 +155,23 @@ def test_laurent_expand_roundtrip_random():
 def test_crt_pair():
     q1 = P(99, 1)  # T - 2
     q2 = P(96, 1)  # T - 5
-    a = crt_pair(P(7), q1, P(11), q2)
+    [a] = crt_pair([P(7)], q1, [P(11)], q2)
     assert a.eval(2) == 7
     assert a.eval(5) == 11
     with pytest.raises(NotCoprime):
-        crt_pair(P(7), q1, P(11), q1)
+        crt_pair([P(7)], q1, [P(11)], q1)
+
+
+def test_crt_pair_lifts_every_pair_with_one_cofactor():
+    q1 = P(99, 1) * P(98, 1)  # (T - 2)(T - 3)
+    q2 = P(96, 1)  # T - 5
+    lifted = crt_pair([P(7), P(1, 1), P(0)], q1, [P(11), P(4), P(9)], q2)
+    for r, (a1, a2) in zip(lifted, [(P(7), P(11)), (P(1, 1), P(4)), (P(0), P(9))]):
+        assert r.degree < 3
+        assert r % q1 == a1 % q1 and r % q2 == a2 % q2
+    # the coprimality check runs even with no pair to lift
+    with pytest.raises(NotCoprime):
+        crt_pair([], q1, [], P(99, 1))
 
 
 def test_squarefree_part():
