@@ -120,11 +120,7 @@ class Field:
         """Exact polynomial-coefficient convolution mod p."""
         if len(a) == 0 or len(b) == 0:
             return self.zeros(0)
-        n = len(a) + len(b) - 1
-        k = min(len(a), len(b))
-        if self.dtype is np.int64 and k > _FFT_MIN_LEN and n <= _FFT_MAX_SIZE:
-            return self.fft_product(a[None, None], b[None, None], 0, n)[0, 0]
-        return self.exact(np.convolve, a, b, k)
+        return FixedFactor(self, b, len(a), 0, len(a) + len(b) - 1)(a)
 
     def fft_product(self, a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Coefficients lo..hi-1 of the polynomial-matrix product a.b mod p, a
@@ -145,34 +141,69 @@ class Field:
         buffers besides the spectra of b near _FFT_TILE_BYTES.
         """
         (r, k, la), (c, lb) = a.shape, b.shape[1:]
-        size = 1 << (max(hi, la + lb - 1 - lo, la, lb) - 1).bit_length()
-        bits = self.p.bit_length()
-        nl = next(nl for nl in (1, 2, 3) if nl * k * size << 2 * -(-bits // nl) <= 3 << 40)
-        w = -(-bits // nl)
-
-        def spectra(x):
-            out = np.empty((nl,) + x.shape[:2] + (size // 2 + 1,), dtype=np.complex128)
-            for i in range(nl):
-                out[i] = np.fft.rfft((x >> w * i) % (1 << w), size)
-            return out
-
-        fb = spectra(b)
+        plan = self._fft_plan(k, la, lb, lo, hi)
+        size, nl, _ = plan
+        fb = self._spectra(b, plan)
         # bytes per row of a: its spectra, and the products' spectra, values
         # and integers
         tile = max(1, _FFT_TILE_BYTES // (16 * (size // 2 + 1) * (nl * k + 3 * (2 * nl - 1) * c)))
         out = np.empty((r, c, hi - lo), dtype=np.int64)
         for i0 in range(0, r, tile):
-            fa = spectra(a[i0 : i0 + tile])
-            prods = np.zeros((2 * nl - 1,) + fa.shape[1:2] + fb.shape[2:], dtype=np.complex128)
-            for i in range(nl):
-                for j in range(nl):
-                    prods[i + j] += np.einsum("ikh,kjh->ijh", fa[i], fb[j])
-            limbs = np.rint(np.fft.irfft(prods, size)[..., lo:hi]).astype(np.int64)
-            acc = limbs[-1] % self.p
-            for limb in limbs[-2::-1]:
-                acc = ((acc << w) + limb) % self.p
-            out[i0 : i0 + tile] = acc
+            out[i0 : i0 + tile] = self._from_spectra(self._spectra(a[i0 : i0 + tile], plan), fb, plan, lo, hi)
         return out
+
+    def _fft_plan(self, k: int, la: int, lb: int, lo: int, hi: int) -> tuple:
+        """(N, nl, w) of fft_product for inner dimension k and lengths la, lb;
+        nl = 3 also where no limb count meets the bound, at k N > 2**18, a
+        plan every caller rejects."""
+        size = 1 << (max(hi, la + lb - 1 - lo, la, lb) - 1).bit_length()
+        bits = self.p.bit_length()
+        nl = next(nl for nl in (1, 2, 3) if nl == 3 or nl * k * size << 2 * -(-bits // nl) <= 3 << 40)
+        return size, nl, -(-bits // nl)
+
+    def _spectra(self, x: np.ndarray, plan: tuple) -> np.ndarray:
+        """The size-N spectra of the nl w-bit limbs of x, along its last axis."""
+        size, nl, w = plan
+        out = np.empty((nl,) + x.shape[:-1] + (size // 2 + 1,), dtype=np.complex128)
+        for i in range(nl):
+            out[i] = np.fft.rfft((x >> w * i) % (1 << w), size)
+        return out
+
+    def _from_spectra(self, fa: np.ndarray, fb: np.ndarray, plan: tuple, lo: int, hi: int) -> np.ndarray:
+        """Coefficients lo..hi-1 of a.b mod p from the limb spectra of a and b."""
+        size, nl, w = plan
+        prods = np.zeros((2 * nl - 1,) + fa.shape[1:2] + fb.shape[2:], dtype=np.complex128)
+        for i in range(nl):
+            for j in range(nl):
+                prods[i + j] += np.einsum("ikh,kjh->ijh", fa[i], fb[j])
+        limbs = np.rint(np.fft.irfft(prods, size)[..., lo:hi]).astype(np.int64)
+        acc = limbs[-1] % self.p
+        for limb in limbs[-2::-1]:
+            acc = ((acc << w) + limb) % self.p
+        return acc
+
+
+class FixedFactor:
+    """b as the fixed factor of products a.b mod p, a of length la, read at
+    coefficients lo..hi-1, hi <= la + len(b) - 1.  On the int64 tier, with
+    both lengths > _FFT_MIN_LEN and N <= _FFT_MAX_SIZE, they take the FFT of
+    fft_product, and the limb spectra of b are taken once, here; otherwise
+    each is one direct convolution under Field.exact."""
+
+    __slots__ = ("field", "b", "lo", "hi", "plan", "fb")
+
+    def __init__(self, field: Field, b: np.ndarray, la: int, lo: int, hi: int):
+        self.field, self.b, self.lo, self.hi, self.plan = field, b, lo, hi, None
+        if field.dtype is np.int64 and min(la, len(b)) > _FFT_MIN_LEN:
+            plan = field._fft_plan(1, la, len(b), lo, hi)
+            if plan[0] <= _FFT_MAX_SIZE:
+                self.plan, self.fb = plan, field._spectra(b[None, None], plan)
+
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        f, plan = self.field, self.plan
+        if plan is None:
+            return f.exact(np.convolve, a, self.b, min(len(a), len(self.b)))[self.lo : self.hi]
+        return f._from_spectra(f._spectra(a[None, None], plan), self.fb, plan, self.lo, self.hi)[0, 0]
 
 
 # FFT products: the length above which a convolution beats np.convolve

@@ -94,13 +94,6 @@ def parametrization_from_series(ell_powers, ell_coord, bound: int, field: Field,
     sequences.
     """
     P = berlekamp_massey(ell_powers, field, bound)
-    return parametrization_from_minpoly(P, ell_powers, ell_coord, t)
-
-
-def parametrization_from_minpoly(P: Poly, ell_powers, ell_coord, t=None) -> ZeroDimParam:
-    """parametrization_from_series once P, the minimal polynomial of the
-    power sequence, is known."""
-    field = P.field
     Q = squarefree_part(P)
     nums = [scalar_numerator_direct(seq, field, P) for seq in [ell_powers, *ell_coord]]
     t = t if t is not None else [0] * len(ell_coord)

@@ -24,7 +24,6 @@ from .param import (
     _rank_one_defect,
     block_parametrization,
     e1_columns,
-    parametrization_from_minpoly,
     retry_solve,
 )
 from .polymat import PolyMat, left_quotient_row, pm_mul
@@ -32,10 +31,11 @@ from .sparse import combine_matrices
 from .unipoly import (
     Poly,
     _fit,
-    berlekamp_massey,
+    charpoly_from_power_sums,
     crt_pair,
     laurent_expand,
     power_projection,
+    scalar_numerator_direct,
     transposed_modmul,
 )
 
@@ -195,15 +195,16 @@ def block_parametrization_residual(
     return param
 
 
-def change_separating_element(param: ZeroDimParam, t, rng: Rng) -> ZeroDimParam:
+def change_separating_element(param: ZeroDimParam, t) -> ZeroDimParam:
     """Transport a parametrization to the separating form X = sum t_i X_i.
 
-    Works inside the univariate quotient by param.Q: a random linear form
-    ell and its products ell(G_i .) are projected along powers of the image
-    of X in one power projection, and the standard univariate reconstruction
-    yields the same point set parametrized by X.  A power sequence whose
-    minimal polynomial has degree below deg Q raises NonSeparating: X merges
-    points, and only a fresh t helps.
+    Works in F_p[T]/F, F = param.Q, with its trace form Tr (Rouillier's RUR,
+    in the generating-series form of Bostan-Salvy-Schost): Tr and the forms
+    Tr(G_i .) are projected along the powers of the image lam of X for
+    deg F + 1 terms in one power projection.  Newton's identities turn the
+    power sums Tr(lam^s) into Q = charpoly(lam); the power sequence has
+    numerator Q', so V_i = num_i / Q' mod Q.  Nothing is drawn: a Q' not
+    invertible mod Q means X merges points, and raises NonSeparating.
     """
     f = param.Q.field
     F = param.Q
@@ -211,14 +212,19 @@ def change_separating_element(param: ZeroDimParam, t, rng: Rng) -> ZeroDimParam:
     t = [int(x) % f.p for x in t]
     if r == 0:
         return _empty_param(f, param.n, t)
+    if r >= f.p:
+        raise InvalidInput("Newton's identities need deg Q < p")
     lam = sum((Gi.scale(ti) for ti, Gi in zip(t, param.V)), Poly.zero(f)) % F
-    ell = [rng.element(f) for _ in range(r)]
-    forms = [ell] + [transposed_modmul(Gi % F, ell, F) for Gi in param.V]
-    powers, *coords = power_projection(F, lam, f.array(forms), 2 * r)
-    P = berlekamp_massey(powers, f, r)
-    if P.degree < r:
+    trace = laurent_expand(F.derivative(), F, r)
+    forms = [trace] + [transposed_modmul(Gi % F, trace, F) for Gi in param.V]
+    sums, *coords = power_projection(F, lam, f.array(forms), r + 1)
+    Q = charpoly_from_power_sums(sums, f)
+    try:
+        Qd_inv = Q.derivative().modinv(Q)
+    except NotInvertible:
         raise NonSeparating("the requested form does not separate the solved points")
-    new = parametrization_from_minpoly(P, powers, coords, t)
+    V = [scalar_numerator_direct(c, f, Q).modmul(Qd_inv, Q) for c in coords]
+    new = ZeroDimParam(Q=Q, V=V, t=t)
     new.check_invariants()
     return new
 
@@ -257,7 +263,9 @@ def block_parametrization_with_splitting(
         stats.extras["D_B"] = D_B
     if cache.D_A == 0:
         return block_parametrization(inst, U, V, t, m, rng=rng, stats=stats)
-    pA = change_separating_element(param_A, t, rng.child())
+    # a stream is still drawn here, so that every later one stays the same
+    rng.child()
+    pA = change_separating_element(param_A, t)
     if D_B == 0:
         return pA
     corr = correction_matrices(cache, t, inst)

@@ -21,7 +21,7 @@ from .errors import (
     NotCoprime,
     NotInvertible,
 )
-from .field import Field
+from .field import Field, FixedFactor
 
 
 # Quotients up to this length (measured), and all on the object tier, use the loop.
@@ -337,6 +337,19 @@ def berlekamp_massey(seq, field: Field, bound: int) -> Poly:
     return Poly._raw(field, C[L::-1].copy())
 
 
+def charpoly_from_power_sums(sums, field: Field) -> Poly:
+    """The monic Q of degree r = len(sums) - 1 whose roots have the power
+    sums sums[1..r], by Newton's identities k c_k = -sum_{i=1..k} c_{k-i}
+    sums[i] on rev(Q) = sum_k c_k T^k; they divide by k <= r, so r < p."""
+    p, r = field.p, len(sums) - 1
+    rs = field.array(list(sums))[::-1]
+    c = field.zeros(r + 1)
+    c[0] = 1
+    for k in range(1, r + 1):
+        c[k] = -int(field.matmul(c[:k], rs[r - k : r])) * pow(k, -1, p) % p
+    return Poly._raw(field, c[::-1].copy())
+
+
 def scalar_numerator_direct(seq, field: Field, P: Poly) -> Poly:
     """Numerator of a cancelled scalar sequence with respect to P.
 
@@ -393,31 +406,37 @@ def squarefree_part(P: Poly) -> Poly:
 # -- power projection ---------------------------------------------------
 
 
-def _recurrence_extend(F: Poly, head: np.ndarray, n: int) -> np.ndarray:
-    """First n terms of the sequence generated by F whose first deg F terms
-    are head: its generating series is N / rev(F), N = rev(F) head mod T^deg F."""
-    f = F.field
-    N = f.convolve(F.c[::-1], head)[: F.degree]
-    return _fit(f.convolve(N, F._rev_inv(n)), n, f)
+class TransposedProduct:
+    """The transpose of f -> G*f mod F, r = deg F, on forms given by their
+    values on 1, T, ..., T^(r-1).  ell extends to the sequence
+    ext_s = ell(T^s mod F), generated by F, and the new values are the
+    middle product sum_j G_j ext_{i+j}, i < r (Shoup; Bostan-Lecerf-Schost,
+    ISSAC 2003).  With n = r + len(G) - 1, that is three products, whose
+    fixed factors' spectra are taken once: N = rev(F) ell mod T^r, terms
+    r..n-1 of N rev(F)^{-1} (ext_r..ext_{n-1}), terms len(G)-1..n-1 of
+    ext rev(G)."""
+
+    __slots__ = ("low", "tail", "mid")
+
+    def __init__(self, G: Poly, F: Poly):
+        f, r, g = F.field, F.degree, G.c
+        n = r + len(g) - 1
+        self.low = FixedFactor(f, F.c[::-1][:r], r, 0, r)
+        self.tail = FixedFactor(f, F._rev_inv(n), r, r, n)
+        self.mid = FixedFactor(f, g[::-1], n, len(g) - 1, n) if len(g) else None
+
+    def __call__(self, ell: np.ndarray) -> np.ndarray:
+        if self.mid is None:
+            return np.zeros_like(ell)
+        return self.mid(np.concatenate([ell, self.tail(self.low(ell))]))
 
 
 def transposed_modmul(G: Poly, ell, F: Poly):
-    """Values of f -> ell(G*f mod F) on the basis 1, T, ..., T^(deg F - 1).
-
-    ell extends to the sequence ext_s = ell(T^s mod F), generated by F; the
-    new values are the middle product sum_j G_j ext_{i+j}, i < deg F (Shoup;
-    Bostan-Lecerf-Schost, "Tellegen's principle into practice", ISSAC 2003).
-    """
-    f = F.field
-    r = F.degree
-    ell = f.array(list(ell))
-    if len(ell) != r:
+    """Values of f -> ell(G*f mod F) on 1, T, ..., T^(deg F - 1)."""
+    ell = F.field.array(list(ell))
+    if len(ell) != F.degree:
         raise InvalidInput("linear form must have deg(F) values")
-    g = G.c
-    if len(g) == 0:
-        return [0] * r
-    ext = _recurrence_extend(F, ell, r + len(g) - 1)
-    return [int(x) for x in f.convolve(ext, g[::-1])[len(g) - 1 : len(g) - 1 + r]]
+    return [int(x) for x in TransposedProduct(G, F)(ell)]
 
 
 def _power_projection_bsgs(F: Poly, H: Poly, ells: np.ndarray, t: int) -> np.ndarray:
@@ -433,12 +452,12 @@ def _power_projection_bsgs(F: Poly, H: Poly, ells: np.ndarray, t: int) -> np.nda
         if j:
             cur_pow = cur_pow.modmul(H, F)
         baby[j, : len(cur_pow.c)] = cur_pow.c
-    G = cur_pow.modmul(H, F) if t > nb else None
+    giant = TransposedProduct(cur_pow.modmul(H, F), F) if t > nb else None
     out = f.zeros((k, t))
     cur = ells
     for s in range(0, t, nb):
         if s:
-            cur = f.array([transposed_modmul(G, row, F) for row in cur])
+            cur = np.stack([giant(row) for row in cur])
         out[:, s : s + nb] = f.matmul(baby, cur.T)[: t - s].T
     return out
 
@@ -468,6 +487,9 @@ def power_projection(F: Poly, H: Poly, ell, t: int):
     each giant step multiplies by H^nb transposed, form by form, and reads
     nb values of every form off one (nb x deg F) . (deg F x k) product.
     The cap keeps the table at the size one form of length 2 deg F needs.
+    Every giant step applies one TransposedProduct, so the spectra of its
+    fixed factors are computed once for all steps and forms; the change of
+    separating element projects n + 1 trace forms for deg F + 1 terms.
     Beyond s = 2 deg F the sequence is linearly recurrent with generator of
     degree <= deg F, so the remaining values of each form are unrolled from
     the recurrence found by Berlekamp-Massey, as one series product.
@@ -488,8 +510,10 @@ def power_projection(F: Poly, H: Poly, ell, t: int):
         head = _power_projection_bsgs(F, H, ells, 2 * r)
         out = f.zeros((len(ells), t))
         for i, row in enumerate(head):
+            # the generating series of the row is N / rev(P), N = rev(P) row mod T^deg P
             P = berlekamp_massey(row, f, r)
-            out[i] = _recurrence_extend(P, row[: P.degree], t)
+            N = f.convolve(P.c[::-1], row[: P.degree])[: P.degree]
+            out[i] = _fit(f.convolve(N, P._rev_inv(t)), t, f)
     return [int(x) for x in out[0]] if single else out
 
 

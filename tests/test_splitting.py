@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bfglm.errors import InvalidInput, NonSeparating, NotCoprime
+from bfglm.errors import InvalidInput, NonSeparating, NotCoprime, NotInvertible
 from bfglm.field import Field, Rng, sample_block
 from bfglm.numerators import NumeratorInputs, scalar_numerator, scalar_numerator_corrected
 from bfglm.param import (
@@ -10,10 +10,11 @@ from bfglm.param import (
     _block_core,
     block_parametrization,
     e1_columns,
+    parametrization_from_series,
     solve,
     verify_against_points,
 )
-from bfglm import splitting
+from bfglm import splitting, unipoly
 from bfglm.splitting import (
     block_parametrization_residual,
     block_parametrization_with_splitting,
@@ -26,7 +27,13 @@ from bfglm.splitting import (
 )
 from bfglm.sparse import combine_matrices, krylov_left_sequence
 from bfglm.toolkit import PointSpec, generate_instance, verify_solution
-from bfglm.unipoly import Poly, laurent_expand, power_projection
+from bfglm.unipoly import (
+    Poly,
+    _fit,
+    laurent_expand,
+    power_projection,
+    power_projection_naive,
+)
 
 F = Field(65537)
 
@@ -211,7 +218,7 @@ def test_residual_requires_nonempty_component():
 def test_change_separating_element_identity():
     inst, truth = make([PointSpec(coords=(3, 5)), PointSpec(coords=(9, 2))], 19)
     cache, param = x1_solve(inst, 1, 20)
-    out = change_separating_element(param, [1, 0], Rng(21))
+    out = change_separating_element(param, [1, 0])
     assert out.Q == param.Q
     assert all(a == b for a, b in zip(out.V, param.V))
 
@@ -220,7 +227,7 @@ def test_change_separating_element_transport():
     inst, truth = make([PointSpec(coords=(3, 5)), PointSpec(coords=(9, 2)), PointSpec(coords=(12, 4))], 22)
     cache, param = x1_solve(inst, 1, 23)
     t = [2, 7]
-    out = change_separating_element(param, t, Rng(24))
+    out = change_separating_element(param, t)
     assert out.t == [2, 7]
     for x1, x2 in [(3, 5), (9, 2), (12, 4)]:
         root = (2 * x1 + 7 * x2) % F.p
@@ -243,8 +250,104 @@ def test_change_separating_element_rejects_non_separating(monkeypatch):
 
     monkeypatch.setattr(splitting, "power_projection", counting)
     with pytest.raises(NonSeparating):
-        change_separating_element(param, [0, 1], Rng(27))
+        change_separating_element(param, [0, 1])
     assert len(calls) == 1
+
+
+def _synthetic_param(f, r, rng, merge=False):
+    """((Q, T, V_2), X_1) of r points with distinct random X_1 values and
+    X_2 = V_2(X_1) for a random V_2; with merge, V_2 takes one value at the
+    first two points, so that X = X_2 merges them."""
+    p = f.p
+    xs = sorted({int(x) for x in rng.integers(0, p, 2 * r)})[:r]
+    Q = Poly.one(f)
+    for a in xs:
+        Q = Q * Poly(f, [-a % p, 1])
+    V2 = Poly(f, [int(x) for x in rng.integers(0, p, r)])
+    if merge:
+        c = (V2.eval(xs[1]) - V2.eval(xs[0])) * pow(xs[0] - xs[1], -1, p) % p
+        V2 = V2 + Poly(f, [-c * xs[0] % p, c])
+    return ZeroDimParam(Q=Q, V=[Poly.x(f) % Q, V2], t=[1, 0]), xs
+
+
+def _random_form_route(param, t, rng):
+    """The change of separating element by a random form ell: its products
+    ell(G_i .) on the basis T^j, the powers of X projected for 2r terms, the
+    coordinates for r, and the minimal polynomial by Berlekamp-Massey."""
+    F = param.Q
+    f, r = F.field, F.degree
+    lam = sum((Gi.scale(ti) for ti, Gi in zip(t, param.V)), Poly.zero(f)) % F
+    ell = f.array([rng.element(f) for _ in range(r)])
+    coords = []
+    for G in param.V:
+        # ell(G T^j mod F), with T times a remainder reduced by one step
+        moved, cur = [], _fit((G % F).c, r, f)
+        for _ in range(r):
+            moved.append(int(f.matmul(ell, cur)))
+            cur = (np.concatenate([f.zeros(1), cur[:-1]]) - cur[-1] * F.c[:r]) % f.p
+        coords.append(power_projection_naive(F, lam, moved, r))
+    powers = power_projection_naive(F, lam, ell, 2 * r)
+    return parametrization_from_series(powers, coords, r, f, t)
+
+
+@pytest.mark.parametrize(
+    "p, r",
+    # r = 600 and 1100 take every giant step through the FFT; the naive
+    # oracle makes 4r modular products, of 2 ms each at r = 1100 on the
+    # int64 tier and of 0.5 s on the object tier
+    [(p, r) for p in [67108859, 2**31 - 1, 3037000493] for r in [40, 600]]
+    + [(67108859, 1100), (2**61 - 1, 40)],
+)
+def test_change_separating_element_matches_the_random_form_route(p, r):
+    f = Field(p)
+    rng = np.random.default_rng(r)
+    param, xs = _synthetic_param(f, r, rng)
+    t = [int(x) for x in rng.integers(1, p, 2)]
+    got = change_separating_element(param, t)
+    want = _random_form_route(param, t, Rng(r))
+    assert want.Q.degree == r
+    assert got.Q == want.Q and got.t == want.t
+    assert all(a == b for a, b in zip(got.V, want.V))
+    x = xs[r // 2]
+    root = (t[0] * x + t[1] * param.V[1].eval(x)) % p
+    assert got.Q.eval(root) == 0 and got.V[1].eval(root) == param.V[1].eval(x)
+
+
+def test_change_separating_element_rejects_a_merging_form_after_one_projection(monkeypatch):
+    # X = X_2 takes one value at two of 600 points: Q' has no inverse mod Q
+    f = Field(67108859)
+    r = 600
+    param, _ = _synthetic_param(f, r, np.random.default_rng(4), merge=True)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return power_projection(*args)
+
+    def forbidden(*args):
+        raise AssertionError("no Berlekamp-Massey in the change of separating element")
+
+    monkeypatch.setattr(splitting, "power_projection", counting)
+    monkeypatch.setattr(unipoly, "berlekamp_massey", forbidden)
+    with pytest.raises(NonSeparating) as exc:
+        change_separating_element(param, [0, 1])
+    assert isinstance(exc.value.__context__, NotInvertible)
+    assert len(calls) == 1
+    # separated by a generic form: one projection of r + 1 terms
+    calls.clear()
+    out = change_separating_element(param, [1, 1])
+    assert out.Q.degree == r
+    assert len(calls) == 1 and calls[0][3] == r + 1
+
+
+def test_change_separating_element_needs_degree_below_p():
+    # Newton's identities divide by every k <= deg Q
+    f = Field(3)
+    Q = Poly(f, [1, 2, 0, 1])  # T^3 - T + 1, squarefree over F_3
+    param = ZeroDimParam(Q=Q, V=[Poly.x(f), Poly.zero(f)], t=[1, 0])
+    param.check_invariants()
+    with pytest.raises(InvalidInput):
+        change_separating_element(param, [1, 1])
 
 
 def test_union_params():

@@ -8,7 +8,10 @@ from bfglm.field import Field
 from bfglm.unipoly import (
     _QUO_SCHOOLBOOK,
     Poly,
+    TransposedProduct,
+    _fit,
     berlekamp_massey,
+    charpoly_from_power_sums,
     crt_pair,
     laurent_expand,
     power_projection,
@@ -402,7 +405,7 @@ def test_power_projection_shares_one_baby_step_table(monkeypatch):
     ells = f.array([_rand(f, r, rng) for _ in range(4)])
     want = [power_projection_naive(m, h, ell, 2 * r) for ell in ells]
     calls = {"modmul": 0, "transposed": 0}
-    modmul, transposed = Poly.modmul, unipoly.transposed_modmul
+    modmul, transposed = Poly.modmul, unipoly.TransposedProduct.__call__
 
     def counting_modmul(*args):
         calls["modmul"] += 1
@@ -413,11 +416,94 @@ def test_power_projection_shares_one_baby_step_table(monkeypatch):
         return transposed(*args)
 
     monkeypatch.setattr(Poly, "modmul", counting_modmul)
-    monkeypatch.setattr(unipoly, "transposed_modmul", counting_transposed)
+    monkeypatch.setattr(unipoly.TransposedProduct, "__call__", counting_transposed)
     got = power_projection(m, h, ells, 2 * r)
     assert got.tolist() == want
     assert calls["modmul"] <= nb
-    assert calls["transposed"] <= 4 * math.ceil(2 * r / nb)
+    assert 0 < calls["transposed"] <= 4 * math.ceil(2 * r / nb)
+
+
+def _transposed_reference(G, ell, F):
+    """The transposed product as three full convolutions: the generated
+    sequence ext extended to r + len(G) - 1 terms, then the middle product."""
+    f = F.field
+    r, g = F.degree, G.c
+    n = r + len(g) - 1
+    N = f.convolve(F.c[::-1], ell)[:r]
+    ext = _fit(f.convolve(N, F._rev_inv(n)), n, f)
+    return f.convolve(ext, g[::-1])[len(g) - 1 : n]
+
+
+@pytest.mark.parametrize(
+    "p, r, nl",
+    # transforms of 2 limbs, then of 3: 268435399 < 2^28 switches past
+    # size 4096, 67108859 past 16384; r = 40 and the object tier convolve
+    [(268435399, 2000, 2), (268435399, 2100, 3), (67108859, 8000, 2), (67108859, 8300, 3),
+     (67108859, 40, None), ((1 << 61) - 1, 40, None)],
+)
+def test_transposed_product_matches_three_convolutions(p, r, nl):
+    f = Field(p)
+    rng = np.random.default_rng(r)
+    m = Poly(f, _rand(f, r + 1, rng, nonzero_lead=True))
+    if nl is not None:
+        assert f._fft_plan(1, r, r, 0, r)[1] == nl
+        assert f._fft_plan(1, 2 * r - 1, r, r - 1, 2 * r - 1)[1] == nl
+    ell = f.array(_rand(f, r, rng))
+    # a full-length multiplier, a short one, a constant and zero
+    for lg in [r, r // 3, 1, 0]:
+        g = Poly(f, _rand(f, lg, rng, nonzero_lead=True))
+        got = TransposedProduct(g, m)(ell)
+        want = _transposed_reference(g, ell, m) if lg else f.zeros(r)
+        assert np.array_equal(np.asarray(got, dtype=object), np.asarray(want, dtype=object))
+        assert transposed_modmul(g, ell, m) == [int(x) for x in want]
+
+
+def test_power_projection_takes_each_fixed_spectrum_once(monkeypatch):
+    # r = 600: every product of a giant step runs on the FFT, whose fixed
+    # factors rev(F) mod T^r, rev(F)^{-1} and rev(G) are transformed once
+    # for all forms and giant steps
+    import math
+    from collections import Counter
+
+    from bfglm import field as field_mod
+
+    f = Field(67108859)
+    rng = np.random.default_rng(8)
+    r, k, t = 600, 3, 601
+    m = Poly(f, _rand(f, r + 1, rng, nonzero_lead=True))
+    h = Poly(f, _rand(f, r, rng))
+    ells = f.array([_rand(f, r, rng) for _ in range(k)])
+    nb = math.isqrt(2 * r - 1) + 1
+    giant = Poly.one(f)
+    for _ in range(nb):
+        giant = giant.modmul(h, m)
+    fixed = [m.c[::-1][:r], m._rev_inv(r + giant.degree), giant.c[::-1]]
+    seen = Counter()
+    spectra = field_mod.Field._spectra
+
+    def counting(self, x, plan):
+        seen[x.tobytes()] += 1
+        return spectra(self, x, plan)
+
+    monkeypatch.setattr(field_mod.Field, "_spectra", counting)
+    got = power_projection(m, h, ells, t)
+    assert [seen[np.ascontiguousarray(x).tobytes()] for x in fixed] == [1, 1, 1]
+    # several giant steps, each taken by every form
+    assert math.ceil(t / nb) - 1 > 1
+    for row, ell in zip(got, ells):
+        assert [int(x) for x in row] == power_projection_naive(m, h, ell, t)
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES + [3037000493])
+def test_charpoly_from_power_sums(p):
+    f = Field(p)
+    rng = np.random.default_rng(3)
+    roots = _rand(f, 30, rng) + [0, 0]
+    want = Poly.one(f)
+    for a in roots:
+        want = want * Poly(f, [-a % p, 1])
+    sums = [sum(pow(a, s, p) for a in roots) % p for s in range(len(roots) + 1)]
+    assert charpoly_from_power_sums(sums, f) == want
 
 
 @pytest.mark.parametrize("p", WIDE_PRIMES)
