@@ -260,5 +260,6 @@ class Rng:
 
 
 def sample_block(rng: Rng, field: Field, rows: int, cols: int) -> np.ndarray:
-    """Uniform dense block, used for U, V, t, y and random right-hand sides."""
+    """Uniform dense block: the blocks U and V of every attempt (the forms
+    t and y are drawn entry by entry with `Rng.nonzero_element`)."""
     return rng.block(field, rows, cols)

@@ -1,9 +1,7 @@
-"""Zero-dimensional parametrizations from multiplication matrices.
-
-Two routes live here: the univariate route (minimal polynomial and
-numerators of scalar sequences, used directly on power projections and as
-the coordinate-change engine) and the block-Krylov route, which extracts the
-same data from short matrix sequences.
+"""Zero-dimensional parametrizations from multiplication matrices by the
+block-Krylov route, which reads the minimal polynomial and the numerators
+off short matrix sequences: the block core that the plain, X_1 and residual
+solves share, the plain solve, and the retry policy of both routes.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from .field import Field, Rng, sample_block
 from .numerators import NumeratorInputs, scalar_numerator
 from .polymat import largest_invariant_factor, left_quotient_row, minimal_matrix_generator
 from .sparse import SparseMat, combine_matrices, krylov_left_sequence, mat_vec, project_vector
-from .unipoly import Poly, berlekamp_massey, scalar_numerator_direct, squarefree_part
+from .unipoly import Poly, squarefree_part
 
 RETRYABLE = (GenericityFailure, NotInvertible, NotCoprime)
 
@@ -84,20 +82,6 @@ class Instance:
         for M in self.mats:
             if M.dim != self.D:
                 raise ShapeError("matrix dimension mismatch")
-
-
-def parametrization_from_series(ell_powers, ell_coord, bound: int, field: Field, t=None) -> ZeroDimParam:
-    """Parametrization from the 2*bound projections of X-powers.
-
-    P is the minimal polynomial of ell(X^s), Q its squarefree part, and each
-    coordinate is C_{X_i}/C_1 mod Q with the numerators of the projected
-    sequences.
-    """
-    P = berlekamp_massey(ell_powers, field, bound)
-    Q = squarefree_part(P)
-    nums = [scalar_numerator_direct(seq, field, P) for seq in [ell_powers, *ell_coord]]
-    t = t if t is not None else [0] * len(ell_coord)
-    return ZeroDimParam(Q=Q, V=_coordinates(nums, Q), t=[int(x) % field.p for x in t])
 
 
 @dataclass
@@ -170,7 +154,7 @@ def _block_core(M, U, V, W, d, rng, stats=None, delta=None, target=None):
     # below deg det P only the exact check of every quotient row proves that
     # s1 P^{-1} is polynomial, i.e. that s1 is not a proper divisor
     rows = Pmat.rows if s1.degree < sum(Pmat.row_degrees()) else 1
-    a_rows = [left_quotient_row(Pmat, s1, i, rng.child()) for i in range(rows)]
+    a_rows = [left_quotient_row(Pmat, s1, i) for i in range(rows)]
     inp = NumeratorInputs(Pmat=Pmat, s1=s1, a_row=a_rows[0], columns=columns)
     return seq, inp, Q, a_rows
 

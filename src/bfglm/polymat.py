@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import GenericityFailure, InvalidInput, ShapeError
 from .field import _FFT_MAX_SIZE, Field, Rng
-from .unipoly import Poly, _fit, berlekamp_massey, taylor_shift
+from .unipoly import Poly, _fit, berlekamp_massey
 
 NEG_INF = -1
 # Orders up to _LEAF_ORDER run the M-Basis loop, and products whose operands
@@ -95,7 +95,7 @@ def mat_inverse(field: Field, A: np.ndarray) -> np.ndarray:
     """Dense inverse of a small constant matrix by Gaussian elimination.
 
     Raises GenericityFailure when singular (callers treat that as unlucky
-    randomness or fall back to a shifted evaluation point).
+    randomness).
     """
     n = A.shape[0]
     work = field.array(A)
@@ -265,21 +265,11 @@ def minimal_matrix_generator(terms, field: Field, deg_left: int, deg_right: int)
     return gen
 
 
-def generator_cancels(gen: PolyMat, terms) -> bool:
-    """Check sum_k P_k . F_{s+k} = 0 for every window that fits: for the n
-    terms F_s, these sums are the coefficients deg P..n-1 of P times the
-    reversed series."""
-    f, n = gen.field, len(terms)
-    lo = max(gen.max_degree(), 0)
-    if lo >= n:
-        return True
-    return not _product(f, gen.c, reversed_series(f, terms), lo, n).any()
-
-
 def _series_solve(field: Field, Pc: np.ndarray, Y: np.ndarray, prec: int) -> np.ndarray:
     """x with P.x = Y mod T^prec, P given as coefficient tensor (m,m,dp+1).
 
-    Requires P(0) invertible; raises GenericityFailure otherwise.
+    Here P is `_reversed_rows` of a generator, or its transpose, so P(0) is
+    the generator's leading matrix; raises GenericityFailure when singular.
     """
     m = Pc.shape[0]
     dp = Pc.shape[2] - 1
@@ -297,18 +287,17 @@ def _series_solve(field: Field, Pc: np.ndarray, Y: np.ndarray, prec: int) -> np.
     return x[:, dp : dp + prec]
 
 
-def _find_shift(field: Field, c: np.ndarray, rng: Rng) -> tuple[int, np.ndarray]:
-    """Evaluation shift a with P(a) invertible, plus the coefficient tensor
-    of P(T + a), P given by its coefficient tensor c."""
-    for attempt in range(32):
-        a = 0 if attempt == 0 else rng.element(field)
-        Pc = taylor_shift(c, a, field)
-        try:
-            mat_inverse(field, Pc[:, :, 0])
-            return a, Pc
-        except GenericityFailure:
-            continue
-    raise GenericityFailure("could not find an invertible evaluation point")
+def _reversed_rows(P: PolyMat) -> np.ndarray:
+    """Coefficient tensor of R(z) = diag(z^rowdeg) P(1/z): each row of P
+    reversed at its own degree, so that R(0) is the leading matrix.  A zero
+    row raises InvalidInput."""
+    degs = P.row_degrees()
+    if min(degs) < 0:
+        raise InvalidInput("singular matrix")
+    R = P.field.zeros(P.c.shape)
+    for i, d in enumerate(degs):
+        R[i, :, : d + 1] = P.c[i, :, d::-1]
+    return R
 
 
 def largest_invariant_factor(P: PolyMat, rng: Rng) -> Poly:
@@ -316,18 +305,17 @@ def largest_invariant_factor(P: PolyMat, rng: Rng) -> Poly:
     generically the minimal polynomial of the underlying operator.
 
     s1 is the denominator den of P^{-1}; generically it is already that of
-    the random projection w^T P^{-1} y (Wiedemann).  Row-reduced with
-    positive row degrees, P has a strictly proper inverse, so in a variable
-    T shifted to make P(0) invertible, w^T P^{-1} y = N / den with
-    deg N < deg den and den(0) != 0: its series coefficients satisfy the
-    recurrence of rev(den) from the start, and Berlekamp-Massey on the first
-    2 deg det P = 2 sum rowdeg(P) of them returns rev(den).  A row of degree
-    0 (a block wider than the sequence's rank) leaves P^{-1} proper only:
-    deg N <= deg den delays the recurrence by one term, the generator is
-    T rev(den), and two more terms are needed.  An unlucky w or y yields a
-    proper divisor of s1; deg s1 = deg det P certifies s1 outright, below
-    that the caller certifies it by the exact quotient rows
-    (`left_quotient_row`).
+    the random projection w^T P^{-1} y (Wiedemann).  At infinity, z = 1/T,
+    P^{-1} = R(z)^{-1} diag(z^rowdeg) with R = `_reversed_rows(P)`, and R(0),
+    the leading matrix, is invertible because P is row-reduced: so x =
+    R^{-1} diag(z^rowdeg) y is a power series and w^T x = sum_k c_k T^{-k} =
+    N / den.  Then den(T) sum_k c_k T^{-k} is a polynomial: c_1, c_2, ...
+    follow the recurrence of den from the start (c_0, nonzero only when a
+    row has degree 0, is not read), and Berlekamp-Massey on
+    c_1 ... c_{2 deg det P}, deg det P = sum rowdeg(P), returns den.  Only
+    y and w are drawn.  An unlucky w or y yields a proper divisor of s1;
+    deg s1 = deg det P certifies s1 outright, below that the caller
+    certifies it by the exact quotient rows (`left_quotient_row`).
     """
     f = P.field
     m = P.rows
@@ -338,30 +326,38 @@ def largest_invariant_factor(P: PolyMat, rng: Rng) -> Poly:
         if e.is_zero():
             raise InvalidInput("singular matrix")
         return e.monic()
+    R = _reversed_rows(P)
     degs = P.row_degrees()
-    bound = sum(degs) + (min(degs) == 0)
-    a, Pc = _find_shift(f, P.c, rng)
-    y = rng.vector(f, m).reshape(m, 1)
+    bound = sum(degs)
+    Y = f.zeros((m, max(degs) + 1))
+    Y[range(m), degs] = rng.vector(f, m)
     w = rng.vector(f, m).reshape(1, m)
-    gen = berlekamp_massey(f.matmul(w, _series_solve(f, Pc, y, 2 * bound))[0], f, bound)
-    s1 = Poly(f, gen.c[::-1]).monic()
-    return s1.compose_linear(-a) if a else s1
+    c = f.matmul(w, _series_solve(f, R, Y, 2 * bound + 1))[0]
+    return berlekamp_massey(c[1:], f, bound)
 
 
-def left_quotient_row(P: PolyMat, s1: Poly, i: int, rng: Rng) -> PolyMat:
-    """Row a with a.P = s1.e_i and deg(a) <= deg(s1), verified exactly."""
+def left_quotient_row(P: PolyMat, s1: Poly, i: int) -> PolyMat:
+    """Row a with a.P = s1.e_i and deg(a) <= deg(s1), verified exactly.
+
+    At infinity a = s1 e_i P^{-1} = T^{deg s1} rev(s1)(z) x(z) diag(z^rowdeg)
+    with x = e_i R^{-1}, R = `_reversed_rows(P)`: entry j is the first
+    deg s1 - rowdeg_j + 1 coefficients of rev(s1) x_j, reversed.
+    """
     f = P.field
     m = P.rows
     if not 0 <= i < m:
         raise InvalidInput("row index out of range")
     ds = s1.degree
-    prec = ds + P.max_degree() + 1
     # transpose so the row solve becomes a column solve
-    a_shift, Pc = _find_shift(f, P.c.transpose(1, 0, 2), rng)
-    Y = f.zeros((m, prec))
-    Y[i, : ds + 1] = taylor_shift(s1.c, a_shift, f)
-    x = _series_solve(f, Pc, Y, prec)[:, : ds + 1]
-    a_row = PolyMat(f, taylor_shift(x, -a_shift, f)[None])
+    Y = f.zeros((m, 1))
+    Y[i, 0] = 1
+    x = _series_solve(f, _reversed_rows(P).transpose(1, 0, 2), Y, ds + 1)
+    u = _product(f, s1.c[::-1].reshape(1, 1, -1), x[None], 0, ds + 1)[0]
+    a = f.zeros((1, m, ds + 1))
+    for j, d in enumerate(P.row_degrees()):
+        if d <= ds:
+            a[0, j, : ds - d + 1] = u[j, ds - d :: -1]
+    a_row = PolyMat(f, a)
     want = f.zeros((1, m, ds + 1))
     want[0, i] = s1.c
     if not np.array_equal(pm_mul(a_row, P).c, want):

@@ -47,7 +47,6 @@ class X1SolveCache:
     Pmat: PolyMat
     M_min: Poly  # minimal polynomial of the first variable
     a_rows: list  # the quotient rows the core computed, the first ones
-    row_streams: list  # the streams of the other rows, which only the correction reads
     param_A: ZeroDimParam  # ((F, T, G_2, ..., G_n), X_1)
     D_A: int
 
@@ -92,8 +91,6 @@ def block_parametrization_x1(
     probe = [_probe_column(inst.mats[1:], y)] if inst.n > 1 else []
     W = e1_columns(inst.mats, *probe)
     seq, inp, F, a_rows = _block_core(inst.mats[0], U, V, W, d, rng, stats=stats)
-    # drawn now, in row order, so that every later stream stays the same
-    row_streams = [rng.child() for _ in range(m - len(a_rows))]
     M_min = inp.s1
     F = F // F.gcd(M_min // F)
     nums = scalar_numerator(inp, inp.columns)
@@ -110,7 +107,7 @@ def block_parametrization_x1(
         param.check_invariants()
     cache = X1SolveCache(
         columns=inp.columns, seq=seq, Pmat=inp.Pmat, M_min=M_min, a_rows=a_rows,
-        row_streams=row_streams, param_A=param, D_A=F.degree,
+        param_A=param, D_A=F.degree,
     )
     return cache, param
 
@@ -156,10 +153,7 @@ def correction_matrices(cache: X1SolveCache, t, inst: Instance) -> CorrectionSet
         # the m quotient rows as one m x m matrix, so one product of one
         # matrix numerator gives every scalar numerator
         ds = cache.M_min.degree
-        rest = [
-            left_quotient_row(cache.Pmat, cache.M_min, i, stream)
-            for i, stream in enumerate(cache.row_streams, len(cache.a_rows))
-        ]
+        rest = [left_quotient_row(cache.Pmat, cache.M_min, i) for i in range(len(cache.a_rows), m)]
         A = PolyMat(f, np.concatenate([_fit(a.c, ds + 1, f) for a in cache.a_rows + rest]))
         d = len(cache.columns)
         terms = np.concatenate([cache.seq[:d], cache.columns[:, :, : inst.n + 1]], axis=2)
@@ -263,8 +257,6 @@ def block_parametrization_with_splitting(
         stats.extras["D_B"] = D_B
     if cache.D_A == 0:
         return block_parametrization(inst, U, V, t, m, rng=rng, stats=stats)
-    # a stream is still drawn here, so that every later one stays the same
-    rng.child()
     pA = change_separating_element(param_A, t)
     if D_B == 0:
         return pA

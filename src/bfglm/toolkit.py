@@ -36,26 +36,6 @@ class GroundTruth:
     def D(self) -> int:
         return sum(s.nu for s in self.structure)
 
-    @property
-    def collisions(self) -> list:
-        """Pairs of point indices sharing the first coordinate."""
-        pts = self.points
-        return [
-            (a, b)
-            for a in range(len(pts))
-            for b in range(a + 1, len(pts))
-            if pts[a][0] == pts[b][0]
-        ]
-
-    def simple_separated_dimension(self) -> int:
-        """Dimension of the component the first variable can solve alone."""
-        collided = {i for pair in self.collisions for i in pair}
-        return sum(
-            1
-            for i, s in enumerate(self.structure)
-            if s.nu == 1 and i not in collided
-        )
-
 
 def _mixing_chunks(D: int, chunk: int):
     out = []
@@ -224,21 +204,28 @@ def _ints(parts, lineno, count=None):
     return vals
 
 
-def read_instance(path: str):
-    """Returns (Instance, GroundTruth or None)."""
+def _read_header(path: str, magic: str):
+    """(lines, field, a, b): the nonblank (line number, text) pairs of a
+    file whose first line is magic, then the field and the two integers of
+    its 'p a b' dimension line."""
     with open(path) as fh:
         raw = fh.read().splitlines()
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
-    if not lines or lines[0][1] != "BFGLM 1":
-        raise FormatError("missing 'BFGLM 1' header", line=1)
+    if not lines or lines[0][1] != magic:
+        raise FormatError(f"missing '{magic}' header", line=1)
     if len(lines) < 2:
         raise FormatError("missing dimension line", line=lines[0][0] + 1)
     lineno, dims = lines[1]
-    p, n, D = _ints(dims.split(), lineno, 3)
+    p, a, b = _ints(dims.split(), lineno, 3)
     try:
-        field = Field(p)
+        return lines, Field(p), a, b
     except InvalidInput as exc:
         raise FormatError(str(exc), line=lineno)
+
+
+def read_instance(path: str):
+    """Returns (Instance, GroundTruth or None)."""
+    lines, field, n, D = _read_header(path, "BFGLM 1")
     pos = 2
     mats = []
     for i in range(1, n + 1):
@@ -263,8 +250,8 @@ def read_instance(path: str):
             r, c, v = _ints(entry.split(), lineno, 3)
             if not (0 <= r < D and 0 <= c < D):
                 raise FormatError(f"entry ({r},{c}) outside {D}x{D}", line=lineno)
-            if not (0 <= v < p):
-                raise FormatError(f"value {v} outside [0,{p})", line=lineno)
+            if not (0 <= v < field.p):
+                raise FormatError(f"value {v} outside [0,{field.p})", line=lineno)
             if v == 0:
                 raise FormatError("explicit zero entry", line=lineno)
             triples.append((r, c, v))
@@ -331,14 +318,7 @@ def write_param(param: ZeroDimParam, field: Field, path: str) -> None:
 
 def read_param(path: str):
     """Returns (ZeroDimParam, Field)."""
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
-    if not lines or lines[0][1] != "PARAM 1":
-        raise FormatError("missing 'PARAM 1' header", line=1)
-    lineno, dims = lines[1]
-    p, n, degQ = _ints(dims.split(), lineno, 3)
-    field = Field(p)
+    lines, field, n, degQ = _read_header(path, "PARAM 1")
 
     def tagged(pos, tag):
         if pos >= len(lines):

@@ -43,21 +43,6 @@ def _fit(c: np.ndarray, n: int, field: Field) -> np.ndarray:
     return np.concatenate([c, field.zeros(c.shape[:-1] + (n - k,))], axis=-1)
 
 
-def taylor_shift(c: np.ndarray, a, field: Field) -> np.ndarray:
-    """Coefficients of c(T + a) along the last axis of c, by Horner's rule
-    vectorised over the leading axes."""
-    p = field.p
-    a %= p
-    if a == 0:
-        return c
-    out = field.zeros(c.shape)
-    for i in range(c.shape[-1] - 1, -1, -1):
-        # out <- out * (T + a) + c_i
-        out[..., 1:] = (a * out[..., 1:] % p + out[..., :-1]) % p
-        out[..., 0] = (a * out[..., 0] % p + c[..., i]) % p
-    return out
-
-
 class Poly:
     """Polynomial over a prime field.  Its coefficient array `c` is never
     mutated after construction: `_rinv` caches rev(self)^{-1} for reductions
@@ -292,10 +277,6 @@ class Poly:
             self._rinv = _fit(inv.c, n_new, self.field)
         return self._rinv[:n]
 
-    def compose_linear(self, a) -> "Poly":
-        """Returns self(T + a)."""
-        return Poly._raw(self.field, taylor_shift(self.c, a, self.field))
-
 
 # -- sequences ----------------------------------------------------------
 
@@ -459,22 +440,6 @@ def _power_projection_bsgs(F: Poly, H: Poly, ells: np.ndarray, t: int) -> np.nda
         if s:
             cur = np.stack([giant(row) for row in cur])
         out[:, s : s + nb] = f.matmul(baby, cur.T)[: t - s].T
-    return out
-
-
-def power_projection_naive(F: Poly, H: Poly, ell, t: int):
-    """Oracle: explicit modular powers of H, then dot products."""
-    f = F.field
-    ell = [int(x) % f.p for x in ell]
-    out = []
-    cur = Poly.one(f) % F
-    Hm = H % F
-    for _ in range(t):
-        acc = 0
-        for i, a in enumerate(cur.c):
-            acc += int(a) * ell[i]
-        out.append(acc % f.p)
-        cur = cur.modmul(Hm, F)
     return out
 
 

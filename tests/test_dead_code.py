@@ -1,0 +1,59 @@
+"""Code with no callers is deleted: every function, class and non-dunder
+method of src/bfglm must be referenced somewhere in src/bfglm outside its
+own definition, or be named below with the reason it stays."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bfglm"
+
+ALLOWED = {
+    "vec_mat": "wrapped by perfbench/spans.py",
+    "rational_reconstruct": "wrapped by perfbench/spans.py",
+    "scalar_numerator_corrected": "wrapped by perfbench/spans.py",
+    "density": "read by perfbench/run.py",
+    "to_dense": "the dense oracle that the tests compare sparse products against",
+}
+
+
+def _names(node) -> Counter:
+    """Every name that node loads or reads as an attribute."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+    return out
+
+
+def _definitions(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node
+
+
+def _unreferenced():
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    used = sum((_names(tree) for tree in trees), Counter())
+    defined = set()
+    out = set()
+    for tree in trees:
+        for node in _definitions(tree):
+            defined.add(node.name)
+            if used[node.name] - _names(node)[node.name] <= 0:
+                out.add(node.name)
+    return out, defined
+
+
+def test_every_definition_has_a_caller():
+    unreferenced, _ = _unreferenced()
+    assert sorted(unreferenced - set(ALLOWED)) == []
+
+
+def test_allow_list_is_current():
+    # an allowed name that gained a caller or lost its definition goes
+    unreferenced, defined = _unreferenced()
+    assert sorted(set(ALLOWED) - (unreferenced & defined)) == []

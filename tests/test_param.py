@@ -10,7 +10,6 @@ from bfglm.param import (
     ZeroDimParam,
     block_parametrization,
     mat_vec,
-    parametrization_from_series,
     solve,
     unit_vector,
     verify_against_points,
@@ -20,6 +19,7 @@ from bfglm.toolkit import PointSpec, generate_instance
 from bfglm.unipoly import Poly
 
 from conftest import REF_T
+from oracles import parametrization_from_series
 
 F = Field(101)
 

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from bfglm import polymat
-from bfglm.errors import GenericityFailure
+from bfglm.errors import GenericityFailure, InvalidInput
 from bfglm.field import _FFT_MAX_SIZE, Field, Rng
 from bfglm.polymat import (
     PolyMat,
     approximant_basis,
-    generator_cancels,
     is_row_reduced,
     largest_invariant_factor,
     left_quotient_row,
@@ -21,6 +20,7 @@ from bfglm.polymat import (
 from bfglm.unipoly import Poly, _fit
 
 from conftest import REF_SEQ, polymat_of
+from oracles import generator_cancels
 
 F = Field(101)
 
@@ -420,9 +420,9 @@ def test_unlucky_projection_gives_a_divisor_that_the_quotient_rows_reject():
     D = polymat_of(F, [[a, Poly.zero(F)], [Poly.zero(F), b]])
     s1 = largest_invariant_factor(D, _Draws([1, 1], [1, 0]))
     assert s1 == a.monic() and s1.degree < sum(D.row_degrees())
-    left_quotient_row(D, s1, 0, Rng(1))
+    left_quotient_row(D, s1, 0)
     with pytest.raises(GenericityFailure):
-        left_quotient_row(D, s1, 1, Rng(1))
+        left_quotient_row(D, s1, 1)
 
 
 def test_block_core_checks_every_quotient_row(monkeypatch):
@@ -459,7 +459,8 @@ def test_largest_invariant_factor_1x1():
 
 
 def test_largest_invariant_factor_singular_at_zero():
-    # P(0) singular forces the evaluation-shift fallback
+    # P(0) is singular, but the expansion at infinity reads only the leading
+    # matrix, here the identity
     a = P(0, 1) * P(96, 1)
     b = P(0, 1) * P(94, 1)
     D = polymat_of(F, [[a, Poly.zero(F)], [Poly.zero(F), b]])
@@ -468,11 +469,72 @@ def test_largest_invariant_factor_singular_at_zero():
     assert s1 == lcm.monic()
 
 
+def test_largest_invariant_factor_draws_only_y_and_w():
+    # singular at 0, and the stub has no `element`: nothing but the vectors
+    # y and w is drawn; w^T D^{-1} y = 2 (T - 6) / (T (T - 5) (T - 7))
+    a = P(0, 1) * P(96, 1)
+    b = P(0, 1) * P(94, 1)
+    D = polymat_of(F, [[a, Poly.zero(F)], [Poly.zero(F), b]])
+    draws = _Draws([1, 1], [1, 1])
+    assert largest_invariant_factor(D, draws) == P(0, 1) * P(96, 1) * P(94, 1)
+    assert not draws.vectors
+
+
+def _random_row_reduced(f, rng, degs):
+    """Entries of a random m x m matrix with row degrees degs and an
+    invertible leading matrix, as Polys."""
+    m = len(degs)
+    while True:
+        c = f.array(rng.integers(0, f.p, (m, m, max(degs) + 1)))
+        for i, d in enumerate(degs):
+            c[i, :, d + 1 :] = 0
+        if is_row_reduced(PolyMat(f, c)):
+            return [[Poly(f, c[i, j]) for j in range(m)] for i in range(m)]
+
+
+@pytest.mark.parametrize("p", [65537, 2**31 - 1, 2**61 - 1])
+def test_expansion_at_infinity_against_the_invariant_factor_oracle(p):
+    # for 2 x 2, s1 = det P / gcd(entries); a common factor g of every entry
+    # makes deg s1 < deg det P, so every quotient row is needed
+    f = Field(p)
+    rng = np.random.default_rng(p % 1000)
+    for degs, gdeg in [((1, 1), 0), ((0, 2), 0), ((2, 3), 1), ((1, 2), 2), ((3, 3), 1)]:
+        g = Poly(f, rng.integers(0, p, gdeg + 1)).monic() if gdeg else Poly.one(f)
+        ent = [[e * g for e in row] for row in _random_row_reduced(f, rng, degs)]
+        Pm = polymat_of(f, ent)
+        det = ent[0][0] * ent[1][1] - ent[0][1] * ent[1][0]
+        gcd = ent[0][0].gcd(ent[0][1]).gcd(ent[1][0]).gcd(ent[1][1])
+        s1 = largest_invariant_factor(Pm, Rng(int(rng.integers(1 << 30))))
+        assert s1 == (det // gcd).monic()
+        for i in range(2):
+            a = left_quotient_row(Pm, s1, i)
+            assert a.max_degree() <= s1.degree
+            prod = pm_mul(a, Pm)
+            for j in range(2):
+                assert prod[0, j] == (s1 if j == i else Poly.zero(f))
+
+
+def test_singular_leading_matrix_and_zero_row():
+    # leading matrix [[1, 1], [1, 1]]: no expansion at infinity
+    lead = polymat_of(F, [[P(0, 1), P(3, 1)], [P(5, 1), P(0, 1)]])
+    with pytest.raises(GenericityFailure):
+        largest_invariant_factor(lead, Rng(0))
+    with pytest.raises(GenericityFailure):
+        left_quotient_row(lead, P(1, 0, 1), 0)
+    zero_row = polymat_of(F, [[P(0, 1), P(1)], [Poly.zero(F), Poly.zero(F)]])
+    with pytest.raises(InvalidInput):
+        largest_invariant_factor(zero_row, Rng(0))
+    with pytest.raises(InvalidInput):
+        left_quotient_row(zero_row, P(0, 1), 0)
+    with pytest.raises(InvalidInput):
+        largest_invariant_factor(polymat_of(F, [[Poly.zero(F)]]), Rng(0))
+
+
 def test_left_quotient_row_reference():
     terms = [F.array(b) for b in REF_SEQ]
     G = minimal_matrix_generator(terms, F, 2, 2)
     s1 = largest_invariant_factor(G, Rng(42))
-    a = left_quotient_row(G, s1, 0, Rng(42))
+    a = left_quotient_row(G, s1, 0)
     assert a[0, 0] == P(16, 1)
     assert a[0, 1] == P(13)
 
@@ -490,7 +552,7 @@ def test_left_quotient_row_identity(i):
     d = (D + m - 1) // m
     G = minimal_matrix_generator(krylov_left_sequence(M, U, 2 * d, V)[0], F, d, d)
     s1 = largest_invariant_factor(G, rng)
-    a = left_quotient_row(G, s1, i, rng)
+    a = left_quotient_row(G, s1, i)
     prod = pm_mul(a, G)
     for j in range(prod.cols):
         want = s1 if j == i else Poly.zero(F)

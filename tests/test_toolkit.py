@@ -19,6 +19,8 @@ from bfglm.toolkit import (
 )
 from bfglm.unipoly import Poly
 
+from oracles import collisions
+
 F = Field(65537)
 
 SPEC5 = [
@@ -94,7 +96,7 @@ def test_instance_roundtrip(tmp_path):
     write_instance(inst2, path2, truth2)
     assert open(path).read() == open(path2).read()
     assert truth2.points == truth.points
-    assert truth2.collisions == truth.collisions
+    assert collisions(truth2) == collisions(truth)
 
 
 def test_instance_format_errors(tmp_path):
@@ -237,6 +239,24 @@ def test_cli_error_codes(tmp_path):
     with pytest.raises(SystemExit) as ei:
         run_cli("no-such-command")
     assert ei.value.code == 2
+
+
+def test_cli_verify_malformed_param_file(tmp_path, capsys):
+    # a file cut after its header, and a modulus that is not prime: both are
+    # format errors at line 2, exit code 2, with no traceback
+    pts = tmp_path / "pts.txt"
+    pts.write_text("3 5\n9 2\n")
+    inst = str(tmp_path / "inst.txt")
+    run_cli("gen", "--points", str(pts), "--n", "2", "--out", inst, "--seed", "2")
+    sol = tmp_path / "sol.txt"
+    for text in ("PARAM 1\n", "PARAM 1\n100 2 1\nt: 1 1\nQ: 0 1\nV_1: 0\nV_2: 0\n"):
+        sol.write_text(text)
+        with pytest.raises(FormatError) as ei:
+            read_param(str(sol))
+        assert ei.value.line == 2
+        capsys.readouterr()
+        assert run_cli("verify", "--in", inst, "--param", str(sol)) == 2
+        assert capsys.readouterr().err.startswith("format error: line 2:")
 
 
 def test_cli_verify_failure_exit_code(tmp_path):

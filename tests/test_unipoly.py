@@ -15,13 +15,13 @@ from bfglm.unipoly import (
     crt_pair,
     laurent_expand,
     power_projection,
-    power_projection_naive,
     rational_reconstruct,
     scalar_numerator_direct,
     squarefree_part,
-    taylor_shift,
     transposed_modmul,
 )
+
+from oracles import power_projection_naive
 
 F = Field(101)
 
@@ -91,24 +91,6 @@ def test_eval_and_derivative():
     assert q.eval(60) == 0
     assert q.eval(0) == 61
     assert P(7, 5, 3).derivative() == P(5, 6)
-
-
-@pytest.mark.parametrize("p", [101, (1 << 61) - 1])
-def test_compose_linear(p):
-    f = Field(p)
-    a = Poly(f, (4, 0, 1))
-    shifted = a.compose_linear(3)
-    for x in range(10):
-        assert shifted.eval(x) == a.eval((x + 3) % p)
-    # a 3 x 2 tensor of coefficient rows shifted at once, checked entry by entry
-    c = f.array(np.random.default_rng(5).integers(0, p, (3, 2, 6)))
-    shift = p - 7
-    out = taylor_shift(c, shift, f)
-    for i in range(3):
-        for j in range(2):
-            e, e_shifted = Poly(f, c[i, j]), Poly(f, out[i, j])
-            for x in range(6):
-                assert e_shifted.eval(x) == e.eval((x + shift) % p)
 
 
 def test_series_inv():
