@@ -100,6 +100,10 @@ def cmd_verify(args) -> int:
     if pfield.p != inst.field.p:
         print("modulus mismatch between instance and parametrization", file=sys.stderr)
         return EXIT_VERIFY
+    if param.n != inst.n:
+        print(f"variable count mismatch: the instance has {inst.n}, the parametrization "
+              f"{param.n}", file=sys.stderr)
+        return EXIT_VERIFY
     report = verify_solution(inst, param, truth if args.truth else None)
     for c in report["checks"]:
         mark = "ok" if c["ok"] else "FAIL"

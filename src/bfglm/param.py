@@ -24,7 +24,7 @@ from .errors import (
 )
 from .field import Field, Rng, sample_block
 from .numerators import NumeratorInputs, scalar_numerator
-from .polymat import largest_invariant_factor, left_quotient_row, minimal_matrix_generator
+from .polymat import PolyMat, largest_invariant_factor, left_quotient_row, minimal_matrix_generator
 from .sparse import SparseMat, combine_matrices, krylov_left_sequence, mat_vec, project_vector
 from .unipoly import Poly, squarefree_part
 
@@ -122,11 +122,11 @@ class BlockSolveArtifacts:
 def _block_core(M, U, V, W, d, rng, stats=None, delta=None, target=None):
     """The block-Krylov pipeline shared by the plain, X_1 and residual solves.
 
-    Returns (seq, inp, Q, a_rows): the 2d x m x m terms U^T M^s V, the
+    Returns (seq, inp, Q, A): the 2d x m x m terms U^T M^s V, the
     NumeratorInputs over the d x m x #W terms U^T M^s W of the extra columns
     W, the squarefree part Q of the largest invariant factor s1 of the
     terms' minimal matrix generator, and its first left quotient row, or all
-    of them when deg s1 is below deg det P: their exact check certifies s1.
+    m of them when deg s1 is below deg det P: their exact check certifies s1.
     One streamed Krylov pass makes both projections.  The corrections delta,
     when given, line up with [U^T M^s V | U^T M^s W] (2d x m x (m + #W)) and
     are subtracted from both, so every numerator reads corrected terms.
@@ -154,9 +154,9 @@ def _block_core(M, U, V, W, d, rng, stats=None, delta=None, target=None):
     # below deg det P only the exact check of every quotient row proves that
     # s1 P^{-1} is polynomial, i.e. that s1 is not a proper divisor
     rows = Pmat.rows if s1.degree < sum(Pmat.row_degrees()) else 1
-    a_rows = [left_quotient_row(Pmat, s1, i) for i in range(rows)]
-    inp = NumeratorInputs(Pmat=Pmat, s1=s1, a_row=a_rows[0], columns=columns)
-    return seq, inp, Q, a_rows
+    A = left_quotient_row(Pmat, s1, rows)
+    inp = NumeratorInputs(Pmat=Pmat, s1=s1, a_row=PolyMat(f, A.c[:1]), columns=columns)
+    return seq, inp, Q, A
 
 
 def _coordinates(nums: list, Q: Poly) -> list:

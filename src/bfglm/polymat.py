@@ -266,23 +266,25 @@ def minimal_matrix_generator(terms, field: Field, deg_left: int, deg_right: int)
 
 
 def _series_solve(field: Field, Pc: np.ndarray, Y: np.ndarray, prec: int) -> np.ndarray:
-    """x with P.x = Y mod T^prec, P given as coefficient tensor (m,m,dp+1).
+    """x with P.x = Y mod T^prec for r right-hand sides: P given as the
+    coefficient tensor (m,m,dp+1), Y and x as (m,len,r) and (m,prec,r).
 
     Here P is `_reversed_rows` of a generator, or its transpose, so P(0) is
     the generator's leading matrix; raises GenericityFailure when singular.
     """
-    m = Pc.shape[0]
+    m, _, r = Y.shape
     dp = Pc.shape[2] - 1
     Cinv = mat_inverse(field, Pc[:, :, 0])
     p = field.p
-    # x_k = Cinv (Y_k - A window_k), window flattened as (l, j)
-    x = field.zeros((m, prec + dp))
+    # x_k = Cinv (Y_k - sum_l P_l x_{k-l}); CA holds Cinv P_l for l = dp..1,
+    # in the order of the window x_{k-dp}..x_{k-1} as stored, flattened as (j, l)
+    x = field.zeros((m, prec + dp, r))
     Yk = Y[:, :prec]
-    x[:, dp : dp + Yk.shape[1]] = field.matmul(Cinv, Yk)
+    x[:, dp : dp + Yk.shape[1]] = field.matmul(Cinv, Yk.reshape(m, -1)).reshape(Yk.shape)
     if dp > 0:
-        CA = field.matmul(Cinv, np.ascontiguousarray(Pc[:, :, 1:]).reshape(m, m * dp))
+        CA = field.matmul(Cinv, np.ascontiguousarray(Pc[:, :, :0:-1]).reshape(m, m * dp))
         for k in range(prec):
-            window = x[:, k : k + dp][:, ::-1].reshape(m * dp)
+            window = x[:, k : k + dp].reshape(m * dp, r)
             x[:, k + dp] = (x[:, k + dp] - field.matmul(CA, window)) % p
     return x[:, dp : dp + prec]
 
@@ -329,37 +331,40 @@ def largest_invariant_factor(P: PolyMat, rng: Rng) -> Poly:
     R = _reversed_rows(P)
     degs = P.row_degrees()
     bound = sum(degs)
-    Y = f.zeros((m, max(degs) + 1))
-    Y[range(m), degs] = rng.vector(f, m)
+    Y = f.zeros((m, max(degs) + 1, 1))
+    Y[range(m), degs, 0] = rng.vector(f, m)
     w = rng.vector(f, m).reshape(1, m)
-    c = f.matmul(w, _series_solve(f, R, Y, 2 * bound + 1))[0]
+    c = f.matmul(w, _series_solve(f, R, Y, 2 * bound + 1)[:, :, 0])[0]
     return berlekamp_massey(c[1:], f, bound)
 
 
-def left_quotient_row(P: PolyMat, s1: Poly, i: int) -> PolyMat:
-    """Row a with a.P = s1.e_i and deg(a) <= deg(s1), verified exactly.
+def left_quotient_row(P: PolyMat, s1: Poly, k: int) -> PolyMat:
+    """The k x m rows A with A.P = s1.[I_k | 0] and deg(A) <= deg(s1): the
+    first k rows of s1 P^{-1}, verified exactly.
 
-    At infinity a = s1 e_i P^{-1} = T^{deg s1} rev(s1)(z) x(z) diag(z^rowdeg)
-    with x = e_i R^{-1}, R = `_reversed_rows(P)`: entry j is the first
-    deg s1 - rowdeg_j + 1 coefficients of rev(s1) x_j, reversed.
+    At infinity row i is s1 e_i P^{-1} = T^{deg s1} rev(s1)(z) x(z)
+    diag(z^rowdeg) with x = e_i R^{-1}, R = `_reversed_rows(P)`: entry j is
+    the first deg s1 - rowdeg_j + 1 coefficients of rev(s1) x_j, reversed.
+    One series solve takes the k right-hand sides e_i at once.
     """
     f = P.field
     m = P.rows
-    if not 0 <= i < m:
-        raise InvalidInput("row index out of range")
+    if not 1 <= k <= m:
+        raise InvalidInput("row count out of range")
     ds = s1.degree
-    # transpose so the row solve becomes a column solve
-    Y = f.zeros((m, 1))
-    Y[i, 0] = 1
+    # transpose so the row solves become column solves
+    Y = f.zeros((m, 1, k))
+    Y[range(k), 0, range(k)] = 1
     x = _series_solve(f, _reversed_rows(P).transpose(1, 0, 2), Y, ds + 1)
-    u = _product(f, s1.c[::-1].reshape(1, 1, -1), x[None], 0, ds + 1)[0]
-    a = f.zeros((1, m, ds + 1))
+    x = x.transpose(2, 0, 1).reshape(1, k * m, ds + 1)
+    u = _product(f, s1.c[::-1].reshape(1, 1, -1), x, 0, ds + 1).reshape(k, m, ds + 1)
+    a = f.zeros((k, m, ds + 1))
     for j, d in enumerate(P.row_degrees()):
         if d <= ds:
-            a[0, j, : ds - d + 1] = u[j, ds - d :: -1]
-    a_row = PolyMat(f, a)
-    want = f.zeros((1, m, ds + 1))
-    want[0, i] = s1.c
-    if not np.array_equal(pm_mul(a_row, P).c, want):
+            a[:, j, : ds - d + 1] = u[:, j, ds - d :: -1]
+    A = PolyMat(f, a)
+    want = f.zeros((k, m, ds + 1))
+    want[range(k), range(k)] = s1.c
+    if not np.array_equal(pm_mul(A, P).c, want):
         raise GenericityFailure("quotient row verification failed")
-    return a_row
+    return A

@@ -39,12 +39,12 @@ class SparseMat:
                 rows.append(r)
                 cols.append(c)
                 vals.append(v)
-        m = sp.csr_matrix(
-            (np.array(vals, dtype=np.int64), (rows, cols)),
-            shape=(dim, dim),
-            dtype=np.int64,
-        )
-        m.sum_duplicates()
+        return cls.from_coo(field, dim, rows, cols, vals)
+
+    @classmethod
+    def from_coo(cls, field: Field, dim: int, rows, cols, vals) -> "SparseMat":
+        """From positions and their values in [0, p); duplicates are summed."""
+        m = sp.csr_matrix((np.asarray(vals).astype(np.int64), (rows, cols)), shape=(dim, dim))
         m.data %= field.p
         m.eliminate_zeros()
         m.sort_indices()
@@ -53,13 +53,10 @@ class SparseMat:
     @classmethod
     def from_dense(cls, field: Field, arr) -> "SparseMat":
         a = np.asarray(arr, dtype=object) % field.p
-        d = a.shape[0]
-        if a.shape != (d, d):
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ShapeError("matrix must be square")
-        m = sp.csr_matrix(a.astype(np.int64))
-        m.eliminate_zeros()
-        m.sort_indices()
-        return cls(field, d, m)
+        r, c = np.nonzero(a)
+        return cls.from_coo(field, a.shape[0], r, c, a[r, c])
 
     @property
     def nnz(self) -> int:

@@ -30,7 +30,6 @@ from .polymat import PolyMat, left_quotient_row, pm_mul
 from .sparse import combine_matrices
 from .unipoly import (
     Poly,
-    _fit,
     charpoly_from_power_sums,
     crt_pair,
     laurent_expand,
@@ -46,7 +45,7 @@ class X1SolveCache:
     seq: np.ndarray  # 2d x m x m: U^T M_1^s V
     Pmat: PolyMat
     M_min: Poly  # minimal polynomial of the first variable
-    a_rows: list  # the quotient rows the core computed, the first ones
+    A: PolyMat  # the first quotient rows of M_min P^{-1}, those the core computed
     param_A: ZeroDimParam  # ((F, T, G_2, ..., G_n), X_1)
     D_A: int
 
@@ -90,7 +89,7 @@ def block_parametrization_x1(
     d = max(1, math.ceil(inst.D / m))
     probe = [_probe_column(inst.mats[1:], y)] if inst.n > 1 else []
     W = e1_columns(inst.mats, *probe)
-    seq, inp, F, a_rows = _block_core(inst.mats[0], U, V, W, d, rng, stats=stats)
+    seq, inp, F, A = _block_core(inst.mats[0], U, V, W, d, rng, stats=stats)
     M_min = inp.s1
     F = F // F.gcd(M_min // F)
     nums = scalar_numerator(inp, inp.columns)
@@ -106,7 +105,7 @@ def block_parametrization_x1(
         param = ZeroDimParam(Q=F, V=[Poly.x(f) % F] + _coordinates(nums, F), t=t_x1)
         param.check_invariants()
     cache = X1SolveCache(
-        columns=inp.columns, seq=seq, Pmat=inp.Pmat, M_min=M_min, a_rows=a_rows,
+        columns=inp.columns, seq=seq, Pmat=inp.Pmat, M_min=M_min, A=A,
         param_A=param, D_A=F.degree,
     )
     return cache, param
@@ -152,9 +151,7 @@ def correction_matrices(cache: X1SolveCache, t, inst: Instance) -> CorrectionSet
     if cache.D_A > 0:
         # the m quotient rows as one m x m matrix, so one product of one
         # matrix numerator gives every scalar numerator
-        ds = cache.M_min.degree
-        rest = [left_quotient_row(cache.Pmat, cache.M_min, i) for i in range(len(cache.a_rows), m)]
-        A = PolyMat(f, np.concatenate([_fit(a.c, ds + 1, f) for a in cache.a_rows + rest]))
+        A = cache.A if cache.A.rows == m else left_quotient_row(cache.Pmat, cache.M_min, m)
         d = len(cache.columns)
         terms = np.concatenate([cache.seq[:d], cache.columns[:, :, : inst.n + 1]], axis=2)
         N = pm_mul(A, matrix_numerator(terms, cache.Pmat))

@@ -4,7 +4,8 @@ file formats, and end-to-end verification.
 Instances are built from an explicit point list: commuting block-diagonal
 matrices (one Jordan-style block per point) hidden behind a basis change
 that keeps the coordinate vector of the element 1 at index 0 and keeps the
-matrices sparse.
+matrices sparse.  Each step of the basis change works on the sparse entries,
+in O(nnz): no D x D array is built.
 """
 
 from __future__ import annotations
@@ -15,9 +16,13 @@ import numpy as np
 
 from .errors import FormatError, InvalidInput, InvalidSpec, InvariantViolation
 from .field import Field, Rng
-from .param import Instance, ZeroDimParam, unit_vector
+from .param import Instance, ZeroDimParam
 from .sparse import SparseMat, combine_matrices, krylov_left_sequence, mat_vec
 from .unipoly import Poly, berlekamp_massey
+
+
+# indices per block of the unit lower-triangular mixing
+CHUNK = 6
 
 
 @dataclass
@@ -35,15 +40,6 @@ class GroundTruth:
     @property
     def D(self) -> int:
         return sum(s.nu for s in self.structure)
-
-
-def _mixing_chunks(D: int, chunk: int):
-    out = []
-    start = 0
-    while start < D:
-        out.append((start, min(start + chunk, D)))
-        start = out[-1][1]
-    return out
 
 
 def _chunk_lower(field: Field, size: int, rng: Rng, mix: int, skip_col0: bool):
@@ -76,25 +72,21 @@ def _unit_lower_inverse(field: Field, L: np.ndarray) -> np.ndarray:
     return inv
 
 
-def generate_instance(
-    field: Field,
-    n: int,
-    spec: list,
-    rng: Rng,
-    mix: int = 2,
-    chunk: int = 6,
-):
+def generate_instance(field: Field, n: int, spec: list, rng: Rng, mix: int = 2):
     """Instance with known solutions; returns (Instance, GroundTruth).
 
-    Each PointSpec contributes one block: a simple point gives 1x1 blocks
-    (alpha_i), a nilpotent point of size nu gives alpha_i*I + c_i*N with N
-    the shift block.  A basis change (rank-one update fixing the element 1
-    at index 0, a permutation, then chunk-local unit-triangular mixing)
-    hides the block structure with bounded fill-in.
+    Each PointSpec contributes one block of B_i: a simple point gives 1x1
+    blocks (alpha_i), a nilpotent point of size nu gives alpha_i*I + c_i*N
+    with N the shift block.  A basis change (rank-one update fixing the
+    element 1 at index 0, a permutation, then unit-triangular mixing within
+    chunks of CHUNK indices) hides the block structure with bounded fill-in.
+    Each step is applied to the sparse entries, in O(nnz) work.
     """
     if n < 1:
         raise InvalidSpec("need at least one variable")
-    points = []
+    if mix < 0:
+        raise InvalidSpec("mixing count must be >= 0")
+    points, seen = [], set()
     for s in spec:
         if len(s.coords) != n:
             raise InvalidSpec("point arity must match the variable count")
@@ -106,8 +98,9 @@ def generate_instance(
             if all(int(ci) % field.p == 0 for ci in s.c):
                 raise InvalidSpec("nilpotent blocks need a nonzero constant")
         pt = tuple(int(x) % field.p for x in s.coords)
-        if pt in points:
+        if pt in seen:
             raise InvalidSpec(f"duplicate point {pt}")
+        seen.add(pt)
         points.append(pt)
     D = sum(s.nu for s in spec)
     if D == 0:
@@ -116,58 +109,56 @@ def generate_instance(
         raise InvalidSpec("modulus must exceed the dimension")
 
     p = field.p
-    offsets = []
-    off = 0
-    for s in spec:
-        offsets.append(off)
-        off += s.nu
+    owner = np.repeat(np.arange(len(spec)), [s.nu for s in spec])
+    # u: the block starts but index 0, so that S = I + u e_0^T maps e_0 to
+    # the coordinate vector of 1; sub: the rows with a subdiagonal entry
+    u = np.r_[False, owner[1:] != owner[:-1]]
+    sub = 1 + np.flatnonzero(owner[1:] == owner[:-1])
+    # the draws: a permutation fixing index 0, then the chunks of L in order
+    perm = np.concatenate(([0], 1 + rng.permutation(D - 1))) if D > 1 else np.array([0])
+    where = np.argsort(perm)
+    nch = -(-D // CHUNK)
+    L = np.tile(np.eye(CHUNK, dtype=np.int64), (nch, 1, 1))
+    Linv = L.copy()
+    for k in range(nch):
+        size = min(CHUNK, D - k * CHUNK)
+        Lk = _chunk_lower(field, size, rng, mix, skip_col0=(k == 0))
+        L[k, :size, :size] = Lk
+        Linv[k, :size, :size] = _unit_lower_inverse(field, Lk)
 
-    # basis change step 1: move the coordinate vector of 1 to index 0
-    w = field.zeros(D)
-    for o in offsets:
-        w[o] = 1
-    u = (w - unit_vector(field, D)) % p
     mats = []
     for i in range(n):
-        B = field.zeros((D, D))
-        for s, o, pt in zip(spec, offsets, points):
-            a = pt[i]
-            for r in range(s.nu):
-                B[o + r, o + r] = a
-            if s.nu > 1:
-                ci = int(s.c[i]) % p
-                if ci:
-                    for r in range(s.nu - 1):
-                        B[o + r + 1, o + r] = ci
-        # X = S^{-1} B S with S = I + u e0^T
-        X = B.copy()
-        X[:, 0] = (X[:, 0] + field.matmul(B, u)) % p
-        r0 = X[0].copy()
-        X = (X - np.outer(u, r0) % p) % p
-        mats.append(X)
-
-    # basis change step 2: permutation fixing index 0
-    perm = np.concatenate(([0], 1 + rng.permutation(D - 1))) if D > 1 else np.array([0])
-    mats = [B[np.ix_(perm, perm)] for B in mats]
-
-    # basis change step 3: chunk-local unit-triangular mixing, sparing index 0
-    chunks = _mixing_chunks(D, chunk)
-    Ls = []
-    for idx, (lo, hi) in enumerate(chunks):
-        Ls.append(_chunk_lower(field, hi - lo, rng, mix, skip_col0=(lo == 0)))
-    Linvs = [_unit_lower_inverse(field, L) for L in Ls]
-    out = []
-    for B in mats:
-        # X = L^{-1} B L, applied chunk by chunk on each side
-        X = B.copy()
-        for (lo, hi), L in zip(chunks, Ls):
-            X[:, lo:hi] = field.matmul(X[:, lo:hi], L)
-        for (lo, hi), Linv in zip(chunks, Linvs):
-            X[lo:hi, :] = field.matmul(Linv, X[lo:hi, :])
-        out.append(SparseMat.from_dense(field, X))
+        diag = np.array([pt[i] for pt in points], dtype=np.int64)[owner]
+        c = np.array([int(s.c[i]) % p if s.nu > 1 else 0 for s in spec], dtype=np.int64)[owner]
+        rows = np.r_[np.arange(D), sub]
+        cols = np.r_[np.arange(D), sub - 1]
+        vals = np.r_[diag, c[sub]]
+        # row 0 of B_i is B_00 e_0^T and u_0 = 0, so S^{-1} B_i S rewrites
+        # only column 0, to B_i e_0 + B_i u - B_00 u; u is 0/1 and a row of
+        # B_i has two entries, so the sums fit in int64
+        hit = (cols == 0) | u[cols]
+        col0 = np.zeros(D, dtype=np.int64)
+        np.add.at(col0, rows[hit], vals[hit])
+        col0 = (col0 - diag[0] * u) % p
+        keep = cols != 0
+        # the permutation moves entry (r, c) to (where[r], where[c])
+        rows = where[np.r_[rows[keep], np.arange(D)]]
+        cols = where[np.r_[cols[keep], np.zeros(D, dtype=np.int64)]]
+        vals = np.r_[vals[keep], col0]
+        # L is block diagonal: block (I, J) of L^{-1} X L is Linv_I X_IJ L_J,
+        # taken over the blocks where X has entries
+        key, pos = np.unique(rows // CHUNK * nch + cols // CHUNK, return_inverse=True)
+        X = np.zeros((len(key), CHUNK, CHUNK), dtype=np.int64)
+        X[pos, rows % CHUNK, cols % CHUNK] = vals
+        X = field.exact(np.matmul, Linv[key // nch], X, CHUNK)
+        X = field.exact(np.matmul, X, L[key % nch], CHUNK)
+        b, bi, bj = np.nonzero(X)
+        mats.append(SparseMat.from_coo(
+            field, D, key[b] // nch * CHUNK + bi, key[b] % nch * CHUNK + bj, X[b, bi, bj]
+        ))
 
     truth = GroundTruth(points=points, structure=list(spec))
-    inst = Instance(field=field, n=n, D=D, mats=out)
+    inst = Instance(field=field, n=n, D=D, mats=mats)
     return inst, truth
 
 

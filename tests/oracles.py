@@ -1,9 +1,14 @@
 """Reference implementations that only the tests use: each is the direct,
 slow form of something the package computes faster."""
 
-from bfglm.field import Field
-from bfglm.param import ZeroDimParam, _coordinates
+import numpy as np
+
+from bfglm.errors import InvalidSpec
+from bfglm.field import Field, Rng
+from bfglm.param import Instance, ZeroDimParam, _coordinates, unit_vector
 from bfglm.polymat import PolyMat, _product, reversed_series
+from bfglm.sparse import SparseMat
+from bfglm.toolkit import CHUNK, GroundTruth, _chunk_lower, _unit_lower_inverse
 from bfglm.unipoly import Poly, berlekamp_massey, scalar_numerator_direct, squarefree_part
 
 
@@ -63,3 +68,102 @@ def simple_separated_dimension(truth) -> int:
     """Dimension of the component the first variable can solve alone."""
     collided = {i for pair in collisions(truth) for i in pair}
     return sum(1 for i, s in enumerate(truth.structure) if s.nu == 1 and i not in collided)
+
+
+def _mixing_chunks(D: int, chunk: int):
+    out = []
+    start = 0
+    while start < D:
+        out.append((start, min(start + chunk, D)))
+        start = out[-1][1]
+    return out
+
+
+def generate_instance_dense(
+    field: Field,
+    n: int,
+    spec: list,
+    rng: Rng,
+    mix: int = 2,
+    chunk: int = CHUNK,
+):
+    """The instance generator on dense D x D arrays: every basis change step
+    applied to the whole matrix, then `SparseMat.from_dense`.  The sparse
+    `generate_instance` must give the same matrices from the same draws."""
+    if n < 1:
+        raise InvalidSpec("need at least one variable")
+    points = []
+    for s in spec:
+        if len(s.coords) != n:
+            raise InvalidSpec("point arity must match the variable count")
+        if s.nu < 1:
+            raise InvalidSpec("block size must be >= 1")
+        if s.nu > 1:
+            if s.c is None or len(s.c) != n:
+                raise InvalidSpec("nilpotent blocks need one constant per variable")
+            if all(int(ci) % field.p == 0 for ci in s.c):
+                raise InvalidSpec("nilpotent blocks need a nonzero constant")
+        pt = tuple(int(x) % field.p for x in s.coords)
+        if pt in points:
+            raise InvalidSpec(f"duplicate point {pt}")
+        points.append(pt)
+    D = sum(s.nu for s in spec)
+    if D == 0:
+        raise InvalidSpec("empty instance")
+    if field.p <= D:
+        raise InvalidSpec("modulus must exceed the dimension")
+
+    p = field.p
+    offsets = []
+    off = 0
+    for s in spec:
+        offsets.append(off)
+        off += s.nu
+
+    # basis change step 1: move the coordinate vector of 1 to index 0
+    w = field.zeros(D)
+    for o in offsets:
+        w[o] = 1
+    u = (w - unit_vector(field, D)) % p
+    mats = []
+    for i in range(n):
+        B = field.zeros((D, D))
+        for s, o, pt in zip(spec, offsets, points):
+            a = pt[i]
+            for r in range(s.nu):
+                B[o + r, o + r] = a
+            if s.nu > 1:
+                ci = int(s.c[i]) % p
+                if ci:
+                    for r in range(s.nu - 1):
+                        B[o + r + 1, o + r] = ci
+        # X = S^{-1} B S with S = I + u e0^T
+        X = B.copy()
+        X[:, 0] = (X[:, 0] + field.matmul(B, u)) % p
+        r0 = X[0].copy()
+        X = (X - np.outer(u, r0) % p) % p
+        mats.append(X)
+
+    # basis change step 2: permutation fixing index 0
+    perm = np.concatenate(([0], 1 + rng.permutation(D - 1))) if D > 1 else np.array([0])
+    mats = [B[np.ix_(perm, perm)] for B in mats]
+
+    # basis change step 3: chunk-local unit-triangular mixing, sparing index 0
+    chunks = _mixing_chunks(D, chunk)
+    Ls = []
+    for idx, (lo, hi) in enumerate(chunks):
+        Ls.append(_chunk_lower(field, hi - lo, rng, mix, skip_col0=(lo == 0)))
+    Linvs = [_unit_lower_inverse(field, L) for L in Ls]
+    out = []
+    for B in mats:
+        # X = L^{-1} B L, applied chunk by chunk on each side
+        X = B.copy()
+        for (lo, hi), L in zip(chunks, Ls):
+            X[:, lo:hi] = field.matmul(X[:, lo:hi], L)
+        for (lo, hi), Linv in zip(chunks, Linvs):
+            X[lo:hi, :] = field.matmul(Linv, X[lo:hi, :])
+        out.append(SparseMat.from_dense(field, X))
+
+    truth = GroundTruth(points=points, structure=list(spec))
+    inst = Instance(field=field, n=n, D=D, mats=out)
+    return inst, truth

@@ -68,14 +68,14 @@ def invariant_suite(inst, param, arts, rng):
         return False
     # quotient rows: deg(a_i) <= deg(s1) and a_i . Pmat = s1 . e_i
     m = a.Pmat.rows
+    A = left_quotient_row(a.Pmat, a.s1, m)
+    if A.max_degree() > a.s1.degree or any(A[0, j] != a.a_row[0, j] for j in range(m)):
+        return False
+    prod = pm_mul(A, a.Pmat)
     for i in range(m):
-        row = a.a_row if i == 0 else left_quotient_row(a.Pmat, a.s1, i)
-        if row.max_degree() > a.s1.degree:
-            return False
-        prod = pm_mul(row, a.Pmat)
         for j in range(m):
             want = a.s1 if j == i else Poly.zero(f)
-            if prod[0, j] != want:
+            if prod[i, j] != want:
                 return False
     # generator cancels all supplied sequence terms
     if not generator_cancels(a.Pmat, a.seq):

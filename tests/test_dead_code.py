@@ -14,6 +14,7 @@ ALLOWED = {
     "scalar_numerator_corrected": "wrapped by perfbench/spans.py",
     "density": "read by perfbench/run.py",
     "to_dense": "the dense oracle that the tests compare sparse products against",
+    "from_dense": "builds the tests' small matrices and the dense generator oracle's output",
 }
 
 

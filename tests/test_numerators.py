@@ -31,7 +31,7 @@ def ref_setup():
     seq, cols = krylov_left_sequence(M, U, 4, np.hstack([F.array(REF_V), W]), short=2)
     G = minimal_matrix_generator(seq, F, 2, 2)
     s1 = largest_invariant_factor(G, Rng(42))
-    a = left_quotient_row(G, s1, 0)
+    a = left_quotient_row(G, s1, 1)
     return mats, M, NumeratorInputs(Pmat=G, s1=s1, a_row=a, columns=cols)
 
 
@@ -90,7 +90,7 @@ def test_scalar_case_matches_direct_formula():
     direct = scalar_numerator_direct(scal[:d], F, minpoly)
     G = minimal_matrix_generator([F.array([[v]]) for v in scal[:2 * d]], F, d, d)
     assert G[0, 0] == minpoly
-    a = left_quotient_row(G, minpoly, 0)
+    a = left_quotient_row(G, minpoly, 1)
     inp = NumeratorInputs(Pmat=G, s1=minpoly, a_row=a, columns=terms[:d])
     assert scalar_numerator(inp, inp.columns[:, :, 0:1])[0] == direct.scale(a[0, 0].coeff(0))
     # a is the constant 1 here since G is already the invariant factor
@@ -110,7 +110,7 @@ def test_scalar_numerator_expands_to_projected_sequence():
     seq, cols = krylov_left_sequence(M, U, 2 * d, np.hstack([V, w.reshape(-1, 1)]), short=d)
     G = minimal_matrix_generator(seq, F, d, d)
     s1 = largest_invariant_factor(G, rng)
-    a = left_quotient_row(G, s1, 0)
+    a = left_quotient_row(G, s1, 1)
     inp = NumeratorInputs(Pmat=G, s1=s1, a_row=a, columns=cols)
     C = scalar_numerator(inp, inp.columns[:, :, 0:1])[0]
     Md = dense.astype(object)

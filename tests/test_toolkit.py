@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from bfglm.toolkit import (
 )
 from bfglm.unipoly import Poly
 
-from oracles import collisions
+from oracles import collisions, generate_instance_dense
 
 F = Field(65537)
 
@@ -72,6 +74,51 @@ def test_generated_matrices_stay_sparse():
         assert M.density < 0.25
 
 
+# negative coordinates reduce to residues near p, so every case is distinct
+# at every modulus below and its entries are as wide as the modulus allows
+GENERATOR_CASES = {
+    # a nilpotent first block, D = 5: one chunk, shorter than CHUNK
+    "nilpotent-first": (2, SPEC5),
+    # a simple first block, blocks of 3 and 2 with zero constants and an X_1
+    # value shared with the first point (a zero in column 0), D = 13: the
+    # last chunk holds one index
+    "simple-first": (3, [
+        PointSpec(coords=(-1, -2, -3)),
+        PointSpec(coords=(-1, -5, -6), nu=3, c=(-2, 0, -7)),
+        PointSpec(coords=(-4, -4, -4)),
+        PointSpec(coords=(-8, -1, -1), nu=2, c=(0, 0, -5)),
+    ] + [PointSpec(coords=(-9 - k, -k, -2 * k)) for k in range(6)]),
+    "one-point": (2, [PointSpec(coords=(-7, -3))]),
+    "one-variable": (1, [PointSpec(coords=(-5 * k - 2,)) for k in range(7)]
+                     + [PointSpec(coords=(-50,), nu=2, c=(-3,))]),
+}
+
+
+@pytest.mark.parametrize("p", [101, 65537, 67108859, 2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("case", sorted(GENERATOR_CASES))
+def test_sparse_generator_matches_the_dense_oracle(case, p):
+    f = Field(p)
+    n, spec = GENERATOR_CASES[case]
+    for seed in (1, 2, 3):
+        inst, truth = generate_instance(f, n, spec, Rng(seed))
+        want, want_truth = generate_instance_dense(f, n, spec, Rng(seed))
+        assert (inst.n, inst.D, truth.points) == (want.n, want.D, want_truth.points)
+        assert [list(M.triples()) for M in inst.mats] == [list(M.triples()) for M in want.mats]
+
+
+def test_generator_allocates_no_dense_matrix():
+    # one dense 4000 x 4000 int64 array takes 128 MB
+    spec = [PointSpec(coords=(k, (3 * k + 1) % 67108859)) for k in range(4000)]
+    f = Field(67108859)
+    tracemalloc.start()
+    try:
+        inst, _ = generate_instance(f, 2, spec, Rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.D == 4000 and peak < 32 * 2**20
+
+
 def test_invalid_specs_rejected():
     with pytest.raises(InvalidSpec):
         generate_instance(F, 2, [PointSpec(coords=(1, 2)), PointSpec(coords=(1, 2))], Rng(1))
@@ -85,6 +132,8 @@ def test_invalid_specs_rejected():
         generate_instance(F, 2, [], Rng(1))
     with pytest.raises(InvalidSpec):
         generate_instance(Field(5), 2, [PointSpec(coords=(i, 0)) for i in range(5)], Rng(1))
+    with pytest.raises(InvalidSpec):
+        generate_instance(F, 2, SPEC5, Rng(1), mix=-1)
 
 
 def test_instance_roundtrip(tmp_path):
@@ -239,6 +288,27 @@ def test_cli_error_codes(tmp_path):
     with pytest.raises(SystemExit) as ei:
         run_cli("no-such-command")
     assert ei.value.code == 2
+
+
+def test_cli_gen_rejects_a_negative_mix(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("3 5\n9 2\n")
+    inst = str(tmp_path / "inst.txt")
+    assert run_cli("gen", "--points", str(pts), "--n", "2", "--out", inst, "--mix", "-1") == 2
+    assert capsys.readouterr().err.startswith("error: mixing count must be >= 0")
+
+
+def test_cli_verify_rejects_a_variable_count_mismatch(tmp_path, capsys):
+    # checked before anything reads the parametrization's arity
+    pts = tmp_path / "pts.txt"
+    pts.write_text("3 5\n9 2\n")
+    inst = str(tmp_path / "inst.txt")
+    run_cli("gen", "--points", str(pts), "--n", "2", "--out", inst, "--seed", "2")
+    sol = tmp_path / "sol.txt"
+    sol.write_text(f"PARAM 1\n{F.p} 3 1\nt: 1 0 0\nQ: 62 1\nV_1: 3\nV_2: 5\nV_3: 0\n")
+    capsys.readouterr()
+    assert run_cli("verify", "--in", inst, "--param", str(sol)) == 4
+    assert "variable count mismatch" in capsys.readouterr().err
 
 
 def test_cli_verify_malformed_param_file(tmp_path, capsys):
