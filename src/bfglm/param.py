@@ -100,7 +100,7 @@ def unit_vector(f: Field, D: int, i: int = 0) -> np.ndarray:
 
 def e1_columns(mats, *extra) -> np.ndarray:
     """W = [e_1 | M_1 e_1 | ... | M_n e_1 | extra...]: the columns whose
-    projections the numerators and the correction terms read."""
+    projections the numerators read."""
     e1 = unit_vector(mats[0].field, mats[0].dim)
     return np.stack([e1] + [mat_vec(Mi, e1) for Mi in mats] + list(extra), axis=1)
 
@@ -119,17 +119,15 @@ class BlockSolveArtifacts:
     C_coord: list
 
 
-def _block_core(M, U, V, W, d, rng, stats=None, delta=None, target=None):
+def _block_core(M, U, V, W, d, rng, stats=None, target=None):
     """The block-Krylov pipeline shared by the plain, X_1 and residual solves.
 
-    Returns (seq, inp, Q, A): the 2d x m x m terms U^T M^s V, the
+    Returns (seq, inp, Q): the 2d x m x m terms U^T M^s V, the
     NumeratorInputs over the d x m x #W terms U^T M^s W of the extra columns
-    W, the squarefree part Q of the largest invariant factor s1 of the
-    terms' minimal matrix generator, and its first left quotient row, or all
-    m of them when deg s1 is below deg det P: their exact check certifies s1.
-    One streamed Krylov pass makes both projections.  The corrections delta,
-    when given, line up with [U^T M^s V | U^T M^s W] (2d x m x (m + #W)) and
-    are subtracted from both, so every numerator reads corrected terms.
+    W, and the squarefree part Q of the largest invariant factor s1 of the
+    terms' minimal matrix generator.  The first left quotient row is
+    computed, or all m of them when deg s1 is below deg det P: their exact
+    check certifies s1.  One streamed Krylov pass makes both projections.
 
     With a target dimension, a squarefree s1 of lower degree raises
     NonSeparating: the action is semisimple on a proper subspace, so either
@@ -142,10 +140,6 @@ def _block_core(M, U, V, W, d, rng, stats=None, delta=None, target=None):
     seq, columns = krylov_left_sequence(M, U, 2 * d, np.hstack([V, W]), short=d)
     if stats is not None:
         stats.krylov_seconds += perf_counter() - t0
-    if delta is not None:
-        m = seq.shape[2]
-        seq = (seq - delta[:, :, :m]) % f.p
-        columns = (columns - delta[:d, :, m:]) % f.p
     Pmat = minimal_matrix_generator(seq, f, d, d)
     s1 = largest_invariant_factor(Pmat, rng.child())
     Q = squarefree_part(s1)
@@ -156,7 +150,7 @@ def _block_core(M, U, V, W, d, rng, stats=None, delta=None, target=None):
     rows = Pmat.rows if s1.degree < sum(Pmat.row_degrees()) else 1
     A = left_quotient_row(Pmat, s1, rows)
     inp = NumeratorInputs(Pmat=Pmat, s1=s1, a_row=PolyMat(f, A.c[:1]), columns=columns)
-    return seq, inp, Q, A
+    return seq, inp, Q
 
 
 def _coordinates(nums: list, Q: Poly) -> list:
@@ -194,21 +188,23 @@ def block_parametrization(
     rng: Rng | None = None,
     stats: SolveStats | None = None,
     artifacts: list | None = None,
+    dim: int | None = None,
 ) -> ZeroDimParam:
     """One attempt of the block algorithm with fixed randomness.
 
-    Raises GenericityFailure and friends on unlucky draws, and NonSeparating
-    when t is caught merging points; `solve` wraps this with the retry policy.
+    dim is the dimension of the component that U sees: D, or D_B for the
+    splitting route's residual, whose U is projected onto it.  Raises
+    GenericityFailure and friends on unlucky draws, and NonSeparating when t
+    is caught merging points; `solve` wraps this with the retry policy.
     """
     f = inst.field
-    if not 1 <= m <= inst.D:
-        raise InvalidInput("block size must be in [1, D]")
+    dim = inst.D if dim is None else dim
     rng = rng or Rng(0)
     M = combine_matrices(t, inst.mats)
-    d = max(1, math.ceil(inst.D / m))
-    seq, inp, Q, _ = _block_core(M, U, V, e1_columns(inst.mats), d, rng, stats=stats, target=inst.D)
+    d = max(1, math.ceil(dim / m))
+    seq, inp, Q = _block_core(M, U, V, e1_columns(inst.mats), d, rng, stats=stats, target=dim)
     nums = scalar_numerator(inp, inp.columns)
-    if inp.s1.degree < inst.D and inp.s1 != Q:
+    if inp.s1.degree < dim and inp.s1 != Q:
         # repeated roots pass the core's certificate even when t merges two
         # simple points at another root: test the simple roots of s1 with a
         # probe form, as the X_1 solve does
@@ -248,9 +244,14 @@ def retry_solve(inst: Instance, m: int, rng: Rng, attempt, forms, retries: int, 
       (retries + 1)-th RETRYABLE failure.
 
     When a budget runs out, UnluckyRandomness is raised.  stats.retries and
-    stats.total_seconds are set in every case.
+    stats.total_seconds are set in every case.  A block size outside [1, D]
+    or a negative `retries` raises InvalidInput before any draw.
     """
     f = inst.field
+    if not 1 <= m <= inst.D:
+        raise InvalidInput("block size must be in [1, D]")
+    if retries < 0:
+        raise InvalidInput("retries must be >= 0")
     start = perf_counter()
 
     def draw():

@@ -138,6 +138,20 @@ def mat_vec(M: SparseMat, w: np.ndarray) -> np.ndarray:
     return _product(M.csr, w, M.field)
 
 
+def horner(M: SparseMat, coeffs, W: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """P(M) W, or P(M^T) W with transpose, for P = sum_k coeffs[k] T^k and a
+    D x k block W: Horner's rule, one sparse product per coefficient.  On the
+    int64 tier (p-1)^2 + p-1 < 2^63, so each step reduces once."""
+    if W.shape[:1] != (M.dim,):
+        raise ShapeError("W must have D rows")
+    f = M.field
+    A = M.csr.T.tocsr() if transpose else M.csr
+    acc = f.zeros(W.shape)
+    for c in reversed(coeffs):
+        acc = (_product(A, acc, f) + int(c) * W) % f.p
+    return acc
+
+
 def project_right(block: np.ndarray, right: np.ndarray, field: Field) -> np.ndarray:
     """One projected term L . right, for the Krylov block stored as block = L^T."""
     return field.matmul(block.T, right)

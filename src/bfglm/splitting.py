@@ -1,19 +1,18 @@
 """The splitting refinement: solve as much of the point set as possible with
-the sparse matrix M_1 alone, subtract its contribution from the block
-sequences of the dense combination, solve the small residual, and take the
-union after a coordinate change.
+the sparse matrix M_1 alone, then solve the small residual as a plain attempt
+whose left block U_B = F(M_1)^T U, F the solved factor, sees only the
+residual component, and take the union after a coordinate change.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NonSeparating, NotCoprime, NotInvertible
+from .errors import InvalidInput, NonSeparating, NotInvertible
 from .field import Field, Rng
-from .numerators import matrix_numerator, scalar_numerator
+from .numerators import scalar_numerator
 from .param import (
     Instance,
     SolveStats,
@@ -26,8 +25,7 @@ from .param import (
     e1_columns,
     retry_solve,
 )
-from .polymat import PolyMat, left_quotient_row, pm_mul
-from .sparse import combine_matrices
+from .sparse import horner
 from .unipoly import (
     Poly,
     charpoly_from_power_sums,
@@ -37,24 +35,6 @@ from .unipoly import (
     scalar_numerator_direct,
     transposed_modmul,
 )
-
-
-@dataclass
-class X1SolveCache:
-    columns: np.ndarray  # d x m x #W: U^T M_1^s W, W = [e_1 | M_1 e_1 | ... | M_n e_1 | probe]
-    seq: np.ndarray  # 2d x m x m: U^T M_1^s V
-    Pmat: PolyMat
-    M_min: Poly  # minimal polynomial of the first variable
-    A: PolyMat  # the first quotient rows of M_min P^{-1}, those the core computed
-    param_A: ZeroDimParam  # ((F, T, G_2, ..., G_n), X_1)
-    D_A: int
-
-
-@dataclass
-class CorrectionSet:
-    delta: np.ndarray  # 2d_B x m x (m + n + 1), lined up with [L_s V | L_s W]
-    D_B: int
-    d_B: int
 
 
 def _empty_param(field: Field, n: int, t) -> ZeroDimParam:
@@ -73,14 +53,11 @@ def block_parametrization_x1(
     m: int,
     rng: Rng | None = None,
     stats: SolveStats | None = None,
-):
-    """Parametrization by X_1 of the points that X_1 alone can see.
-
-    Returns (cache, param) where param is ((F, T, G_2, ..., G_n), X_1): the
-    simple points with a unique X_1-value and a reduced local algebra.  F is
-    carved out of the minimal polynomial of M_1 by two gcd refinements: one
-    drops repeated X_1-values, the other (the a*c - b^2 test with the probe
-    form Y) drops X_1-values hiding structure invisible to X_1.
+) -> ZeroDimParam:
+    """Parametrization ((F, T, G_2, ..., G_n), X_1) of the points that X_1
+    alone can see: the simple points with a unique X_1-value and a reduced
+    local algebra.  F, of degree D_A, is `decompose`'s factor of the minimal
+    polynomial of M_1, with the probe form Y's a*c - b^2 defect.
     """
     f = inst.field
     rng = rng or Rng(0)
@@ -89,101 +66,61 @@ def block_parametrization_x1(
     d = max(1, math.ceil(inst.D / m))
     probe = [_probe_column(inst.mats[1:], y)] if inst.n > 1 else []
     W = e1_columns(inst.mats, *probe)
-    seq, inp, F, A = _block_core(inst.mats[0], U, V, W, d, rng, stats=stats)
-    M_min = inp.s1
-    F = F // F.gcd(M_min // F)
+    _, inp, Q = _block_core(inst.mats[0], U, V, W, d, rng, stats=stats)
     nums = scalar_numerator(inp, inp.columns)
     # the coordinate X_1 is T itself
     del nums[1]
-    if probe:
-        c = nums.pop()
-        F = F.gcd(_rank_one_defect(nums, y, c))
+    # the last numerator is the probe column's
+    defect = _rank_one_defect(nums[:-1], y, nums.pop()) if probe else None
+    F = decompose(inp.s1, Q, defect)
     t_x1 = [1] + [0] * (inst.n - 1)
     if F.degree == 0:
-        param = _empty_param(f, inst.n, t_x1)
-    else:
-        param = ZeroDimParam(Q=F, V=[Poly.x(f) % F] + _coordinates(nums, F), t=t_x1)
-        param.check_invariants()
-    cache = X1SolveCache(
-        columns=inp.columns, seq=seq, Pmat=inp.Pmat, M_min=M_min, A=A,
-        param_A=param, D_A=F.degree,
-    )
-    return cache, param
+        return _empty_param(f, inst.n, t_x1)
+    param = ZeroDimParam(Q=F, V=[Poly.x(f) % F] + _coordinates(nums, F), t=t_x1)
+    param.check_invariants()
+    return param
 
 
-def decompose(M_min: Poly, nums: list, param_A: ZeroDimParam, t, tau: int) -> np.ndarray:
-    """Values of the already-solved component of linear forms at X-powers.
+def decompose(M_min: Poly, Q: Poly, defect: Poly | None = None) -> Poly:
+    """The solved factor F of M_min = F E, from Q, the squarefree part of
+    M_min, by two gcd refinements: one drops the repeated roots, the other
+    the roots where the probe's defect does not vanish (X_1-values hiding
+    structure invisible to X_1).
 
-    With C in nums the numerator of a full sequence against M_min, the
-    partial fraction C/M = A/F + B/E isolates the solved part A/F; its
-    Laurent terms are the form's values on the solved component, and a power
-    projection transports them from X_1-powers to X-powers.  E^{-1} mod F
-    and the image H of X are computed once, and every form goes through one
-    power projection: row k of the len(nums) x tau result belongs to nums[k].
+    Every root of F is then a simple root of M_min, so gcd(F, E) = 1:
+    F(M_1) vanishes on the solved component and is invertible on the
+    residual one.
     """
-    f = M_min.field
-    F = param_A.Q
-    if tau < 0:
-        raise InvalidInput("negative length")
-    if F.degree == 0:
-        return f.zeros((len(nums), tau))
-    E = M_min // F
-    if not (E * F - M_min).is_zero():
-        raise InvalidInput("F must divide the minimal polynomial")
-    try:
-        E_inv = E.modinv(F)
-    except NotInvertible as exc:
-        raise NotCoprime(f"solved and residual factors share a root: {exc}")
-    forms = [laurent_expand((C % F).modmul(E_inv, F), F, F.degree) for C in nums]
-    H = sum((Gi.scale(int(ti)) for ti, Gi in zip(t, param_A.V)), Poly.zero(f)) % F
-    return power_projection(F, H, f.array(forms), tau)
+    F = Q // Q.gcd(M_min // Q)
+    return F if defect is None else F.gcd(defect)
 
 
-def correction_matrices(cache: X1SolveCache, t, inst: Instance) -> CorrectionSet:
-    """Contributions of the solved component to every block sequence entry."""
-    f = inst.field
-    m = cache.Pmat.rows
-    D_B = inst.D - cache.D_A
-    d_B = max(1, math.ceil(D_B / m))
-    # term s of [L_s V | L_s W], W = [e_1 | M_1 e_1 | ... | M_n e_1]
-    k = m + inst.n + 1
-    delta = f.zeros((2 * d_B, m, k))
-    if cache.D_A > 0:
-        # the m quotient rows as one m x m matrix, so one product of one
-        # matrix numerator gives every scalar numerator
-        A = cache.A if cache.A.rows == m else left_quotient_row(cache.Pmat, cache.M_min, m)
-        d = len(cache.columns)
-        terms = np.concatenate([cache.seq[:d], cache.columns[:, :, : inst.n + 1]], axis=2)
-        N = pm_mul(A, matrix_numerator(terms, cache.Pmat))
-        nums = [N[i, j] for i in range(m) for j in range(k)]
-        vals = decompose(cache.M_min, nums, cache.param_A, t, 2 * d_B)
-        delta = np.moveaxis(vals.reshape(m, k, 2 * d_B), -1, 0)
-    return CorrectionSet(delta=delta, D_B=D_B, d_B=d_B)
+def correction_matrices(F: Poly, U: np.ndarray, inst: Instance) -> np.ndarray:
+    """U_B = F(M_1)^T U, by Horner: one sparse product per coefficient of F.
+
+    The M_i commute, so U_B^T M^s V = U^T M^s F(M_1) V is the block
+    sequence of the residual component alone, seen through a unit.
+    """
+    return horner(inst.mats[0], F.c, U, transpose=True)
 
 
 def block_parametrization_residual(
     inst: Instance,
     U: np.ndarray,
     V: np.ndarray,
-    corr: CorrectionSet,
+    F: Poly,
     t,
     rng: Rng | None = None,
     stats: SolveStats | None = None,
 ) -> ZeroDimParam:
-    """Parametrization of the residual points from corrected short sequences."""
-    if corr.D_B < 1:
+    """Parametrization of the residual points: the plain attempt, probe
+    check included, with U_B = F(M_1)^T U for the solved factor F and
+    target dimension D_B = D - deg F."""
+    D_B = inst.D - F.degree
+    if D_B < 1:
         raise InvalidInput("no residual component to solve")
-    f = inst.field
-    rng = rng or Rng(0)
-    M = combine_matrices(t, inst.mats)
-    _, inp, R, _ = _block_core(
-        M, U, V, e1_columns(inst.mats), corr.d_B, rng,
-        stats=stats, delta=corr.delta, target=corr.D_B,
-    )
-    W = _coordinates(scalar_numerator(inp, inp.columns), R)
-    param = ZeroDimParam(Q=R, V=W, t=[int(x) % f.p for x in t])
-    param.check_invariants()
-    return param
+    U_B = correction_matrices(F, U, inst)
+    return block_parametrization(inst, U_B, V, t, U.shape[1], rng=rng, stats=stats, dim=D_B)
 
 
 def change_separating_element(param: ZeroDimParam, t) -> ZeroDimParam:
@@ -247,18 +184,18 @@ def block_parametrization_with_splitting(
 ) -> ZeroDimParam:
     """One attempt of the splitting pipeline with fixed randomness."""
     rng = rng or Rng(0)
-    cache, param_A = block_parametrization_x1(inst, U, V, y, m, rng=rng, stats=stats)
-    D_B = inst.D - cache.D_A
+    param_A = block_parametrization_x1(inst, U, V, y, m, rng=rng, stats=stats)
+    D_A = param_A.Q.degree
+    D_B = inst.D - D_A
     if stats is not None:
-        stats.extras["D_A"] = cache.D_A
+        stats.extras["D_A"] = D_A
         stats.extras["D_B"] = D_B
-    if cache.D_A == 0:
+    if D_A == 0:
         return block_parametrization(inst, U, V, t, m, rng=rng, stats=stats)
     pA = change_separating_element(param_A, t)
     if D_B == 0:
         return pA
-    corr = correction_matrices(cache, t, inst)
-    pB = block_parametrization_residual(inst, U, V, corr, t, rng=rng, stats=stats)
+    pB = block_parametrization_residual(inst, U, V, param_A.Q, t, rng=rng, stats=stats)
     return union_params(pA, pB)
 
 

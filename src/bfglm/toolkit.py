@@ -17,7 +17,7 @@ import numpy as np
 from .errors import FormatError, InvalidInput, InvalidSpec, InvariantViolation
 from .field import Field, Rng
 from .param import Instance, ZeroDimParam
-from .sparse import SparseMat, combine_matrices, krylov_left_sequence, mat_vec
+from .sparse import SparseMat, combine_matrices, horner, krylov_left_sequence
 from .unipoly import Poly, berlekamp_massey
 
 
@@ -59,17 +59,15 @@ def _chunk_lower(field: Field, size: int, rng: Rng, mix: int, skip_col0: bool):
 
 
 def _unit_lower_inverse(field: Field, L: np.ndarray) -> np.ndarray:
-    n = L.shape[0]
-    inv = field.zeros((n, n))
-    for i in range(n):
-        inv[i, i] = 1
-    for r in range(n):
-        for c in range(r):
-            acc = 0
-            for k in range(c, r):
-                acc += int(L[r, k]) * int(inv[k, c])
-            inv[r, c] = (-acc) % field.p
-    return inv
+    """Inverses of a stack of unit lower-triangular k x k matrices: N = L - I
+    is nilpotent, so L^{-1} = sum_{j<k} (-N)^j, summed by Horner."""
+    k = L.shape[-1]
+    eye = np.eye(k, dtype=np.int64)
+    neg = (eye - L) % field.p
+    inv = np.broadcast_to(eye, L.shape)
+    for _ in range(k - 1):
+        inv = (eye + field.exact(np.matmul, neg, inv, k)) % field.p
+    return inv.astype(np.int64)
 
 
 def generate_instance(field: Field, n: int, spec: list, rng: Rng, mix: int = 2):
@@ -119,12 +117,10 @@ def generate_instance(field: Field, n: int, spec: list, rng: Rng, mix: int = 2):
     where = np.argsort(perm)
     nch = -(-D // CHUNK)
     L = np.tile(np.eye(CHUNK, dtype=np.int64), (nch, 1, 1))
-    Linv = L.copy()
     for k in range(nch):
         size = min(CHUNK, D - k * CHUNK)
-        Lk = _chunk_lower(field, size, rng, mix, skip_col0=(k == 0))
-        L[k, :size, :size] = Lk
-        Linv[k, :size, :size] = _unit_lower_inverse(field, Lk)
+        L[k, :size, :size] = _chunk_lower(field, size, rng, mix, skip_col0=(k == 0))
+    Linv = _unit_lower_inverse(field, L)
 
     mats = []
     for i in range(n):
@@ -401,10 +397,8 @@ def verify_solution(inst: Instance, param: ZeroDimParam, truth: GroundTruth | No
     M = combine_matrices(param.t, inst.mats)
     # s1(M) W = 0 for five random vectors, advanced by Horner as one block
     W = np.stack([rng.vector(f, inst.D) for _ in range(5)], axis=1)
-    acc = f.zeros(W.shape)
-    for k in range(s1.degree, -1, -1):
-        acc = (mat_vec(M, acc) + s1.coeff(k) * W) % f.p
-    check("recomputed minimal polynomial annihilates the combination", not np.any(acc != 0))
+    annihilated = not np.any(horner(M, s1.c, W) != 0)
+    check("recomputed minimal polynomial annihilates the combination", annihilated)
 
     if param.Q.degree == inst.D:
         report["status"] = "certified complete and radical"

@@ -455,30 +455,18 @@ def power_projection(F: Poly, H: Poly, ell, t: int):
     Every giant step applies one TransposedProduct, so the spectra of its
     fixed factors are computed once for all steps and forms; the change of
     separating element projects n + 1 trace forms for deg F + 1 terms.
-    Beyond s = 2 deg F the sequence is linearly recurrent with generator of
-    degree <= deg F, so the remaining values of each form are unrolled from
-    the recurrence found by Berlekamp-Massey, as one series product.
     """
     if t < 0:
         raise InvalidInput("negative length")
     f = F.field
-    r = F.degree
     ells = f.array(ell)
     single = ells.ndim == 1
     if single:
         ells = ells[None, :]
-    if t == 0 or r <= 0:
+    if t == 0 or F.degree <= 0:
         out = f.zeros((len(ells), t))
-    elif t <= 2 * r:
-        out = _power_projection_bsgs(F, H, ells, t)
     else:
-        head = _power_projection_bsgs(F, H, ells, 2 * r)
-        out = f.zeros((len(ells), t))
-        for i, row in enumerate(head):
-            # the generating series of the row is N / rev(P), N = rev(P) row mod T^deg P
-            P = berlekamp_massey(row, f, r)
-            N = f.convolve(P.c[::-1], row[: P.degree])[: P.degree]
-            out[i] = _fit(f.convolve(N, P._rev_inv(t)), t, f)
+        out = _power_projection_bsgs(F, H, ells, t)
     return [int(x) for x in out[0]] if single else out
 
 

@@ -8,7 +8,7 @@ from bfglm.field import Field, Rng
 from bfglm.param import Instance, ZeroDimParam, _coordinates, unit_vector
 from bfglm.polymat import PolyMat, _product, reversed_series
 from bfglm.sparse import SparseMat
-from bfglm.toolkit import CHUNK, GroundTruth, _chunk_lower, _unit_lower_inverse
+from bfglm.toolkit import CHUNK, GroundTruth, _chunk_lower
 from bfglm.unipoly import Poly, berlekamp_massey, scalar_numerator_direct, squarefree_part
 
 
@@ -68,6 +68,21 @@ def simple_separated_dimension(truth) -> int:
     """Dimension of the component the first variable can solve alone."""
     collided = {i for pair in collisions(truth) for i in pair}
     return sum(1 for i, s in enumerate(truth.structure) if s.nu == 1 and i not in collided)
+
+
+def unit_lower_inverse_naive(field: Field, L: np.ndarray) -> np.ndarray:
+    """Inverse of one unit lower-triangular matrix by back substitution."""
+    n = L.shape[0]
+    inv = field.zeros((n, n))
+    for i in range(n):
+        inv[i, i] = 1
+    for r in range(n):
+        for c in range(r):
+            acc = 0
+            for k in range(c, r):
+                acc += int(L[r, k]) * int(inv[k, c])
+            inv[r, c] = (-acc) % field.p
+    return inv
 
 
 def _mixing_chunks(D: int, chunk: int):
@@ -153,7 +168,7 @@ def generate_instance_dense(
     Ls = []
     for idx, (lo, hi) in enumerate(chunks):
         Ls.append(_chunk_lower(field, hi - lo, rng, mix, skip_col0=(lo == 0)))
-    Linvs = [_unit_lower_inverse(field, L) for L in Ls]
+    Linvs = [unit_lower_inverse_naive(field, L) for L in Ls]
     out = []
     for B in mats:
         # X = L^{-1} B L, applied chunk by chunk on each side

@@ -434,8 +434,15 @@ def test_block_core_checks_every_quotient_row(monkeypatch):
 
     M = SparseMat.from_dense(F, np.diag([2, 5, 2, 7]))
     U = F.array([[1, 0], [1, 0], [0, 1], [0, 1]])
-    _, inp, _, A = param._block_core(M, U, U, U, 2, Rng(0))
-    assert inp.s1 == P(99, 1) * P(96, 1) * P(94, 1) and A.rows == 2
+    rows = []
+
+    def recording(Pmat, s1, k):
+        rows.append(k)
+        return left_quotient_row(Pmat, s1, k)
+
+    monkeypatch.setattr(param, "left_quotient_row", recording)
+    _, inp, _ = param._block_core(M, U, U, U, 2, Rng(0))
+    assert inp.s1 == P(99, 1) * P(96, 1) * P(94, 1) and rows == [2]
     real = param.largest_invariant_factor
     monkeypatch.setattr(
         param, "largest_invariant_factor", lambda Pmat, rng: real(Pmat, _Draws([1, 1], [1, 0]))

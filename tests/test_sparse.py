@@ -9,6 +9,7 @@ from bfglm.field import Field, Rng, sample_block
 from bfglm.sparse import (
     SparseMat,
     combine_matrices,
+    horner,
     krylov_left_sequence,
     mat_vec,
     project_right,
@@ -82,6 +83,26 @@ def test_vec_mat_matches_dense(p):
     M = SparseMat.from_dense(f, dense)
     v = rng.vector(f, 12)
     assert np.array_equal(vec_mat(v, M), (v.astype(object) @ dense.astype(object)) % p)
+
+
+@pytest.mark.parametrize("p", [101, 3037000493, 2**61 - 1])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_horner_matches_dense(p, transpose):
+    # 3037000493 is near the top of the int64 tier, where one product and
+    # one addend (p-1)^2 + p-1 still fit in int64
+    f = Field(p)
+    rng = Rng(4)
+    dense = rng.block(f, 9, 9).astype(object)
+    M = SparseMat.from_dense(f, dense)
+    W = rng.block(f, 9, 3)
+    coeffs = [p - 1, 0, 5, p - 2, 1]
+    A = dense.T if transpose else dense
+    want = np.zeros((9, 3), dtype=object)
+    for c in reversed(coeffs):
+        want = (A @ want + c * W.astype(object)) % p
+    assert np.array_equal(horner(M, coeffs, W, transpose=transpose), want)
+    with pytest.raises(ShapeError):
+        horner(M, coeffs, W[:8])
 
 
 def test_krylov_reference_blocks():

@@ -3,13 +3,10 @@ import pytest
 
 from bfglm.errors import InvalidInput, NonSeparating, NotCoprime, NotInvertible
 from bfglm.field import Field, Rng, sample_block
-from bfglm.numerators import NumeratorInputs, scalar_numerator, scalar_numerator_corrected
 from bfglm.param import (
     SolveStats,
     ZeroDimParam,
-    _block_core,
     block_parametrization,
-    e1_columns,
     solve,
     verify_against_points,
 )
@@ -24,14 +21,8 @@ from bfglm.splitting import (
     solve_split,
     union_params,
 )
-from bfglm.sparse import combine_matrices, krylov_left_sequence
 from bfglm.toolkit import PointSpec, generate_instance, verify_solution
-from bfglm.unipoly import (
-    Poly,
-    _fit,
-    laurent_expand,
-    power_projection,
-)
+from bfglm.unipoly import Poly, _fit, power_projection
 
 from oracles import parametrization_from_series, power_projection_naive, simple_separated_dimension
 
@@ -57,8 +48,8 @@ def x1_solve(inst, m, seed, y=None):
 def test_x1_solve_all_distinct_first_coordinates():
     spec = [PointSpec(coords=(3, 5)), PointSpec(coords=(7, 11)), PointSpec(coords=(9, 2))]
     inst, truth = make(spec, 1)
-    cache, param = x1_solve(inst, 2, 2)
-    assert cache.D_A == 3
+    param = x1_solve(inst, 2, 2)
+    assert param.Q.degree == 3
     assert param.t == [1, 0]
     # param is keyed by X_1 itself: roots are the X_1 values
     for x1, x2 in [(3, 5), (7, 11), (9, 2)]:
@@ -74,8 +65,8 @@ def test_x1_solve_drops_collisions_and_fat_points():
         PointSpec(coords=(9, 2)),
     ]
     inst, truth = make(spec, 3)
-    cache, param = x1_solve(inst, 2, 4)
-    assert cache.D_A == 1
+    param = x1_solve(inst, 2, 4)
+    assert param.Q.degree == 1
     assert param.Q.eval(9) == 0
     assert param.V[1].eval(9) == 2
 
@@ -83,8 +74,8 @@ def test_x1_solve_drops_collisions_and_fat_points():
 def test_x1_solve_nothing_visible():
     spec = [PointSpec(coords=(3, 5)), PointSpec(coords=(3, 8))]
     inst, _ = make(spec, 5)
-    cache, param = x1_solve(inst, 1, 6)
-    assert cache.D_A == 0
+    param = x1_solve(inst, 1, 6)
+    assert param.Q.degree == 0
     assert param.is_empty()
 
 
@@ -97,103 +88,92 @@ def test_x1_probe_form_detects_hidden_structure():
         PointSpec(coords=(8, 4, 9)),
     ]
     inst, _ = make(spec, 7)
-    cache, param = x1_solve(inst, 2, 8)
-    assert cache.D_A == 1
+    param = x1_solve(inst, 2, 8)
+    assert param.Q.degree == 1
     assert param.Q.eval(8) == 0
 
 
 def test_decompose_edges():
-    cache, param = x1_solve(make([PointSpec(coords=(3, 5)), PointSpec(coords=(9, 2))], 9)[0], 1, 10)
-    assert decompose(cache.M_min, [P(0)], cache.param_A, [1, 1], 5).tolist() == [[0, 0, 0, 0, 0]]
-    assert decompose(cache.M_min, [P(1)], cache.param_A, [1, 1], 0).tolist() == [[]]
-    with pytest.raises(InvalidInput):
-        decompose(cache.M_min, [P(1)], ZeroDimParam(Q=P(1, 1), V=[P(0), P(0)], t=[1, 0]), [1, 1], 3)
+    M_min = P(1, 2, 1)  # (T + 1)^2: its only root is repeated
+    assert decompose(M_min, P(1, 1)) == P(1)
+    Q = P(6, 5, 1)  # (T + 2)(T + 3), simple roots
+    assert decompose(Q, Q) == Q
+    # a defect that vanishes everywhere keeps every simple root
+    assert decompose(Q, Q, Poly.zero(F)) == Q
+    assert decompose(Q, Q, P(1)) == P(1)
 
 
-def test_decompose_full_component_matches_laurent():
-    # when F = M_min and t = e_1, decomposition is just the Laurent expansion
-    # of C/M_min transported along X = X_1, i.e. unchanged
-    inst, _ = make([PointSpec(coords=(3, 5)), PointSpec(coords=(9, 2)), PointSpec(coords=(12, 4))], 11)
-    cache, param = x1_solve(inst, 1, 12)
-    assert cache.D_A == 3 and cache.M_min == param.Q
-    C = P(4, 7, 1)
-    got = decompose(cache.M_min, [C, P(2, 5)], param, [1, 0], 6)
-    want = laurent_expand(C % param.Q, param.Q, 6)
-    assert got.tolist() == [want, laurent_expand(P(2, 5), param.Q, 6)]
+def test_decompose_drops_repeated_roots_and_roots_with_a_defect():
+    p = F.p
+    lin = {a: P(-a % p, 1) for a in (1, 2, 3, 4)}
+    M_min = lin[1] * lin[2] * lin[2] * lin[3] * lin[4]
+    Q = lin[1] * lin[2] * lin[3] * lin[4]
+    # the defect vanishes at 1, 2 and 4, not at 3
+    defect = lin[1] * lin[2] * lin[4] * P(5, 1)
+    F_ = decompose(M_min, Q, defect)
+    assert F_ == lin[1] * lin[4]
+    E = M_min // F_
+    assert F_ * E == M_min and F_.gcd(E).is_one()
+
+
+def _dense_poly_at(f, coeffs, A):
+    """sum_k coeffs[k] A^k for a dense matrix A, by Horner."""
+    out = f.zeros(A.shape)
+    for c in reversed(coeffs):
+        out = (f.matmul(out, A) + int(c) * np.eye(len(A), dtype=np.int64)) % f.p
+    return out
+
+
+COMPONENT_SPEC = [
+    PointSpec(coords=(3, 5)),
+    PointSpec(coords=(7, 11)),
+    PointSpec(coords=(9, 2)),
+    PointSpec(coords=(9, 6)),   # collision pair forms the residual
+    PointSpec(coords=(13, 1)),
+]
 
 
 def test_correction_matrices_zero_when_nothing_solved():
+    # F = 1: the projection leaves U as it is
     inst, _ = make([PointSpec(coords=(3, 5)), PointSpec(coords=(3, 8))], 13)
-    cache, _ = x1_solve(inst, 2, 14)
-    corr = correction_matrices(cache, [1, 1], inst)
-    assert corr.D_B == inst.D
-    # one array lined up with [L_s V | L_s e_1 | L_s M_1 e_1 | L_s M_2 e_1]
-    assert corr.delta.shape == (2 * corr.d_B, 2, 2 + inst.n + 1)
-    assert np.all(corr.delta == 0)
+    param = x1_solve(inst, 2, 14)
+    assert param.Q == P(1)
+    U = sample_block(Rng(3), F, inst.D, 2)
+    assert np.array_equal(correction_matrices(param.Q, U, inst), U)
 
 
-def test_residual_numerators_match_per_column_corrections():
-    # _block_core subtracts the corrections from the columns as well as from
-    # the sequence; the old path corrected each column's terms on its own,
-    # with the slices delta_one and delta_coord of the corrections, and is
-    # the oracle here
-    spec = [
-        PointSpec(coords=(3, 5)),
-        PointSpec(coords=(7, 11)),
-        PointSpec(coords=(9, 2)),
-        PointSpec(coords=(9, 6)),
-        PointSpec(coords=(13, 1)),
-    ]
-    inst, _ = make(spec, 15)
-    rng = Rng(16)
-    m = 2
-    U = sample_block(rng, F, inst.D, m)
-    V = sample_block(rng, F, inst.D, m)
-    cache, _ = block_parametrization_x1(inst, U, V, [rng.nonzero_element(F)], m, rng=rng.child())
-    t = [5, 9]
-    corr = correction_matrices(cache, t, inst)
-    d = corr.d_B
-    assert cache.D_A == 3 and np.any(corr.delta[:d, :, m:])
-    M = combine_matrices(t, inst.mats)
-    W = e1_columns(inst.mats)
-    seq, inp, _, _ = _block_core(M, U, V, W, d, Rng(30), delta=corr.delta, target=corr.D_B)
-    raw_seq, raw_cols = krylov_left_sequence(M, U, 2 * d, np.hstack([V, W]), short=d)
-    assert np.array_equal(seq, (raw_seq - corr.delta[:, :, :m]) % F.p)
-    got = scalar_numerator(inp, inp.columns)
-
-    oracle = NumeratorInputs(Pmat=inp.Pmat, s1=inp.s1, a_row=inp.a_row, columns=raw_cols)
-    delta_one = [corr.delta[s, :, m : m + 1] for s in range(d)]
-    delta_coord = [corr.delta[s, :, m + 1 :] for s in range(d)]
-    cols = [[x[:, k : k + 1] for x in delta_coord] for k in range(inst.n)]
-    want = [
-        scalar_numerator_corrected(oracle, oracle.columns[:, :, j : j + 1], c)
-        for j, c in enumerate([delta_one] + cols)
-    ]
-    assert got == want
+def test_correction_matrices_match_the_dense_oracle():
+    inst, _ = make(COMPONENT_SPEC, 15)
+    param = x1_solve(inst, 2, 16)
+    Fs = param.Q
+    assert Fs.degree == 3
+    U = sample_block(Rng(17), F, inst.D, 2)
+    U_B = correction_matrices(Fs, U, inst)
+    M1 = inst.mats[0].to_dense()
+    assert np.array_equal(U_B, F.matmul(_dense_poly_at(F, Fs.c, M1).T, U))
+    # an eigenvector x of M_1 for the X_1-value a spans the columns of
+    # (M_min / (T - a))(M_1); U_B^T x vanishes exactly on the solved values
+    M_min = P(-3 % F.p, 1) * P(-7 % F.p, 1) * P(-9 % F.p, 1) * P(-13 % F.p, 1)
+    for a in (3, 7, 9, 13):
+        X = _dense_poly_at(F, (M_min // P(-a % F.p, 1)).c, M1)
+        x = X[:, np.flatnonzero(X.any(axis=0))[0]]
+        assert not np.any((F.matmul(M1, x) - a * x) % F.p)
+        assert np.any(F.matmul(U_B.T, x)) == (a == 9)
 
 
 def test_corrections_match_component_difference():
-    # the corrected sequence must be exactly the block sequence of the
-    # residual component: check via a fresh solve of the corrected terms
-    spec = [
-        PointSpec(coords=(3, 5)),
-        PointSpec(coords=(7, 11)),
-        PointSpec(coords=(9, 2)),
-        PointSpec(coords=(9, 6)),   # collision pair forms the residual
-        PointSpec(coords=(13, 1)),
-    ]
-    inst, truth = make(spec, 15)
+    # the projected sequence is the block sequence of the residual
+    # component: a solve through U_B finds exactly the collision pair
+    inst, truth = make(COMPONENT_SPEC, 15)
     rng = Rng(16)
     m = 2
     U = sample_block(rng, F, inst.D, m)
     V = sample_block(rng, F, inst.D, m)
     y = [rng.nonzero_element(F)]
-    cache, param_A = block_parametrization_x1(inst, U, V, y, m, rng=rng.child())
-    assert cache.D_A == 3
+    param_A = block_parametrization_x1(inst, U, V, y, m, rng=rng.child())
+    assert param_A.Q.degree == 3
     t = [5, 9]
-    corr = correction_matrices(cache, t, inst)
-    assert corr.D_B == 2
-    pB = block_parametrization_residual(inst, U, V, corr, t, rng=rng.child())
+    pB = block_parametrization_residual(inst, U, V, param_A.Q, t, rng=rng.child())
     assert pB.Q.degree == 2
     # residual roots are exactly the collision pair under X = 5 X_1 + 9 X_2
     for x1, x2 in [(9, 2), (9, 6)]:
@@ -208,16 +188,38 @@ def test_residual_requires_nonempty_component():
     rng = Rng(18)
     U = sample_block(rng, F, inst.D, 1)
     V = sample_block(rng, F, inst.D, 1)
-    cache, _ = block_parametrization_x1(inst, U, V, [rng.nonzero_element(F)], 1, rng=rng.child())
-    corr = correction_matrices(cache, [1, 1], inst)
-    assert corr.D_B == 0
+    param_A = block_parametrization_x1(inst, U, V, [rng.nonzero_element(F)], 1, rng=rng.child())
+    assert param_A.Q.degree == inst.D
     with pytest.raises(InvalidInput):
-        block_parametrization_residual(inst, U, V, corr, [1, 1], rng=rng.child())
+        block_parametrization_residual(inst, U, V, param_A.Q, [1, 1], rng=rng.child())
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_residual_probe_rejects_a_merging_form(m):
+    # X = X_1 solves 3 and 12, and leaves the pair at X_1 = 9 and the double
+    # point at 7 to the residual, where it merges the pair: s1 = (T-9)(T-7)^2
+    # has a repeated root, so only the plain attempt's probe check sees that
+    # the simple root 9 carries two points
+    spec = [
+        PointSpec(coords=(3, 5)),
+        PointSpec(coords=(12, 4)),
+        PointSpec(coords=(9, 2)),
+        PointSpec(coords=(9, 6)),
+        PointSpec(coords=(7, 11), nu=2, c=(1, 1)),
+    ]
+    inst, _ = make(spec, 1)
+    rng = Rng(m)
+    U = sample_block(rng, F, inst.D, m)
+    V = sample_block(rng, F, inst.D, m)
+    stats = SolveStats()
+    with pytest.raises(NonSeparating):
+        block_parametrization_with_splitting(inst, U, V, [1, 0], [7], m, rng=rng, stats=stats)
+    assert (stats.extras["D_A"], stats.extras["D_B"]) == (2, 4)
 
 
 def test_change_separating_element_identity():
     inst, truth = make([PointSpec(coords=(3, 5)), PointSpec(coords=(9, 2))], 19)
-    cache, param = x1_solve(inst, 1, 20)
+    param = x1_solve(inst, 1, 20)
     out = change_separating_element(param, [1, 0])
     assert out.Q == param.Q
     assert all(a == b for a, b in zip(out.V, param.V))
@@ -225,7 +227,7 @@ def test_change_separating_element_identity():
 
 def test_change_separating_element_transport():
     inst, truth = make([PointSpec(coords=(3, 5)), PointSpec(coords=(9, 2)), PointSpec(coords=(12, 4))], 22)
-    cache, param = x1_solve(inst, 1, 23)
+    param = x1_solve(inst, 1, 23)
     t = [2, 7]
     out = change_separating_element(param, t)
     assert out.t == [2, 7]
@@ -240,8 +242,8 @@ def test_change_separating_element_rejects_non_separating(monkeypatch):
     # both points share X_2, so X = X_2 cannot separate them; one projection
     # of the power sequence shows it, and no coordinate is projected
     inst, _ = make([PointSpec(coords=(3, 5)), PointSpec(coords=(9, 5))], 25)
-    cache, param = x1_solve(inst, 1, 26)
-    assert cache.D_A == 2
+    param = x1_solve(inst, 1, 26)
+    assert param.Q.degree == 2
     calls = []
 
     def counting(*args):
@@ -456,7 +458,49 @@ def test_probe_quadratic_statistics():
     kept = 0
     trials = 12
     for k in range(trials):
-        cache, _ = x1_solve(inst, 1, 40 + k)
-        if cache.D_A == 3:
+        if x1_solve(inst, 1, 40 + k).Q.degree == 3:
             kept += 1
     assert kept >= trials - 1
+
+
+def _random_split_spec(rng, p, shape):
+    """2 to 6 simple points with distinct X_1-values, plus a residual of the
+    given shape: a pair sharing an X_1-value, a double or triple point, both,
+    or a double point sharing its X_1-value with a simple point."""
+    xs = []
+    while len(xs) < 9:
+        x = int(rng.integers(1, p))
+        xs += [x] if x not in xs else []
+    ys = [int(y) for y in rng.integers(0, p, 12)]
+    spec = [PointSpec(coords=(x, y)) for x, y in zip(xs[3:3 + int(rng.integers(2, 7))], ys)]
+    if shape in ("pair", "pair+fat"):
+        spec += [PointSpec(coords=(xs[0], ys[10])), PointSpec(coords=(xs[0], ys[11]))]
+    if shape in ("fat2", "fat3", "pair+fat"):
+        nu = 3 if shape == "fat3" else 2
+        spec.append(PointSpec(coords=(xs[1], ys[9]), nu=nu, c=(1, int(rng.integers(1, 100)))))
+    if shape == "fat+simple":
+        spec += [PointSpec(coords=(xs[2], ys[9]), nu=2, c=(2, 1)), PointSpec(coords=(xs[2], ys[10]))]
+    order = rng.permutation(len(spec))
+    return [spec[i] for i in order]
+
+
+def test_solve_split_on_random_instances():
+    # every prime tier (int64, past the accumulation limit, object), every
+    # block size against residuals of 2 to 4 dimensions, so that D_B < m
+    # occurs, with X_1 collisions and points of multiplicity 2 and 3
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for p in (65537, 2**31 - 1, 2**61 - 1):
+        f = Field(p)
+        for m in (1, 2, 3, 4):
+            for shape in ("pair", "fat2", "fat3", "pair+fat", "fat+simple"):
+                spec = _random_split_spec(rng, p, shape)
+                inst, truth = generate_instance(f, 2, spec, Rng(int(rng.integers(1 << 30))))
+                stats = SolveStats()
+                param = solve_split(inst, m, Rng(int(rng.integers(1 << 30))), stats=stats)
+                D_A = simple_separated_dimension(truth)
+                assert (stats.extras["D_A"], stats.extras["D_B"]) == (D_A, inst.D - D_A)
+                assert param.Q.degree == len(spec)
+                assert verify_against_points(param, truth.points, f)["pass"]
+                seen.add(inst.D - D_A < m)
+    assert seen == {True, False}

@@ -8,7 +8,10 @@ from bfglm.errors import FormatError, InvalidSpec, InvariantViolation
 from bfglm.field import Field, Rng
 from bfglm.param import ZeroDimParam, solve
 from bfglm.toolkit import (
+    CHUNK,
     GroundTruth,
+    _chunk_lower,
+    _unit_lower_inverse,
     PointSpec,
     generate_instance,
     minimal_polynomial_of_combination,
@@ -21,7 +24,7 @@ from bfglm.toolkit import (
 )
 from bfglm.unipoly import Poly
 
-from oracles import collisions, generate_instance_dense
+from oracles import collisions, generate_instance_dense, unit_lower_inverse_naive
 
 F = Field(65537)
 
@@ -104,6 +107,16 @@ def test_sparse_generator_matches_the_dense_oracle(case, p):
         want, want_truth = generate_instance_dense(f, n, spec, Rng(seed))
         assert (inst.n, inst.D, truth.points) == (want.n, want.D, want_truth.points)
         assert [list(M.triples()) for M in inst.mats] == [list(M.triples()) for M in want.mats]
+
+
+@pytest.mark.parametrize("p", [65537, 67108859, 2**31 - 1, 2**61 - 1])
+def test_stacked_unit_lower_inverse_matches_back_substitution(p):
+    f = Field(p)
+    rng = Rng(p % 1000)
+    Ls = [_chunk_lower(f, CHUNK, rng, mix, skip_col0=(k == 0)) for k, mix in enumerate([0, 1, 2, 5] * 5)]
+    got = _unit_lower_inverse(f, np.array(Ls, dtype=np.int64))
+    want = np.array([unit_lower_inverse_naive(f, L) for L in Ls], dtype=np.int64)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_generator_allocates_no_dense_matrix():
@@ -288,6 +301,20 @@ def test_cli_error_codes(tmp_path):
     with pytest.raises(SystemExit) as ei:
         run_cli("no-such-command")
     assert ei.value.code == 2
+
+
+@pytest.mark.parametrize("cmd", ["solve", "solve-split"])
+def test_cli_rejects_a_bad_block_size_or_retry_count_on_both_routes(tmp_path, capsys, cmd):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("3 5\n9 2\n12 4\n4 4\n")
+    inst = str(tmp_path / "inst.txt")
+    assert run_cli("gen", "--points", str(pts), "--n", "2", "--out", inst) == 0
+    capsys.readouterr()
+    for bad in (["--m", "100"], ["--m", "0"]):
+        assert run_cli(cmd, "--in", inst, *bad) == 2
+        assert capsys.readouterr().err == "error: block size must be in [1, D]\n"
+    assert run_cli(cmd, "--in", inst, "--retries", "-1") == 2
+    assert capsys.readouterr().err == "error: retries must be >= 0\n"
 
 
 def test_cli_gen_rejects_a_negative_mix(tmp_path, capsys):
