@@ -10,21 +10,11 @@ row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InsufficientTerms, ShapeError
 from .polymat import PolyMat, pm_mul, reversed_series
 from .unipoly import Poly
-
-
-@dataclass
-class NumeratorInputs:
-    Pmat: PolyMat  # m x m minimal generator of the sequence L_s . V
-    s1: Poly
-    a_row: PolyMat  # 1 x m, a_row . Pmat = s1 . e_i
-    columns: np.ndarray  # d x m x k: term s is L_s . W for the columns W given to the Krylov pass
 
 
 def matrix_numerator(terms, Pmat: PolyMat) -> PolyMat:
@@ -45,17 +35,19 @@ def matrix_numerator(terms, Pmat: PolyMat) -> PolyMat:
     return PolyMat(f, pm_mul(Pmat, PolyMat(f, S)).c[:, :, d:])
 
 
-def scalar_numerator(inp: NumeratorInputs, terms) -> list:
-    """Numerators of (u_i M^s w) with respect to s1, one per column w, from
-    the d x m x k block terms L_s . W: one matrix numerator, one product."""
-    N = pm_mul(inp.a_row, matrix_numerator(terms, inp.Pmat))
+def scalar_numerator(a_row: PolyMat, Pmat: PolyMat, terms) -> list:
+    """Numerators of (u_1 M^s w) with respect to s1, one per column w, from
+    the d x m x k block terms L_s . W, for the m x m generator Pmat of the
+    terms L_s . V and its 1 x m quotient row a_row . Pmat = s1 . e_1: one
+    matrix numerator, one product."""
+    N = pm_mul(a_row, matrix_numerator(terms, Pmat))
     return [N[0, j] for j in range(N.cols)]
 
 
-def scalar_numerator_corrected(inp: NumeratorInputs, terms, corrections) -> Poly:
+def scalar_numerator_corrected(a_row: PolyMat, Pmat: PolyMat, terms, corrections) -> Poly:
     """Numerator of one column, as scalar_numerator, with E_s := L_s.w -
     correction_s for the d x m x 1 terms L_s . w."""
     if len(corrections) != len(terms):
         raise ShapeError(f"{len(corrections)} corrections for {len(terms)} sequence terms")
     terms = np.asarray(terms)
-    return scalar_numerator(inp, terms - np.reshape(corrections, terms.shape))[0]
+    return scalar_numerator(a_row, Pmat, terms - np.reshape(corrections, terms.shape))[0]

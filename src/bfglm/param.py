@@ -1,7 +1,13 @@
 """Zero-dimensional parametrizations from multiplication matrices by the
 block-Krylov route, which reads the minimal polynomial and the numerators
-off short matrix sequences: the block core that the plain, X_1 and residual
-solves share, the plain solve, and the retry policy of both routes.
+off short matrix sequences.
+
+`_block_core` is the one block solve that the plain, X_1 and residual
+attempts share: one Krylov pass projects [V | W], W holding e_1, the M_i e_1
+and the probe column N^2 e_1 for the probe form y, and the numerators of
+every column follow.  `decompose` keeps the simple roots of the invariant
+factor where the probe's rank-one defect vanishes.  `retry_solve` is the
+retry policy of both routes: it draws t and then y, n entries each.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ from .errors import (
     UnluckyRandomness,
 )
 from .field import Field, Rng, sample_block
-from .numerators import NumeratorInputs, scalar_numerator
+from .numerators import scalar_numerator
 from .polymat import PolyMat, largest_invariant_factor, left_quotient_row, minimal_matrix_generator
-from .sparse import SparseMat, combine_matrices, krylov_left_sequence, mat_vec, project_vector
+from .sparse import SparseMat, combine_matrices, krylov_left_sequence, mat_vec
 from .unipoly import Poly, squarefree_part
 
 RETRYABLE = (GenericityFailure, NotInvertible, NotCoprime)
@@ -98,59 +104,50 @@ def unit_vector(f: Field, D: int, i: int = 0) -> np.ndarray:
     return e
 
 
-def e1_columns(mats, *extra) -> np.ndarray:
-    """W = [e_1 | M_1 e_1 | ... | M_n e_1 | extra...]: the columns whose
-    projections the numerators read."""
-    e1 = unit_vector(mats[0].field, mats[0].dim)
-    return np.stack([e1] + [mat_vec(Mi, e1) for Mi in mats] + list(extra), axis=1)
-
-
 @dataclass
 class BlockSolveArtifacts:
-    """Intermediates of one block_parametrization run, kept for testing."""
+    """One block solve: its intermediates and the numerators of every column
+    of W = [e_1 | M_1 e_1 | ... | M_n e_1 | N^2 e_1], N = sum y_i M_i."""
 
     M: SparseMat
-    columns: np.ndarray  # d x m x (n + 1): the terms L_s . W the numerators read
+    columns: np.ndarray  # d x m x (n + 2): the terms L_s . W the numerators read
     seq: np.ndarray  # 2d x m x m: the terms L_s . V
     Pmat: object
     s1: Poly
     a_row: object
-    C1: Poly
-    C_coord: list
+    nums: list  # numerators of the columns of W, in order
 
 
-def _block_core(M, U, V, W, d, rng, stats=None, target=None):
-    """The block-Krylov pipeline shared by the plain, X_1 and residual solves.
+def _block_core(inst: Instance, M, U, V, y, d, rng, stats=None) -> BlockSolveArtifacts:
+    """The one block solve of the plain, X_1 and residual attempts.
 
-    Returns (seq, inp, Q): the 2d x m x m terms U^T M^s V, the
-    NumeratorInputs over the d x m x #W terms U^T M^s W of the extra columns
-    W, and the squarefree part Q of the largest invariant factor s1 of the
-    terms' minimal matrix generator.  The first left quotient row is
-    computed, or all m of them when deg s1 is below deg det P: their exact
-    check certifies s1.  One streamed Krylov pass makes both projections.
-
-    With a target dimension, a squarefree s1 of lower degree raises
-    NonSeparating: the action is semisimple on a proper subspace, so either
-    the combination collides two points (needs a fresh t) or the blocking
-    missed part of the space.  A degree-deficient s1 with repeated roots
-    signals nilpotent structure instead and passes.
+    One streamed Krylov pass projects the left blocks L_s = U^T M^s onto V
+    for 2d terms and onto W, with the probe column N^2 e_1, for d terms.
+    The 2d x m x m terms L_s . V give the minimal matrix generator P and its
+    largest invariant factor s1.  The first left quotient row is computed,
+    or all m of them when deg s1 is below deg det P: their exact check
+    certifies s1.  The quotient row and one matrix numerator then give the
+    numerators of every column of W with respect to s1.
     """
-    f = M.field
+    f = inst.field
+    e1 = unit_vector(f, inst.D)
+    N = combine_matrices(y, inst.mats)
+    probe = mat_vec(N, mat_vec(N, e1))
+    # N, as large as M, would otherwise stay alive through the whole solve
+    del N
+    W = np.stack([e1] + [mat_vec(Mi, e1) for Mi in inst.mats] + [probe], axis=1)
     t0 = perf_counter()
     seq, columns = krylov_left_sequence(M, U, 2 * d, np.hstack([V, W]), short=d)
     if stats is not None:
         stats.krylov_seconds += perf_counter() - t0
-    Pmat = minimal_matrix_generator(seq, f, d, d)
+    Pmat = minimal_matrix_generator(seq, f, d)
     s1 = largest_invariant_factor(Pmat, rng.child())
-    Q = squarefree_part(s1)
-    if target is not None and s1.degree < target and s1 == Q:
-        raise NonSeparating(f"squarefree invariant factor of degree {s1.degree} < {target}")
     # below deg det P only the exact check of every quotient row proves that
     # s1 P^{-1} is polynomial, i.e. that s1 is not a proper divisor
     rows = Pmat.rows if s1.degree < sum(Pmat.row_degrees()) else 1
-    A = left_quotient_row(Pmat, s1, rows)
-    inp = NumeratorInputs(Pmat=Pmat, s1=s1, a_row=PolyMat(f, A.c[:1]), columns=columns)
-    return seq, inp, Q
+    a_row = PolyMat(f, left_quotient_row(Pmat, s1, rows).c[:1])
+    nums = scalar_numerator(a_row, Pmat, columns)
+    return BlockSolveArtifacts(M, columns, seq, Pmat, s1, a_row, nums)
 
 
 def _coordinates(nums: list, Q: Poly) -> list:
@@ -159,24 +156,32 @@ def _coordinates(nums: list, Q: Poly) -> list:
     return [C.modmul(C1_inv, Q) for C in nums[1:]]
 
 
-def _rank_one_defect(nums: list, y, c: Poly) -> Poly:
+def _rank_one_defect(nums: list, y) -> Poly:
     """a*c - b^2, with a, b, c the numerators of e_1, N e_1 and N^2 e_1 for
-    the probe N = sum y_i mats[i]; nums, the numerators of e_1, mats[0] e_1,
-    mats[1] e_1, ..., gives a and b = sum y_i nums[1 + i], as numerators are
-    linear in w.
+    the probe N = sum y_i M_i; nums, the numerators of e_1, M_1 e_1, ...,
+    M_n e_1 and N^2 e_1, gives a, c and b = sum y_i nums[i], as numerators
+    are linear in w.
 
     At a simple root of s1 carrying one simple point P, (a, b, c) is
     proportional to (1, y(P), y(P)^2) and the defect vanishes; at a root
     shared by two points, or carrying a fat point, it generically does not.
     """
-    b = sum((C.scale(yi) for yi, C in zip(y, nums[1:])), Poly.zero(c.field))
-    return nums[0] * c - b * b
+    a, *coords, c = nums
+    b = sum((C.scale(yi) for yi, C in zip(y, coords)), Poly.zero(c.field))
+    return a * c - b * b
 
 
-def _probe_column(mats, y) -> np.ndarray:
-    """N^2 e_1 for the probe N = sum y_i mats[i]."""
-    N = combine_matrices(y, mats)
-    return mat_vec(N, mat_vec(N, unit_vector(N.field, N.dim)))
+def decompose(M_min: Poly, Q: Poly, defect: Poly | None = None) -> Poly:
+    """The solved factor F of the minimal polynomial M_min = F E of a
+    matrix M, from Q, the squarefree part of M_min, by two gcd refinements:
+    one drops the repeated roots, the other the roots where the probe's
+    defect does not vanish (roots that carry several points).
+
+    Every root of F is then a simple root of M_min, so gcd(F, E) = 1: F(M)
+    vanishes on the solved component and is invertible on the residual one.
+    """
+    F = Q // Q.gcd(M_min // Q)
+    return F if defect is None else F.gcd(defect)
 
 
 def block_parametrization(
@@ -184,58 +189,52 @@ def block_parametrization(
     U: np.ndarray,
     V: np.ndarray,
     t,
+    y,
     m: int,
-    rng: Rng | None = None,
+    rng: Rng,
     stats: SolveStats | None = None,
     artifacts: list | None = None,
     dim: int | None = None,
 ) -> ZeroDimParam:
-    """One attempt of the block algorithm with fixed randomness.
+    """One attempt of the block algorithm with fixed randomness: X = sum
+    t_i X_i, and the probe form y.
 
     dim is the dimension of the component that U sees: D, or D_B for the
-    splitting route's residual, whose U is projected onto it.  Raises
-    GenericityFailure and friends on unlucky draws, and NonSeparating when t
-    is caught merging points; `solve` wraps this with the retry policy.
+    splitting route's residual, whose U is projected onto it.  Below dim, a
+    squarefree s1 means the action is semisimple on a proper subspace: t
+    merges points, or the blocking missed part of the space.  An s1 with
+    repeated roots signals nilpotent structure instead and passes the
+    core's certificate even when t merges two simple points at another
+    root, so the probe's defect tests the simple roots.  Either case raises
+    NonSeparating; unlucky draws raise GenericityFailure and friends.
+    `solve` wraps this with the retry policy.
     """
     f = inst.field
     dim = inst.D if dim is None else dim
-    rng = rng or Rng(0)
     M = combine_matrices(t, inst.mats)
-    d = max(1, math.ceil(dim / m))
-    seq, inp, Q = _block_core(M, U, V, e1_columns(inst.mats), d, rng, stats=stats, target=dim)
-    nums = scalar_numerator(inp, inp.columns)
-    if inp.s1.degree < dim and inp.s1 != Q:
-        # repeated roots pass the core's certificate even when t merges two
-        # simple points at another root: test the simple roots of s1 with a
-        # probe form, as the X_1 solve does
-        probe = rng.child()
-        y = [probe.nonzero_element(f) for _ in range(inst.n)]
-        Q_simple = Q // Q.gcd(inp.s1 // Q)
-        c = scalar_numerator(inp, project_vector(M, U, d, _probe_column(inst.mats, y)))[0]
-        if not (_rank_one_defect(nums, y, c) % Q_simple).is_zero():
-            raise NonSeparating("a simple root of the invariant factor carries several points")
-    param = ZeroDimParam(Q=Q, V=_coordinates(nums, Q), t=[int(x) % f.p for x in t])
+    core = _block_core(inst, M, U, V, y, max(1, math.ceil(dim / m)), rng, stats)
+    s1, nums = core.s1, core.nums
+    Q = squarefree_part(s1)
+    if s1.degree < dim and (
+        s1 == Q or decompose(s1, Q, _rank_one_defect(nums, y)) != decompose(s1, Q)
+    ):
+        raise NonSeparating(f"t merges points: invariant factor of degree {s1.degree} < {dim}")
+    param = ZeroDimParam(Q=Q, V=_coordinates(nums[:-1], Q), t=[int(x) % f.p for x in t])
     param.check_invariants()
     if artifacts is not None:
-        artifacts.append(
-            BlockSolveArtifacts(
-                M=M, columns=inp.columns, seq=seq, Pmat=inp.Pmat, s1=inp.s1, a_row=inp.a_row,
-                C1=nums[0], C_coord=nums[1:],
-            )
-        )
+        artifacts.append(core)
     return param
 
 
-def retry_solve(inst: Instance, m: int, rng: Rng, attempt, forms, retries: int, stats: SolveStats):
-    """Call attempt(U, V, *drawn_forms) with fresh randomness until it succeeds.
+def retry_solve(inst: Instance, m: int, rng: Rng, attempt, retries: int, stats: SolveStats):
+    """Call attempt(U, V, t, y) with fresh randomness until it succeeds.
 
     This is the retry policy of both `solve` and `splitting.solve_split`.
-    `forms` gives the length of each random form, drawn in that order with
-    nonzero entries from rng: (n,) draws t, (n, n - 1) draws t and then the
-    probe y.
+    The separating form t and then the probe form y are drawn with n
+    nonzero entries each from rng.
 
     * Every attempt draws a fresh U, then a fresh V (D x m).
-    * NonSeparating (t caught merging points) redraws all forms at once.
+    * NonSeparating (t caught merging points) redraws both forms at once.
       This happens at most 6 times, and is counted in
       stats.extras["t_retries"], not in stats.retries.
     * A RETRYABLE failure (an unlucky U, V or internal draw) counts as a
@@ -255,9 +254,9 @@ def retry_solve(inst: Instance, m: int, rng: Rng, attempt, forms, retries: int, 
     start = perf_counter()
 
     def draw():
-        return [[rng.nonzero_element(f) for _ in range(k)] for k in forms]
+        return [[rng.nonzero_element(f) for _ in range(inst.n)] for _ in range(2)]
 
-    drawn = draw()
+    forms = draw()
     uv_failures = attempts = t_draws = 0
     # only the message is kept: the exception's traceback would keep the
     # failed attempt's Krylov blocks alive through the next attempt
@@ -267,21 +266,21 @@ def retry_solve(inst: Instance, m: int, rng: Rng, attempt, forms, retries: int, 
             U = sample_block(rng, f, inst.D, m)
             V = sample_block(rng, f, inst.D, m)
             try:
-                return attempt(U, V, *drawn)
+                return attempt(U, V, *forms)
             except NonSeparating as exc:
                 last = str(exc)
                 t_draws += 1
                 stats.extras["t_retries"] = t_draws
                 if t_draws > 6:
                     break
-                drawn = draw()
+                forms = draw()
                 uv_failures = 0
             except RETRYABLE as exc:
                 last = str(exc)
                 attempts += 1
                 uv_failures += 1
                 if uv_failures >= 2:
-                    drawn = draw()
+                    forms = draw()
                     uv_failures = 0
         raise UnluckyRandomness(f"retries exhausted: {last}")
     finally:
@@ -304,10 +303,10 @@ def solve(
     """
     stats = stats if stats is not None else SolveStats()
 
-    def attempt(U, V, t):
-        return block_parametrization(inst, U, V, t, m, rng=rng, stats=stats, artifacts=artifacts)
+    def attempt(U, V, t, y):
+        return block_parametrization(inst, U, V, t, y, m, rng, stats=stats, artifacts=artifacts)
 
-    return retry_solve(inst, m, rng, attempt, (inst.n,), retries, stats)
+    return retry_solve(inst, m, rng, attempt, retries, stats)
 
 
 def verify_against_points(param: ZeroDimParam, truth_points, field: Field):

@@ -222,25 +222,21 @@ def reversed_series(f: Field, terms) -> np.ndarray:
     return rev
 
 
-def minimal_matrix_generator(terms, field: Field, deg_left: int, deg_right: int) -> PolyMat:
-    """Row-reduced minimal left generator of a matrix sequence prefix, for
-    the count x m x m terms of the sequence.
+def minimal_matrix_generator(terms, field: Field, deg: int) -> PolyMat:
+    """Row-reduced minimal left generator, of degree at most deg, of the
+    2 deg x m x m terms of a matrix sequence prefix (the Krylov case).
 
     Stacks the reversed series of the terms over -I and reads the generator
-    off the low-degree rows of an approximant basis.  With the full
-    deg_left+deg_right+1 terms the uniform shift suffices; with only
-    deg_left+deg_right terms (the Krylov case) the identity block gets
-    shift 1, which caps the remainder part one degree lower and thereby
+    off the low-degree rows of an approximant basis.  The identity block
+    gets shift 1, which caps the remainder part one degree lower and thereby
     enforces every recurrence window the data supports.
     """
-    if not len(terms):
-        raise InvalidInput("empty sequence")
-    d = min(len(terms), deg_left + deg_right + 1)
-    if d < deg_left + deg_right:
-        raise InvalidInput(f"need at least {deg_left + deg_right} terms, got {d}")
-    series = reversed_series(field, terms[:d])
+    d = 2 * deg
+    if deg < 1 or len(terms) != d:
+        raise InvalidInput(f"need {d} terms for degree {deg}, got {len(terms)}")
+    series = reversed_series(field, terms)
     m = series.shape[0]
-    shift = [0] * (2 * m) if d > deg_left + deg_right else [0] * m + [1] * m
+    shift = [0] * m + [1] * m
     stacked = field.zeros((2 * m, m, d))
     stacked[:m] = series
     for i in range(m):
@@ -248,10 +244,10 @@ def minimal_matrix_generator(terms, field: Field, deg_left: int, deg_right: int)
     basis = approximant_basis(PolyMat(field, stacked), d, shift)
     edeg = _degrees(basis.c != 0)
     sdeg = np.where(edeg >= 0, edeg + np.array(shift), NEG_INF).max(axis=1)
-    selected = [i for i in range(2 * m) if 0 <= sdeg[i] <= deg_left]
+    selected = [i for i in range(2 * m) if 0 <= sdeg[i] <= deg]
     if len(selected) != m:
         raise GenericityFailure(
-            f"expected {m} generator rows of degree <= {deg_left}, found {len(selected)}"
+            f"expected {m} generator rows of degree <= {deg}, found {len(selected)}"
         )
     gen = PolyMat(field, basis.c[selected, :m])
     if len(set(gen.row_degrees())) == 1:

@@ -2,6 +2,11 @@
 the sparse matrix M_1 alone, then solve the small residual as a plain attempt
 whose left block U_B = F(M_1)^T U, F the solved factor, sees only the
 residual component, and take the union after a coordinate change.
+
+The X_1 solve and the residual are each one `param._block_core` solve with
+the probe form y: the X_1 solve keeps the roots where y's defect vanishes
+(`decompose`), and the residual is the plain attempt, which is all there is
+when nothing is solved (F = 1, U_B = U).
 """
 
 from __future__ import annotations
@@ -12,17 +17,15 @@ import numpy as np
 
 from .errors import InvalidInput, NonSeparating, NotInvertible
 from .field import Field, Rng
-from .numerators import scalar_numerator
 from .param import (
     Instance,
     SolveStats,
     ZeroDimParam,
     _block_core,
     _coordinates,
-    _probe_column,
     _rank_one_defect,
     block_parametrization,
-    e1_columns,
+    decompose,
     retry_solve,
 )
 from .sparse import horner
@@ -33,6 +36,7 @@ from .unipoly import (
     laurent_expand,
     power_projection,
     scalar_numerator_direct,
+    squarefree_part,
     transposed_modmul,
 )
 
@@ -51,48 +55,28 @@ def block_parametrization_x1(
     V: np.ndarray,
     y,
     m: int,
-    rng: Rng | None = None,
+    rng: Rng,
     stats: SolveStats | None = None,
 ) -> ZeroDimParam:
     """Parametrization ((F, T, G_2, ..., G_n), X_1) of the points that X_1
     alone can see: the simple points with a unique X_1-value and a reduced
     local algebra.  F, of degree D_A, is `decompose`'s factor of the minimal
-    polynomial of M_1, with the probe form Y's a*c - b^2 defect.
+    polynomial of M_1, with the probe form y's a*c - b^2 defect.  At an
+    X_1-value shared by points P and P' the defect is a multiple of
+    (sum_{i>=2} y_i (x_i - x'_i))^2: y_1 cancels, as x_1 = x'_1.
     """
     f = inst.field
-    rng = rng or Rng(0)
-    if len(y) != inst.n - 1:
-        raise InvalidInput("probe form needs n-1 coefficients")
     d = max(1, math.ceil(inst.D / m))
-    probe = [_probe_column(inst.mats[1:], y)] if inst.n > 1 else []
-    W = e1_columns(inst.mats, *probe)
-    _, inp, Q = _block_core(inst.mats[0], U, V, W, d, rng, stats=stats)
-    nums = scalar_numerator(inp, inp.columns)
-    # the coordinate X_1 is T itself
-    del nums[1]
-    # the last numerator is the probe column's
-    defect = _rank_one_defect(nums[:-1], y, nums.pop()) if probe else None
-    F = decompose(inp.s1, Q, defect)
+    core = _block_core(inst, inst.mats[0], U, V, y, d, rng, stats)
+    F = decompose(core.s1, squarefree_part(core.s1), _rank_one_defect(core.nums, y))
     t_x1 = [1] + [0] * (inst.n - 1)
     if F.degree == 0:
         return _empty_param(f, inst.n, t_x1)
-    param = ZeroDimParam(Q=F, V=[Poly.x(f) % F] + _coordinates(nums, F), t=t_x1)
+    # the coordinate X_1 is T itself, and the last numerator is the probe's
+    a, _, *coords, _ = core.nums
+    param = ZeroDimParam(Q=F, V=[Poly.x(f) % F] + _coordinates([a, *coords], F), t=t_x1)
     param.check_invariants()
     return param
-
-
-def decompose(M_min: Poly, Q: Poly, defect: Poly | None = None) -> Poly:
-    """The solved factor F of M_min = F E, from Q, the squarefree part of
-    M_min, by two gcd refinements: one drops the repeated roots, the other
-    the roots where the probe's defect does not vanish (X_1-values hiding
-    structure invisible to X_1).
-
-    Every root of F is then a simple root of M_min, so gcd(F, E) = 1:
-    F(M_1) vanishes on the solved component and is invertible on the
-    residual one.
-    """
-    F = Q // Q.gcd(M_min // Q)
-    return F if defect is None else F.gcd(defect)
 
 
 def correction_matrices(F: Poly, U: np.ndarray, inst: Instance) -> np.ndarray:
@@ -110,7 +94,8 @@ def block_parametrization_residual(
     V: np.ndarray,
     F: Poly,
     t,
-    rng: Rng | None = None,
+    y,
+    rng: Rng,
     stats: SolveStats | None = None,
 ) -> ZeroDimParam:
     """Parametrization of the residual points: the plain attempt, probe
@@ -120,7 +105,7 @@ def block_parametrization_residual(
     if D_B < 1:
         raise InvalidInput("no residual component to solve")
     U_B = correction_matrices(F, U, inst)
-    return block_parametrization(inst, U_B, V, t, U.shape[1], rng=rng, stats=stats, dim=D_B)
+    return block_parametrization(inst, U_B, V, t, y, U.shape[1], rng, stats=stats, dim=D_B)
 
 
 def change_separating_element(param: ZeroDimParam, t) -> ZeroDimParam:
@@ -179,23 +164,20 @@ def block_parametrization_with_splitting(
     t,
     y,
     m: int,
-    rng: Rng | None = None,
+    rng: Rng,
     stats: SolveStats | None = None,
 ) -> ZeroDimParam:
     """One attempt of the splitting pipeline with fixed randomness."""
-    rng = rng or Rng(0)
-    param_A = block_parametrization_x1(inst, U, V, y, m, rng=rng, stats=stats)
+    param_A = block_parametrization_x1(inst, U, V, y, m, rng, stats=stats)
     D_A = param_A.Q.degree
     D_B = inst.D - D_A
     if stats is not None:
         stats.extras["D_A"] = D_A
         stats.extras["D_B"] = D_B
-    if D_A == 0:
-        return block_parametrization(inst, U, V, t, m, rng=rng, stats=stats)
     pA = change_separating_element(param_A, t)
     if D_B == 0:
         return pA
-    pB = block_parametrization_residual(inst, U, V, param_A.Q, t, rng=rng, stats=stats)
+    pB = block_parametrization_residual(inst, U, V, param_A.Q, t, y, rng, stats=stats)
     return union_params(pA, pB)
 
 
@@ -208,13 +190,13 @@ def solve_split(
     stats: SolveStats | None = None,
 ) -> ZeroDimParam:
     """The splitting pipeline under the retry policy of `param.retry_solve`,
-    which draws t and then the probe y.
+    which draws t and then the probe form y.
 
     `workers` has no effect: the streamed Krylov pass has no tasks to share.
     """
     stats = stats if stats is not None else SolveStats()
 
     def attempt(U, V, t, y):
-        return block_parametrization_with_splitting(inst, U, V, t, y, m, rng=rng, stats=stats)
+        return block_parametrization_with_splitting(inst, U, V, t, y, m, rng, stats=stats)
 
-    return retry_solve(inst, m, rng, attempt, (inst.n, inst.n - 1), retries, stats)
+    return retry_solve(inst, m, rng, attempt, retries, stats)

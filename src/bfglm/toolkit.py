@@ -17,7 +17,7 @@ import numpy as np
 from .errors import FormatError, InvalidInput, InvalidSpec, InvariantViolation
 from .field import Field, Rng
 from .param import Instance, ZeroDimParam
-from .sparse import SparseMat, combine_matrices, horner, krylov_left_sequence
+from .sparse import SparseMat, combine_matrices, horner, project_vector
 from .unipoly import Poly, berlekamp_massey
 
 
@@ -364,7 +364,7 @@ def minimal_polynomial_of_combination(inst: Instance, t, rng: Rng) -> Poly:
     M = combine_matrices(t, inst.mats)
     u = rng.vector(f, inst.D)
     v = rng.vector(f, inst.D)
-    seq, _ = krylov_left_sequence(M, u.reshape(-1, 1), 2 * inst.D, v)
+    seq = project_vector(M, u.reshape(-1, 1), 2 * inst.D, v)
     return berlekamp_massey(seq[:, 0, 0], f, inst.D)
 
 

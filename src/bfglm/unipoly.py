@@ -17,7 +17,6 @@ from .errors import (
     DivisionByZero,
     InsufficientTerms,
     InvalidInput,
-    InvariantViolation,
     NotCoprime,
     NotInvertible,
 )
@@ -210,8 +209,8 @@ class Poly:
         return a.monic()
 
     def xgcd(self, other: "Poly"):
-        """Returns (g, s, t) monic with s*self + t*other = g.  The loop tracks
-        s alone; t is the exact quotient (g - s*self) / other."""
+        """Returns (g, s), g = gcd(self, other) monic and s its cofactor:
+        s*self + t*other = g for some t, which is not computed."""
         f = self.field
         r0, r1 = self, other
         s0, s1 = Poly.one(f), Poly.zero(f)
@@ -222,15 +221,10 @@ class Poly:
         if not r0.is_zero():
             inv_lc = f.inv(r0.lead())
             r0, s0 = r0.scale(inv_lc), s0.scale(inv_lc)
-        if other.is_zero():
-            return r0, s0, Poly.zero(f)
-        t, rem = (r0 - s0 * self).quo_rem(other)
-        if not rem.is_zero():
-            raise InvariantViolation("Bezout cofactor is not an exact quotient")
-        return r0, s0, t
+        return r0, s0
 
     def modinv(self, modulus: "Poly") -> "Poly":
-        g, s, _ = self.xgcd(modulus)
+        g, s = self.xgcd(modulus)
         if not g.is_one():
             raise NotInvertible("inputs not coprime", gcd=g)
         return s % modulus
@@ -366,7 +360,7 @@ def crt_pair(a1s, q1: Poly, a2s, q2: Poly) -> list:
     """For each pair (a1, a2) of a1s and a2s, the unique r mod q1*q2 with
     r = a1 mod q1 and r = a2 mod q2.  One xgcd serves every pair; its gcd is
     the coprimality check."""
-    g, s, _ = q1.xgcd(q2)
+    g, s = q1.xgcd(q2)
     if not g.is_one():
         raise NotCoprime("moduli share a common factor")
     # r = a1 + q1 * ((a2 - a1) * inv(q1) mod q2)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bfglm.field import Field, Rng, sample_block
-from bfglm.numerators import NumeratorInputs, scalar_numerator
 from bfglm.param import (
     Instance,
     SolveStats,
@@ -100,21 +99,21 @@ def test_criterion_1_reference_example():
     seq, _ = krylov_left_sequence(M, U, 4, V)
     ok &= all(np.array_equal(s, F101.array(w)) for s, w in zip(seq, REF_SEQ))
 
-    G = minimal_matrix_generator(seq, F101, 2, 2)
+    G = minimal_matrix_generator(seq, F101, 2)
     ok &= G[0, 0] == P(F101, 62, 60, 1)
     ok &= G[0, 1] == P(F101, 25, 88)
     ok &= G[1, 0] == P(F101, 33, 100)
     ok &= G[1, 1] == P(F101, 78, 84, 1)
 
     arts = []
-    param = block_parametrization(inst, U, V, REF_T, 2, rng=Rng(7), artifacts=arts)
+    param = block_parametrization(inst, U, V, REF_T, [1, 1], 2, rng=Rng(7), artifacts=arts)
     a = arts[0]
     ok &= a.s1 == P(F101, 7, 100, 76, 1)
     ok &= param.Q == P(F101, 61, 8, 1)
     ok &= a.a_row[0, 0] == P(F101, 16, 1)
     ok &= a.a_row[0, 1] == P(F101, 13)
-    ok &= a.C1 == P(F101, 13, 75, 84)
-    ok &= a.C_coord[0] == P(F101, 16, 47, 88)
+    ok &= a.nums[0] == P(F101, 13, 75, 84)
+    ok &= a.nums[1] == P(F101, 16, 47, 88)
     ok &= param.V[0] == P(F101, 14, 15)
     ok &= param.V[1] == P(F101, 9, 49)
     ok &= param.t == [2, 53]
@@ -221,9 +220,9 @@ def test_criterion_4_cross_algorithm_equality():
             U = sample_block(rng_a, F, inst.D, m)
             V = sample_block(rng_a, F, inst.D, m)
             t = [rng_a.nonzero_element(F) for _ in range(n)]
-            y = [rng_a.nonzero_element(F) for _ in range(n - 1)]
+            y = [rng_a.nonzero_element(F) for _ in range(n)]
             try:
-                plain = block_parametrization(inst, U, V, t, m, rng=Rng(3))
+                plain = block_parametrization(inst, U, V, t, y, m, rng=Rng(3))
                 split = block_parametrization_with_splitting(inst, U, V, t, y, m, rng=Rng(3))
             except Exception:
                 continue

@@ -1,12 +1,16 @@
 """Code with no callers is deleted: every function, class and non-dunder
 method of src/bfglm must be referenced somewhere in src/bfglm outside its
-own definition, or be named below with the reason it stays."""
+own definition, or be named below with the reason it stays.  A reason that
+cites the benchmark's span tracer is checked against the tracer's LAYERS."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bfglm"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bfglm"
+SPANS = ROOT / "perfbench" / "spans.py"
 
 ALLOWED = {
     "vec_mat": "wrapped by perfbench/spans.py",
@@ -58,3 +62,32 @@ def test_allow_list_is_current():
     # an allowed name that gained a caller or lost its definition goes
     unreferenced, defined = _unreferenced()
     assert sorted(set(ALLOWED) - (unreferenced & defined)) == []
+
+
+def _layers() -> dict:
+    """The LAYERS dict of perfbench/spans.py, read with ast, not imported."""
+    for node in ast.parse(SPANS.read_text(), str(SPANS)).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py assigns no LAYERS")
+
+
+def test_span_reasons_name_traced_functions():
+    traced = {fn.split(".")[-1] for fns in _layers().values() for fn in fns}
+    cited = {name for name, why in ALLOWED.items() if "perfbench/spans.py" in why}
+    assert cited and sorted(cited - traced) == []
+
+
+def test_traced_names_resolve():
+    # a renamed traced function would otherwise surface only as a failed
+    # benchmark run
+    missing = []
+    for mod_name, fns in _layers().items():
+        mod = importlib.import_module(f"bfglm.{mod_name}")
+        for fn in fns:
+            obj = mod
+            for part in fn.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{mod_name}.{fn}")
+    assert missing == []

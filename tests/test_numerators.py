@@ -3,12 +3,7 @@ import pytest
 
 from bfglm.errors import InsufficientTerms, ShapeError
 from bfglm.field import Field, Rng, sample_block
-from bfglm.numerators import (
-    NumeratorInputs,
-    matrix_numerator,
-    scalar_numerator,
-    scalar_numerator_corrected,
-)
+from bfglm.numerators import matrix_numerator, scalar_numerator, scalar_numerator_corrected
 from bfglm.polymat import largest_invariant_factor, left_quotient_row, minimal_matrix_generator
 from bfglm.sparse import SparseMat, combine_matrices, krylov_left_sequence
 from bfglm.unipoly import Poly, berlekamp_massey, laurent_expand, scalar_numerator_direct
@@ -29,36 +24,36 @@ def ref_setup():
     # W = [eps_1 | M_1 . eps_1], projected for the first d = 2 steps
     W = np.stack([np.eye(4, dtype=np.int64)[:, 0], np.asarray(mats[0].to_dense())[:, 0]], axis=1)
     seq, cols = krylov_left_sequence(M, U, 4, np.hstack([F.array(REF_V), W]), short=2)
-    G = minimal_matrix_generator(seq, F, 2, 2)
+    G = minimal_matrix_generator(seq, F, 2)
     s1 = largest_invariant_factor(G, Rng(42))
     a = left_quotient_row(G, s1, 1)
-    return mats, M, NumeratorInputs(Pmat=G, s1=s1, a_row=a, columns=cols)
+    return mats, M, (a, G), cols
 
 
 def test_reference_numerators():
-    mats, M, inp = ref_setup()
-    terms = inp.columns[:, :, 0:1]  # eps_1
-    omega = matrix_numerator(terms, inp.Pmat)
+    mats, M, inp, cols = ref_setup()
+    terms = cols[:, :, 0:1]  # eps_1
+    omega = matrix_numerator(terms, inp[1])
     assert omega[0, 0] == P(55, 84)
     assert omega[1, 0] == P(11, 38)
-    C1 = scalar_numerator(inp, terms)[0]
+    C1 = scalar_numerator(*inp, terms)[0]
     assert C1 == P(13, 75, 84)
 
-    CX1 = scalar_numerator(inp, inp.columns[:, :, 1:2])[0]  # M_1 . eps_1
+    CX1 = scalar_numerator(*inp, cols[:, :, 1:2])[0]  # M_1 . eps_1
     assert CX1 == P(16, 47, 88)
 
 
 def test_matrix_numerator_zero_terms():
-    _, _, inp = ref_setup()
+    _, _, (_, G), _ = ref_setup()
     terms = [F.zeros((2, 1)) for _ in range(2)]
-    omega = matrix_numerator(terms, inp.Pmat)
+    omega = matrix_numerator(terms, G)
     assert not np.any(omega.c)
 
 
 def test_matrix_numerator_requires_enough_terms():
-    _, _, inp = ref_setup()
+    _, _, (_, G), _ = ref_setup()
     with pytest.raises(InsufficientTerms):
-        matrix_numerator([F.zeros((2, 1))], inp.Pmat)
+        matrix_numerator([F.zeros((2, 1))], G)
 
 
 def test_matrix_numerator_degree_bound():
@@ -69,7 +64,7 @@ def test_matrix_numerator_degree_bound():
     V = sample_block(rng, F, D, m)
     d = (D + m - 1) // m
     seq, _ = krylov_left_sequence(M, U, 2 * d, V)
-    G = minimal_matrix_generator(seq, F, d, d)
+    G = minimal_matrix_generator(seq, F, d)
     omega = matrix_numerator(seq[:d], G)
     for i, rd in enumerate(G.row_degrees()):
         for j in range(omega.cols):
@@ -88,11 +83,10 @@ def test_scalar_case_matches_direct_formula():
     minpoly = berlekamp_massey(scal, F, D)
     d = minpoly.degree
     direct = scalar_numerator_direct(scal[:d], F, minpoly)
-    G = minimal_matrix_generator([F.array([[v]]) for v in scal[:2 * d]], F, d, d)
+    G = minimal_matrix_generator([F.array([[v]]) for v in scal[:2 * d]], F, d)
     assert G[0, 0] == minpoly
     a = left_quotient_row(G, minpoly, 1)
-    inp = NumeratorInputs(Pmat=G, s1=minpoly, a_row=a, columns=terms[:d])
-    assert scalar_numerator(inp, inp.columns[:, :, 0:1])[0] == direct.scale(a[0, 0].coeff(0))
+    assert scalar_numerator(a, G, terms[:d, :, 0:1])[0] == direct.scale(a[0, 0].coeff(0))
     # a is the constant 1 here since G is already the invariant factor
     assert a[0, 0].is_one()
 
@@ -108,11 +102,10 @@ def test_scalar_numerator_expands_to_projected_sequence():
     d = (D + m - 1) // m
     w = rng.vector(F, D)
     seq, cols = krylov_left_sequence(M, U, 2 * d, np.hstack([V, w.reshape(-1, 1)]), short=d)
-    G = minimal_matrix_generator(seq, F, d, d)
+    G = minimal_matrix_generator(seq, F, d)
     s1 = largest_invariant_factor(G, rng)
     a = left_quotient_row(G, s1, 1)
-    inp = NumeratorInputs(Pmat=G, s1=s1, a_row=a, columns=cols)
-    C = scalar_numerator(inp, inp.columns[:, :, 0:1])[0]
+    C = scalar_numerator(a, G, cols[:, :, 0:1])[0]
     Md = dense.astype(object)
     scal = []
     cur = U[:, 0].astype(object)
@@ -123,27 +116,27 @@ def test_scalar_numerator_expands_to_projected_sequence():
 
 
 def test_corrected_with_zero_corrections_matches_plain():
-    mats, _, inp = ref_setup()
-    terms = inp.columns[:, :, 0:1]
-    zeros = [F.zeros((2, 1)) for _ in range(len(inp.columns))]
-    assert scalar_numerator_corrected(inp, terms, zeros) == scalar_numerator(inp, terms)[0]
+    mats, _, inp, cols = ref_setup()
+    terms = cols[:, :, 0:1]
+    zeros = [F.zeros((2, 1)) for _ in range(len(cols))]
+    assert scalar_numerator_corrected(*inp, terms, zeros) == scalar_numerator(*inp, terms)[0]
     with pytest.raises(ShapeError):
-        scalar_numerator_corrected(inp, terms, zeros[:1])
+        scalar_numerator_corrected(*inp, terms, zeros[:1])
 
 
 def test_corrected_subtracts_before_expansion():
-    _, _, inp = ref_setup()
-    terms = inp.columns[:, :, 0:1]
+    _, _, inp, cols = ref_setup()
+    terms = cols[:, :, 0:1]
     # corrections equal to the terms themselves give the zero numerator
-    out = scalar_numerator_corrected(inp, terms, [t.copy() for t in terms])
+    out = scalar_numerator_corrected(*inp, terms, [t.copy() for t in terms])
     assert out.is_zero()
 
 
 def test_scalar_numerator_gives_every_column():
     # one product for the whole block equals one call per column
-    _, _, inp = ref_setup()
-    both = scalar_numerator(inp, inp.columns)
-    assert both == [scalar_numerator(inp, inp.columns[:, :, j : j + 1])[0] for j in range(2)]
+    _, _, inp, cols = ref_setup()
+    both = scalar_numerator(*inp, cols)
+    assert both == [scalar_numerator(*inp, cols[:, :, j : j + 1])[0] for j in range(2)]
     assert both == [P(13, 75, 84), P(16, 47, 88)]
 
 
@@ -159,8 +152,8 @@ def test_list_of_terms_and_stacked_array_agree():
     d = (D + m - 1) // m
     seq, cols = krylov_left_sequence(M, U, 2 * d, np.hstack([V, W]), short=d)
     assert seq.shape == (2 * d, m, m) and cols.shape == (d, m, 2)
-    G = minimal_matrix_generator(seq, F, d, d)
-    G_list = minimal_matrix_generator(list(seq), F, d, d)
+    G = minimal_matrix_generator(seq, F, d)
+    G_list = minimal_matrix_generator(list(seq), F, d)
     assert np.array_equal(G.c, G_list.c)
     for terms in (seq[:d], cols):
         assert np.array_equal(matrix_numerator(terms, G).c, matrix_numerator(list(terms), G).c)

@@ -86,14 +86,14 @@ def test_mat_vec_matches_dense(p):
 def test_block_parametrization_reference(ref_instance, ref_blocks):
     U, V = ref_blocks
     arts = []
-    param = block_parametrization(ref_instance, U, V, REF_T, 2, rng=Rng(7), artifacts=arts)
+    param = block_parametrization(ref_instance, U, V, REF_T, [1, 1], 2, rng=Rng(7), artifacts=arts)
     assert param.Q == P(61, 8, 1)
     assert param.V[0] == P(14, 15)
     assert param.V[1] == P(9, 49)
     assert param.t == [2, 53]
     a = arts[0]
-    assert a.C1 == P(13, 75, 84)
-    assert a.C_coord[0] == P(16, 47, 88)
+    assert a.nums[0] == P(13, 75, 84)
+    assert a.nums[1] == P(16, 47, 88)
     assert a.s1 == P(7, 100, 76, 1)
     param.check_invariants()
     # recovered points: roots 33 and 60
@@ -141,7 +141,7 @@ def test_blocking_factors_agree():
     for m in (1, 2, 4):
         U = sample_block(Rng(100 + m), f, inst.D, m)
         V = sample_block(Rng(200 + m), f, inst.D, m)
-        outs.append(block_parametrization(inst, U, V, t, m, rng=Rng(5)))
+        outs.append(block_parametrization(inst, U, V, t, [5, 7], m, rng=Rng(5)))
     for o in outs[1:]:
         assert o.Q == outs[0].Q
         assert all(a == b for a, b in zip(o.V, outs[0].V))
@@ -173,7 +173,7 @@ def test_solve_retries_fresh_t_on_detected_collision():
     U = sample_block(Rng(41), f, inst.D, 1)
     V = sample_block(Rng(42), f, inst.D, 1)
     with pytest.raises(NonSeparating):
-        bp(inst, U, V, bad_t, 1, rng=Rng(43))
+        bp(inst, U, V, bad_t, [3, 7], 1, rng=Rng(43))
     stats = SolveStats()
     param = solve(inst, 1, Rng(44), stats=stats)
     assert param.Q.degree == 2
@@ -198,7 +198,7 @@ def test_probe_catches_merged_points_beside_a_double_point(monkeypatch):
     U = sample_block(Rng(46), f, inst.D, 1)
     V = sample_block(Rng(47), f, inst.D, 1)
     with pytest.raises(NonSeparating):
-        block_parametrization(inst, U, V, bad_t, 1, rng=Rng(48))
+        block_parametrization(inst, U, V, bad_t, [3, 7], 1, rng=Rng(48))
 
     # solve starting from the merging t redraws t and returns every point
     calls = []
@@ -213,6 +213,35 @@ def test_probe_catches_merged_points_beside_a_double_point(monkeypatch):
     assert stats.extras["t_retries"] == 1
     assert param.Q.degree == 3
     assert verify_against_points(param, truth.points, f)["pass"]
+
+
+def test_a_rejected_plain_attempt_makes_one_krylov_pass(monkeypatch):
+    # the probe column N^2 e_1 rides the attempt's one streamed pass, on the
+    # merging instance of the test above
+    from bfglm import param as param_mod, sparse
+    from bfglm.errors import NonSeparating
+
+    f = Field(65537)
+    spec = [
+        PointSpec(coords=(4, 10), nu=2, c=(1, 2)),
+        PointSpec(coords=(10, 20)),
+        PointSpec(coords=(11, 30)),
+    ]
+    inst, _ = generate_instance(f, 2, spec, Rng(45))
+    U = sample_block(Rng(46), f, inst.D, 1)
+    V = sample_block(Rng(47), f, inst.D, 1)
+    passes = []
+    real = sparse.krylov_left_sequence
+
+    def counting(*args, **kwargs):
+        passes.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sparse, "krylov_left_sequence", counting)
+    monkeypatch.setattr(param_mod, "krylov_left_sequence", counting)
+    with pytest.raises(NonSeparating):
+        block_parametrization(inst, U, V, [10, f.p - 1], [3, 7], 1, rng=Rng(48))
+    assert len(passes) == 1
 
 
 def test_solve_raises_unlucky_when_retries_exhausted(monkeypatch):

@@ -341,7 +341,7 @@ def test_approximant_basis_memory_stays_small():
 
 def test_generator_reference_sequence():
     terms = [F.array(b) for b in REF_SEQ]
-    G = minimal_matrix_generator(terms, F, 2, 2)
+    G = minimal_matrix_generator(terms, F, 2)
     assert G[0, 0] == P(62, 60, 1)
     assert G[0, 1] == P(25, 88)
     assert G[1, 0] == P(33, 100)
@@ -351,13 +351,21 @@ def test_generator_reference_sequence():
 
 def test_generator_scalar_fibonacci():
     terms = [F.array([[v]]) for v in (1, 1, 2, 3)]
-    G = minimal_matrix_generator(terms, F, 2, 2)
+    G = minimal_matrix_generator(terms, F, 2)
     assert G[0, 0] == P(100, 100, 1)
+
+
+def test_generator_needs_two_terms_per_degree():
+    terms = [F.array(b) for b in REF_SEQ]
+    with pytest.raises(InvalidInput):
+        minimal_matrix_generator(terms[:3], F, 2)
+    with pytest.raises(InvalidInput):
+        minimal_matrix_generator([], F, 1)
 
 
 def test_generator_zero_sequence():
     terms = [F.zeros((2, 2)) for _ in range(6)]
-    G = minimal_matrix_generator(terms, F, 3, 3)
+    G = minimal_matrix_generator(terms, F, 3)
     assert np.array_equal(G.c, np.eye(2, dtype=np.int64)[:, :, None])
 
 
@@ -373,7 +381,7 @@ def test_generator_cancels_random_rational_sequence():
     V = sample_block(rng, F, D, m)
     d = (D + m - 1) // m
     terms, _ = krylov_left_sequence(M, U, 2 * d, V)
-    G = minimal_matrix_generator(terms, F, d, d)
+    G = minimal_matrix_generator(terms, F, d)
     assert generator_cancels(G, terms)
     # every window counts: a change to any one term is seen
     for s in (0, d, 2 * d - 1):
@@ -386,7 +394,7 @@ def test_generator_cancels_random_rational_sequence():
 
 def test_largest_invariant_factor_reference():
     terms = [F.array(b) for b in REF_SEQ]
-    G = minimal_matrix_generator(terms, F, 2, 2)
+    G = minimal_matrix_generator(terms, F, 2)
     s1 = largest_invariant_factor(G, Rng(42))
     assert s1 == P(7, 100, 76, 1)
 
@@ -441,14 +449,15 @@ def test_block_core_checks_every_quotient_row(monkeypatch):
         return left_quotient_row(Pmat, s1, k)
 
     monkeypatch.setattr(param, "left_quotient_row", recording)
-    _, inp, _ = param._block_core(M, U, U, U, 2, Rng(0))
-    assert inp.s1 == P(99, 1) * P(96, 1) * P(94, 1) and rows == [2]
+    inst = param.Instance(field=F, n=1, D=4, mats=[M])
+    core = param._block_core(inst, M, U, U, [1], 2, Rng(0))
+    assert core.s1 == P(99, 1) * P(96, 1) * P(94, 1) and rows == [2]
     real = param.largest_invariant_factor
     monkeypatch.setattr(
         param, "largest_invariant_factor", lambda Pmat, rng: real(Pmat, _Draws([1, 1], [1, 0]))
     )
     with pytest.raises(GenericityFailure):
-        param._block_core(M, U, U, U, 2, Rng(0))
+        param._block_core(inst, M, U, U, [1], 2, Rng(0))
 
 
 def test_largest_invariant_factor_with_a_constant_row():
@@ -539,7 +548,7 @@ def test_singular_leading_matrix_and_zero_row():
 
 def test_left_quotient_row_reference():
     terms = [F.array(b) for b in REF_SEQ]
-    G = minimal_matrix_generator(terms, F, 2, 2)
+    G = minimal_matrix_generator(terms, F, 2)
     s1 = largest_invariant_factor(G, Rng(42))
     a = left_quotient_row(G, s1, 1)
     assert a[0, 0] == P(16, 1)
@@ -557,7 +566,7 @@ def test_left_quotient_row_identity(i):
     U = sample_block(rng, F, D, m)
     V = sample_block(rng, F, D, m)
     d = (D + m - 1) // m
-    G = minimal_matrix_generator(krylov_left_sequence(M, U, 2 * d, V)[0], F, d, d)
+    G = minimal_matrix_generator(krylov_left_sequence(M, U, 2 * d, V)[0], F, d)
     s1 = largest_invariant_factor(G, rng)
     A = left_quotient_row(G, s1, i + 1)
     prod = pm_mul(A, G)

@@ -41,7 +41,7 @@ def x1_solve(inst, m, seed, y=None):
     rng = Rng(seed)
     U = sample_block(rng, F, inst.D, m)
     V = sample_block(rng, F, inst.D, m)
-    y = y if y is not None else [rng.nonzero_element(F) for _ in range(inst.n - 1)]
+    y = y if y is not None else [rng.nonzero_element(F) for _ in range(inst.n)]
     return block_parametrization_x1(inst, U, V, y, m, rng=rng.child())
 
 
@@ -77,6 +77,24 @@ def test_x1_solve_nothing_visible():
     param = x1_solve(inst, 1, 6)
     assert param.Q.degree == 0
     assert param.is_empty()
+
+
+def test_x1_solve_ignores_the_first_probe_entry():
+    # at a shared X_1-value the defect is a multiple of
+    # (sum_{i>=2} y_i (x_i - x'_i))^2, so y_1 cancels
+    spec = [
+        PointSpec(coords=(3, 5)),
+        PointSpec(coords=(3, 8)),          # X_1 collision, dropped
+        PointSpec(coords=(7, 11), nu=2, c=(1, 1)),  # fat point, dropped
+        PointSpec(coords=(9, 2)),
+        PointSpec(coords=(12, 4)),
+    ]
+    inst, _ = make(spec, 9)
+    a, b = (x1_solve(inst, 2, 10, y=[y1, 5]) for y1 in (1, 4321))
+    assert a.Q == b.Q and all(u == v for u, v in zip(a.V, b.V))
+    assert a.Q.degree == 2 and a.Q.eval(3) != 0
+    for x1, x2 in [(9, 2), (12, 4)]:
+        assert a.V[1].eval(x1) == x2
 
 
 def test_x1_probe_form_detects_hidden_structure():
@@ -169,11 +187,11 @@ def test_corrections_match_component_difference():
     m = 2
     U = sample_block(rng, F, inst.D, m)
     V = sample_block(rng, F, inst.D, m)
-    y = [rng.nonzero_element(F)]
+    y = [rng.nonzero_element(F) for _ in range(2)]
     param_A = block_parametrization_x1(inst, U, V, y, m, rng=rng.child())
     assert param_A.Q.degree == 3
     t = [5, 9]
-    pB = block_parametrization_residual(inst, U, V, param_A.Q, t, rng=rng.child())
+    pB = block_parametrization_residual(inst, U, V, param_A.Q, t, y, rng=rng.child())
     assert pB.Q.degree == 2
     # residual roots are exactly the collision pair under X = 5 X_1 + 9 X_2
     for x1, x2 in [(9, 2), (9, 6)]:
@@ -188,10 +206,10 @@ def test_residual_requires_nonempty_component():
     rng = Rng(18)
     U = sample_block(rng, F, inst.D, 1)
     V = sample_block(rng, F, inst.D, 1)
-    param_A = block_parametrization_x1(inst, U, V, [rng.nonzero_element(F)], 1, rng=rng.child())
+    param_A = block_parametrization_x1(inst, U, V, [rng.nonzero_element(F) for _ in range(2)], 1, rng=rng.child())
     assert param_A.Q.degree == inst.D
     with pytest.raises(InvalidInput):
-        block_parametrization_residual(inst, U, V, param_A.Q, [1, 1], rng=rng.child())
+        block_parametrization_residual(inst, U, V, param_A.Q, [1, 1], [1, 1], rng=rng.child())
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -213,7 +231,7 @@ def test_residual_probe_rejects_a_merging_form(m):
     V = sample_block(rng, F, inst.D, m)
     stats = SolveStats()
     with pytest.raises(NonSeparating):
-        block_parametrization_with_splitting(inst, U, V, [1, 0], [7], m, rng=rng, stats=stats)
+        block_parametrization_with_splitting(inst, U, V, [1, 0], [7, 7], m, rng=rng, stats=stats)
     assert (stats.extras["D_A"], stats.extras["D_B"]) == (2, 4)
 
 
@@ -389,9 +407,9 @@ def test_split_agrees_with_plain(spec_idx, m):
     U = sample_block(Rng(1), F, inst.D, m)
     V = sample_block(Rng(2), F, inst.D, m)
     t = [3, 11]
-    y = [7]
+    y = [7, 7]
     stats = SolveStats()
-    plain = block_parametrization(inst, U, V, t, m, rng=Rng(5))
+    plain = block_parametrization(inst, U, V, t, y, m, rng=Rng(5))
     split = block_parametrization_with_splitting(inst, U, V, t, y, m, rng=Rng(5), stats=stats)
     assert plain.Q == split.Q
     assert all(a == b for a, b in zip(plain.V, split.V))

@@ -72,7 +72,9 @@ def test_gcd_fixture():
     a = P(14, 92, 1)
     b = P(18, 90, 1)
     assert a.gcd(b) == P(99, 1)
-    g, u, v = a.xgcd(b)
+    g, u = a.xgcd(b)
+    v, r = (g - u * a).quo_rem(b)
+    assert r.is_zero()
     assert u * a + v * b == g
 
 
