@@ -22,11 +22,7 @@ class DivisionByZero(BfglmError, ZeroDivisionError):
 
 
 class NotInvertible(BfglmError):
-    """Modular inverse failed; carries the offending gcd for retry logic."""
-
-    def __init__(self, msg, gcd=None):
-        super().__init__(msg)
-        self.gcd = gcd
+    """Modular inverse failed."""
 
 
 class NotCoprime(BfglmError):

@@ -122,11 +122,11 @@ class Field:
             return self.zeros(0)
         return FixedFactor(self, b, len(a), 0, len(a) + len(b) - 1)(a)
 
-    def fft_product(self, a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    def fft_product(self, a: np.ndarray, b: np.ndarray, plan: tuple, lo: int, hi: int) -> np.ndarray:
         """Coefficients lo..hi-1 of the polynomial-matrix product a.b mod p, a
-        (r, k, la) and b (k, c, lb) int64-tier coefficient tensors, by a float
-        FFT of the least size N = 2**s >= la, lb that wraps nothing onto them,
-        N >= max(hi, la + lb - 1 - lo); exact when k N <= 2**18.
+        (r, k, la) and b (k, c, lb) int64-tier coefficient tensors, by the FFT of
+        plan = _fft_plan(k, la, lb, lo, hi), of the least size N = 2**s >= la, lb
+        that wraps nothing onto them, N >= max(hi, la + lb - 1 - lo).
 
         Percival (Math. Comp. 72, 2003, Thm 5.1), twiddle error <= e = 2**-53:
         a double FFT product of size N = 2**s <= 2**18 is off by at most
@@ -140,8 +140,7 @@ class Field:
         p < 2**32), and rint is exact.  Tiles of rows of a keep the transient
         buffers besides the spectra of b near _FFT_TILE_BYTES.
         """
-        (r, k, la), (c, lb) = a.shape, b.shape[1:]
-        plan = self._fft_plan(k, la, lb, lo, hi)
+        r, k, c = a.shape[0], a.shape[1], b.shape[1]
         size, nl, _ = plan
         fb = self._spectra(b, plan)
         # bytes per row of a: its spectra, and the products' spectra, values
@@ -152,13 +151,14 @@ class Field:
             out[i0 : i0 + tile] = self._from_spectra(self._spectra(a[i0 : i0 + tile], plan), fb, plan, lo, hi)
         return out
 
-    def _fft_plan(self, k: int, la: int, lb: int, lo: int, hi: int) -> tuple:
-        """(N, nl, w) of fft_product for inner dimension k and lengths la, lb;
-        nl = 3 also where no limb count meets the bound, at k N > 2**18, a
-        plan every caller rejects."""
+    def _fft_plan(self, k: int, la: int, lb: int, lo: int, hi: int) -> tuple | None:
+        """(N, nl, w) of fft_product for inner dimension k and lengths la, lb, or
+        None where no plan is exact: on the object tier and at k N > 2**18."""
         size = 1 << (max(hi, la + lb - 1 - lo, la, lb) - 1).bit_length()
+        if self.dtype is object or k * size > _FFT_MAX_SIZE:
+            return None
         bits = self.p.bit_length()
-        nl = next(nl for nl in (1, 2, 3) if nl == 3 or nl * k * size << 2 * -(-bits // nl) <= 3 << 40)
+        nl = next(nl for nl in (1, 2, 3) if nl * k * size << 2 * -(-bits // nl) <= 3 << 40)
         return size, nl, -(-bits // nl)
 
     def _spectra(self, x: np.ndarray, plan: tuple) -> np.ndarray:
@@ -185,19 +185,17 @@ class Field:
 
 class FixedFactor:
     """b as the fixed factor of products a.b mod p, a of length la, read at
-    coefficients lo..hi-1, hi <= la + len(b) - 1.  On the int64 tier, with
-    both lengths > _FFT_MIN_LEN and N <= _FFT_MAX_SIZE, they take the FFT of
+    coefficients lo..hi-1, hi <= la + len(b) - 1.  With both lengths
+    > _FFT_MIN_LEN and a plan from Field._fft_plan, they take the FFT of
     fft_product, and the limb spectra of b are taken once, here; otherwise
     each is one direct convolution under Field.exact."""
 
     __slots__ = ("field", "b", "lo", "hi", "plan", "fb")
 
     def __init__(self, field: Field, b: np.ndarray, la: int, lo: int, hi: int):
-        self.field, self.b, self.lo, self.hi, self.plan = field, b, lo, hi, None
-        if field.dtype is np.int64 and min(la, len(b)) > _FFT_MIN_LEN:
-            plan = field._fft_plan(1, la, len(b), lo, hi)
-            if plan[0] <= _FFT_MAX_SIZE:
-                self.plan, self.fb = plan, field._spectra(b[None, None], plan)
+        plan = field._fft_plan(1, la, len(b), lo, hi) if min(la, len(b)) > _FFT_MIN_LEN else None
+        self.field, self.b, self.lo, self.hi, self.plan = field, b, lo, hi, plan
+        self.fb = None if plan is None else field._spectra(b[None, None], plan)
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
         f, plan = self.field, self.plan
@@ -257,9 +255,3 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-
-def sample_block(rng: Rng, field: Field, rows: int, cols: int) -> np.ndarray:
-    """Uniform dense block: the blocks U and V of every attempt (the forms
-    t and y are drawn entry by entry with `Rng.nonzero_element`)."""
-    return rng.block(field, rows, cols)

@@ -28,7 +28,7 @@ from .errors import (
     ShapeError,
     UnluckyRandomness,
 )
-from .field import Field, Rng, sample_block
+from .field import Field, Rng
 from .numerators import scalar_numerator
 from .polymat import PolyMat, largest_invariant_factor, left_quotient_row, minimal_matrix_generator
 from .sparse import SparseMat, combine_matrices, krylov_left_sequence, mat_vec
@@ -49,9 +49,6 @@ class ZeroDimParam:
     def n(self) -> int:
         return len(self.V)
 
-    def degree(self) -> int:
-        return self.Q.degree
-
     def is_empty(self) -> bool:
         return self.Q.degree == 0
 
@@ -68,9 +65,6 @@ class ZeroDimParam:
             acc = acc + Vi.scale(int(ti))
         if self.Q.degree > 0 and (acc - Poly.x(f)) % self.Q != Poly.zero(f):
             raise InvariantViolation("sum t_i V_i != T mod Q")
-
-    def points(self, roots) -> list:
-        return [tuple(Vi.eval(r) for Vi in self.V) for r in roots]
 
 
 @dataclass
@@ -131,11 +125,11 @@ def _block_core(inst: Instance, M, U, V, y, d, rng, stats=None) -> BlockSolveArt
     """
     f = inst.field
     e1 = unit_vector(f, inst.D)
-    N = combine_matrices(y, inst.mats)
-    probe = mat_vec(N, mat_vec(N, e1))
-    # N, as large as M, would otherwise stay alive through the whole solve
-    del N
-    W = np.stack([e1] + [mat_vec(Mi, e1) for Mi in inst.mats] + [probe], axis=1)
+    y = f.array(y)
+    W = np.stack([e1] + [mat_vec(Mi, e1) for Mi in inst.mats], axis=1)
+    # N e_1 = sum y_i M_i e_1, then N^2 e_1 = sum y_i M_i N e_1
+    Ne1 = f.matmul(W[:, 1:], y)
+    W = np.column_stack([W, f.matmul(np.stack([mat_vec(Mi, Ne1) for Mi in inst.mats], axis=1), y)])
     t0 = perf_counter()
     seq, columns = krylov_left_sequence(M, U, 2 * d, np.hstack([V, W]), short=d)
     if stats is not None:
@@ -216,7 +210,7 @@ def block_parametrization(
     s1, nums = core.s1, core.nums
     Q = squarefree_part(s1)
     if s1.degree < dim and (
-        s1 == Q or decompose(s1, Q, _rank_one_defect(nums, y)) != decompose(s1, Q)
+        s1 == Q or (F := decompose(s1, Q)).gcd(_rank_one_defect(nums, y)) != F
     ):
         raise NonSeparating(f"t merges points: invariant factor of degree {s1.degree} < {dim}")
     param = ZeroDimParam(Q=Q, V=_coordinates(nums[:-1], Q), t=[int(x) % f.p for x in t])
@@ -263,8 +257,8 @@ def retry_solve(inst: Instance, m: int, rng: Rng, attempt, retries: int, stats: 
     last = None
     try:
         while attempts <= retries:
-            U = sample_block(rng, f, inst.D, m)
-            V = sample_block(rng, f, inst.D, m)
+            U = rng.block(f, inst.D, m)
+            V = rng.block(f, inst.D, m)
             try:
                 return attempt(U, V, *forms)
             except NonSeparating as exc:

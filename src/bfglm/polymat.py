@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GenericityFailure, InvalidInput, ShapeError
-from .field import _FFT_MAX_SIZE, Field, Rng
+from .field import Field, Rng
 from .unipoly import Poly, _fit, berlekamp_massey
 
 NEG_INF = -1
@@ -69,16 +69,16 @@ def pm_mul(A: PolyMat, B: PolyMat) -> PolyMat:
 
 def _product(f: Field, a: np.ndarray, b: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Coefficients lo..hi-1 (default: all) of a . b, a (r, k, la) and b
-    (k, c, lb) coefficient tensors: one batched limb FFT for long operands on
-    the int64 tier while its bound k N <= 2**18 holds, else one Field.matmul
-    per coefficient of the shorter operand (sums of < min(la, lb) reduced
+    (k, c, lb) coefficient tensors: one batched limb FFT for long operands
+    where Field._fft_plan has an exact plan, else one Field.matmul per
+    coefficient of the shorter operand (sums of < min(la, lb) reduced
     products cannot overflow int64)."""
     (r, k, la), (c, lb) = a.shape, b.shape[1:]
     n = la + lb - 1
     hi = n if hi is None else hi
-    size = 1 << (max(hi, n - lo, la, lb) - 1).bit_length()
-    if f.dtype is np.int64 and min(la, lb) > _PM_FFT_MIN_LEN and k * size <= _FFT_MAX_SIZE:
-        return f.fft_product(a, b, lo, hi)
+    plan = f._fft_plan(k, la, lb, lo, hi) if min(la, lb) > _PM_FFT_MIN_LEN else None
+    if plan is not None:
+        return f.fft_product(a, b, plan, lo, hi)
     out = f.zeros((r, c, n))
     if la <= lb:
         flat = b.reshape(k, c * lb)

@@ -29,19 +29,6 @@ class SparseMat:
         self.csr = csr
 
     @classmethod
-    def from_triples(cls, field: Field, dim: int, triples) -> "SparseMat":
-        rows, cols, vals = [], [], []
-        for r, c, v in triples:
-            if not (0 <= r < dim and 0 <= c < dim):
-                raise ShapeError(f"entry ({r},{c}) outside {dim}x{dim}")
-            v %= field.p
-            if v:
-                rows.append(r)
-                cols.append(c)
-                vals.append(v)
-        return cls.from_coo(field, dim, rows, cols, vals)
-
-    @classmethod
     def from_coo(cls, field: Field, dim: int, rows, cols, vals) -> "SparseMat":
         """From positions and their values in [0, p); duplicates are summed."""
         m = sp.csr_matrix((np.asarray(vals).astype(np.int64), (rows, cols)), shape=(dim, dim))
@@ -71,10 +58,9 @@ class SparseMat:
         return d if self.field.dtype is np.int64 else d.astype(object)
 
     def triples(self):
+        """(row, col, value) of every entry, row-major (indices are sorted)."""
         coo = self.csr.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for k in order:
-            yield int(coo.row[k]), int(coo.col[k]), int(coo.data[k])
+        return zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
 
 
 def combine_matrices(t, mats) -> SparseMat:

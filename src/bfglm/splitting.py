@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InvalidInput, NonSeparating, NotInvertible
 from .field import Field, Rng
+from .numerators import matrix_numerator
 from .param import (
     Instance,
     SolveStats,
@@ -28,6 +29,7 @@ from .param import (
     decompose,
     retry_solve,
 )
+from .polymat import PolyMat
 from .sparse import horner
 from .unipoly import (
     Poly,
@@ -35,7 +37,6 @@ from .unipoly import (
     crt_pair,
     laurent_expand,
     power_projection,
-    scalar_numerator_direct,
     squarefree_part,
     transposed_modmul,
 )
@@ -116,7 +117,8 @@ def change_separating_element(param: ZeroDimParam, t) -> ZeroDimParam:
     Tr(G_i .) are projected along the powers of the image lam of X for
     deg F + 1 terms in one power projection.  Newton's identities turn the
     power sums Tr(lam^s) into Q = charpoly(lam); the power sequence has
-    numerator Q', so V_i = num_i / Q' mod Q.  Nothing is drawn: a Q' not
+    numerator Q', so V_i = num_i / Q' mod Q, all num_i from one matrix
+    numerator over the 1 x 1 generator Q.  Nothing is drawn: a Q' not
     invertible mod Q means X merges points, and raises NonSeparating.
     """
     f = param.Q.field
@@ -130,13 +132,14 @@ def change_separating_element(param: ZeroDimParam, t) -> ZeroDimParam:
     lam = sum((Gi.scale(ti) for ti, Gi in zip(t, param.V)), Poly.zero(f)) % F
     trace = laurent_expand(F.derivative(), F, r)
     forms = [trace] + [transposed_modmul(Gi % F, trace, F) for Gi in param.V]
-    sums, *coords = power_projection(F, lam, f.array(forms), r + 1)
-    Q = charpoly_from_power_sums(sums, f)
+    proj = power_projection(F, lam, f.array(forms), r + 1)
+    Q = charpoly_from_power_sums(proj[0], f)
     try:
         Qd_inv = Q.derivative().modinv(Q)
     except NotInvertible:
         raise NonSeparating("the requested form does not separate the solved points")
-    V = [scalar_numerator_direct(c, f, Q).modmul(Qd_inv, Q) for c in coords]
+    nums = matrix_numerator(proj[1:, :r].T[:, None, :], PolyMat(f, Q.c[None, None, :]))
+    V = [nums[0, j].modmul(Qd_inv, Q) for j in range(param.n)]
     new = ZeroDimParam(Q=Q, V=V, t=t)
     new.check_invariants()
     return new

@@ -226,7 +226,7 @@ def read_instance(path: str):
         if idx != i:
             raise FormatError(f"expected matrix {i}, found {idx}", line=lineno)
         pos += 1
-        triples = []
+        rows, cols, vals = [], [], []
         for _ in range(nnz):
             if pos >= len(lines):
                 raise FormatError(
@@ -241,9 +241,11 @@ def read_instance(path: str):
                 raise FormatError(f"value {v} outside [0,{field.p})", line=lineno)
             if v == 0:
                 raise FormatError("explicit zero entry", line=lineno)
-            triples.append((r, c, v))
+            rows.append(r)
+            cols.append(c)
+            vals.append(v)
             pos += 1
-        M = SparseMat.from_triples(field, D, triples)
+        M = SparseMat.from_coo(field, D, rows, cols, vals)
         if M.nnz != nnz:
             raise FormatError(
                 f"matrix {i}: {nnz} entries announced, {M.nnz} distinct found",

@@ -1,6 +1,6 @@
 """Dense univariate polynomials over a prime field, plus the scalar-sequence
-toolbox: Berlekamp-Massey, numerators, squarefree parts, Laurent expansion,
-CRT and power projection.
+toolbox: Berlekamp-Massey, squarefree parts, Laurent expansion, CRT and
+power projection.
 
 Coefficients are stored lowest degree first in a numpy array (int64 or
 object depending on the field); the zero polynomial has an empty coefficient
@@ -161,10 +161,6 @@ class Poly:
         """Reduce mod T^n."""
         return Poly._raw(self.field, self.c[:n].copy())
 
-    def div_power(self, n: int) -> "Poly":
-        """Quotient by T^n (drop low-order coefficients)."""
-        return Poly._raw(self.field, self.c[n:].copy())
-
     def quo_rem(self, other: "Poly"):
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
@@ -226,7 +222,7 @@ class Poly:
     def modinv(self, modulus: "Poly") -> "Poly":
         g, s = self.xgcd(modulus)
         if not g.is_one():
-            raise NotInvertible("inputs not coprime", gcd=g)
+            raise NotInvertible("inputs not coprime")
         return s % modulus
 
     def modmul(self, other: "Poly", modulus: "Poly") -> "Poly":
@@ -325,22 +321,6 @@ def charpoly_from_power_sums(sums, field: Field) -> Poly:
     return Poly._raw(field, c[::-1].copy())
 
 
-def scalar_numerator_direct(seq, field: Field, P: Poly) -> Poly:
-    """Numerator of a cancelled scalar sequence with respect to P.
-
-    Computed as (P * sum_{s<d} l_{d-1-s} T^s) div T^d with d = deg(P); this
-    is the brute-force oracle against which the block route is checked.
-    """
-    d = P.degree
-    terms = [int(x) % field.p for x in seq]
-    if len(terms) < d:
-        raise InsufficientTerms(f"need {d} terms, got {len(terms)}")
-    if d == 0:
-        return Poly.zero(field)
-    rev = Poly(field, terms[:d][::-1])
-    return (P * rev).div_power(d)
-
-
 def laurent_expand(A: Poly, F: Poly, k: int) -> list:
     """First k coefficients v_s of A/F = sum_s v_s / T^(s+1).
 
@@ -437,31 +417,24 @@ def _power_projection_bsgs(F: Poly, H: Poly, ells: np.ndarray, t: int) -> np.nda
     return out
 
 
-def power_projection(F: Poly, H: Poly, ell, t: int):
-    """Compute ell(H^s mod F) for s = 0, ..., t-1.
-
-    ell is one form (deg F values), answered by a list, or a k x deg F block
-    of forms, answered by a k x t array.  All forms share one table of
-    nb = min(t, ceil(sqrt(k t)), ceil(sqrt(2 deg F))) baby steps H^j mod F;
-    each giant step multiplies by H^nb transposed, form by form, and reads
-    nb values of every form off one (nb x deg F) . (deg F x k) product.
-    The cap keeps the table at the size one form of length 2 deg F needs.
-    Every giant step applies one TransposedProduct, so the spectra of its
-    fixed factors are computed once for all steps and forms; the change of
-    separating element projects n + 1 trace forms for deg F + 1 terms.
+def power_projection(F: Poly, H: Poly, ells, t: int) -> np.ndarray:
+    """The k x t values ell_i(H^s mod F), s < t, of the k rows ell_i of the
+    k x deg F block ells.  All forms share one table of nb = min(t,
+    ceil(sqrt(k t)), ceil(sqrt(2 deg F))) baby steps H^j mod F; each giant
+    step multiplies by H^nb transposed, form by form, and reads nb values of
+    every form off one (nb x deg F) . (deg F x k) product.  The cap keeps
+    the table at the size one form of length 2 deg F needs.  Every giant
+    step applies one TransposedProduct, so the spectra of its fixed factors
+    are computed once for all steps and forms; the change of separating
+    element projects n + 1 trace forms for deg F + 1 terms.
     """
     if t < 0:
         raise InvalidInput("negative length")
     f = F.field
-    ells = f.array(ell)
-    single = ells.ndim == 1
-    if single:
-        ells = ells[None, :]
+    ells = f.array(ells)
     if t == 0 or F.degree <= 0:
-        out = f.zeros((len(ells), t))
-    else:
-        out = _power_projection_bsgs(F, H, ells, t)
-    return [int(x) for x in out[0]] if single else out
+        return f.zeros((len(ells), t))
+    return _power_projection_bsgs(F, H, ells, t)
 
 
 def rational_reconstruct(series: Poly, prec: int, dnum: int, dden: int):

@@ -3,13 +3,26 @@ slow form of something the package computes faster."""
 
 import numpy as np
 
-from bfglm.errors import InvalidSpec
+from bfglm.errors import InsufficientTerms, InvalidSpec
 from bfglm.field import Field, Rng
 from bfglm.param import Instance, ZeroDimParam, _coordinates, unit_vector
 from bfglm.polymat import PolyMat, _product, reversed_series
 from bfglm.sparse import SparseMat
 from bfglm.toolkit import CHUNK, GroundTruth, _chunk_lower
-from bfglm.unipoly import Poly, berlekamp_massey, scalar_numerator_direct, squarefree_part
+from bfglm.unipoly import Poly, berlekamp_massey, squarefree_part
+
+
+def scalar_numerator_direct(seq, field: Field, P: Poly) -> Poly:
+    """Numerator of a cancelled scalar sequence with respect to P, as
+    (P * sum_{s<d} l_{d-1-s} T^s) div T^d with d = deg(P): the direct form
+    of `numerators.matrix_numerator` for one sequence."""
+    d = P.degree
+    terms = [int(x) % field.p for x in seq]
+    if len(terms) < d:
+        raise InsufficientTerms(f"need {d} terms, got {len(terms)}")
+    if d == 0:
+        return Poly.zero(field)
+    return Poly(field, (P * Poly(field, terms[:d][::-1])).c[d:])
 
 
 def parametrization_from_series(ell_powers, ell_coord, bound: int, field: Field, t=None) -> ZeroDimParam:

@@ -1,7 +1,11 @@
 """Code with no callers is deleted: every function, class and non-dunder
 method of src/bfglm must be referenced somewhere in src/bfglm outside its
-own definition, or be named below with the reason it stays.  A reason that
-cites the benchmark's span tracer is checked against the tracer's LAYERS."""
+own definition, and every such method that is not a property must be called
+there, as `.name(` or `name(`, or be named below with the reason it stays.
+A method that shares its name with an attribute is referenced by that
+attribute, so only the call check sees that nothing calls it.  A reason
+that cites the benchmark's span tracer is checked against the tracer's
+LAYERS."""
 
 import ast
 import importlib
@@ -40,8 +44,12 @@ def _definitions(tree):
                 yield node
 
 
+def _trees():
+    return [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+
+
 def _unreferenced():
-    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    trees = _trees()
     used = sum((_names(tree) for tree in trees), Counter())
     defined = set()
     out = set()
@@ -53,15 +61,50 @@ def _unreferenced():
     return out, defined
 
 
+def _calls(node) -> Counter:
+    """Every name that node calls, as name(...) or as obj.name(...)."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            if isinstance(sub.func, ast.Name):
+                out[sub.func.id] += 1
+            elif isinstance(sub.func, ast.Attribute):
+                out[sub.func.attr] += 1
+    return out
+
+
+def _uncalled_methods():
+    trees = _trees()
+    called = sum((_calls(tree) for tree in trees), Counter())
+    out = set()
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (
+                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and not any(getattr(dec, "id", None) == "property" for dec in node.decorator_list)
+                    and called[node.name] - _calls(node)[node.name] <= 0
+                ):
+                    out.add(node.name)
+    return out
+
+
 def test_every_definition_has_a_caller():
     unreferenced, _ = _unreferenced()
     assert sorted(unreferenced - set(ALLOWED)) == []
 
 
+def test_every_method_is_called():
+    assert sorted(_uncalled_methods() - set(ALLOWED)) == []
+
+
 def test_allow_list_is_current():
     # an allowed name that gained a caller or lost its definition goes
     unreferenced, defined = _unreferenced()
-    assert sorted(set(ALLOWED) - (unreferenced & defined)) == []
+    assert sorted(set(ALLOWED) - ((unreferenced | _uncalled_methods()) & defined)) == []
 
 
 def _layers() -> dict:

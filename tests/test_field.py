@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bfglm.errors import DivisionByZero, InvalidInput
-from bfglm.field import _FFT_MAX_SIZE, _FFT_MIN_LEN, Field, Rng, is_prime, sample_block
+from bfglm.field import _FFT_MAX_SIZE, _FFT_MIN_LEN, Field, Rng, is_prime
 
 PRIMES = [101, 65537]
 
@@ -130,6 +130,14 @@ def test_convolve_exact_at_the_transform_size_cap(p):
     # (p-1)^2 = 1 mod p, so coefficient k counts the products it sums
     k = np.arange(2 * n - 1)
     assert np.array_equal(got, np.minimum(k + 1, 2 * n - 1 - k) % p)
+    # the plan's own rule: a plan up to k N = 2^18, none past it
+    assert f._fft_plan(1, n, n, 0, 2 * n - 1)[0] == _FFT_MAX_SIZE
+    assert f._fft_plan(1, n + 1, n + 1, 0, 2 * n + 1) is None
+    assert f._fft_plan(2, n, n, 0, 2 * n - 1) is None
+
+
+def test_no_fft_plan_on_the_object_tier():
+    assert Field((1 << 61) - 1)._fft_plan(1, 600, 600, 0, 1199) is None
 
 
 @pytest.mark.parametrize("p,n", [(101, 1 << 17), (67108859, 1 << 13), (67108859, (1 << 13) + 1)])
@@ -226,6 +234,6 @@ def test_rng_ranges(f101):
 
 
 def test_sample_block_shape(f101):
-    B = sample_block(Rng(1), f101, 7, 3)
+    B = Rng(1).block(f101, 7, 3)
     assert B.shape == (7, 3)
     assert int(B.min()) >= 0 and int(B.max()) < 101

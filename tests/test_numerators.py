@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from bfglm.errors import InsufficientTerms, ShapeError
-from bfglm.field import Field, Rng, sample_block
+from bfglm.field import Field, Rng
 from bfglm.numerators import matrix_numerator, scalar_numerator, scalar_numerator_corrected
 from bfglm.polymat import largest_invariant_factor, left_quotient_row, minimal_matrix_generator
 from bfglm.sparse import SparseMat, combine_matrices, krylov_left_sequence
-from bfglm.unipoly import Poly, berlekamp_massey, laurent_expand, scalar_numerator_direct
+from bfglm.unipoly import Poly, berlekamp_massey, laurent_expand
 
 from conftest import REF_M1, REF_M2, REF_T, REF_U, REF_V
+from oracles import scalar_numerator_direct
 
 F = Field(101)
 
@@ -60,8 +61,8 @@ def test_matrix_numerator_degree_bound():
     rng = Rng(13)
     D, m = 12, 3
     M = SparseMat.from_dense(F, rng.block(F, D, D))
-    U = sample_block(rng, F, D, m)
-    V = sample_block(rng, F, D, m)
+    U = rng.block(F, D, m)
+    V = rng.block(F, D, m)
     d = (D + m - 1) // m
     seq, _ = krylov_left_sequence(M, U, 2 * d, V)
     G = minimal_matrix_generator(seq, F, d)
@@ -76,7 +77,7 @@ def test_scalar_case_matches_direct_formula():
     rng = Rng(31)
     D = 9
     M = SparseMat.from_dense(F, rng.block(F, D, D))
-    u = sample_block(rng, F, D, 1)
+    u = rng.block(F, D, 1)
     w = rng.vector(F, D)
     terms, _ = krylov_left_sequence(M, u, 2 * D, w)
     scal = [int(b[0, 0]) for b in terms]
@@ -97,8 +98,8 @@ def test_scalar_numerator_expands_to_projected_sequence():
     D, m = 10, 2
     dense = rng.block(F, D, D)
     M = SparseMat.from_dense(F, dense)
-    U = sample_block(rng, F, D, m)
-    V = sample_block(rng, F, D, m)
+    U = rng.block(F, D, m)
+    V = rng.block(F, D, m)
     d = (D + m - 1) // m
     w = rng.vector(F, D)
     seq, cols = krylov_left_sequence(M, U, 2 * d, np.hstack([V, w.reshape(-1, 1)]), short=d)
@@ -146,9 +147,9 @@ def test_list_of_terms_and_stacked_array_agree():
     rng = Rng(29)
     D, m = 12, 3
     M = SparseMat.from_dense(F, rng.block(F, D, D))
-    U = sample_block(rng, F, D, m)
-    V = sample_block(rng, F, D, m)
-    W = sample_block(rng, F, D, 2)
+    U = rng.block(F, D, m)
+    V = rng.block(F, D, m)
+    W = rng.block(F, D, 2)
     d = (D + m - 1) // m
     seq, cols = krylov_left_sequence(M, U, 2 * d, np.hstack([V, W]), short=d)
     assert seq.shape == (2 * d, m, m) and cols.shape == (d, m, 2)

@@ -373,12 +373,11 @@ def test_generator_cancels_random_rational_sequence():
     # build a sequence from a known denominator, the generator must cancel it
     rng = Rng(8)
     from bfglm.sparse import SparseMat, krylov_left_sequence
-    from bfglm.field import sample_block
 
     D, m = 12, 2
     M = SparseMat.from_dense(F, rng.block(F, D, D))
-    U = sample_block(rng, F, D, m)
-    V = sample_block(rng, F, D, m)
+    U = rng.block(F, D, m)
+    V = rng.block(F, D, m)
     d = (D + m - 1) // m
     terms, _ = krylov_left_sequence(M, U, 2 * d, V)
     G = minimal_matrix_generator(terms, F, d)
@@ -559,12 +558,11 @@ def test_left_quotient_row_reference():
 def test_left_quotient_row_identity(i):
     rng = Rng(21)
     from bfglm.sparse import SparseMat, krylov_left_sequence
-    from bfglm.field import sample_block
 
     D, m = 10, 2
     M = SparseMat.from_dense(F, rng.block(F, D, D))
-    U = sample_block(rng, F, D, m)
-    V = sample_block(rng, F, D, m)
+    U = rng.block(F, D, m)
+    V = rng.block(F, D, m)
     d = (D + m - 1) // m
     G = minimal_matrix_generator(krylov_left_sequence(M, U, 2 * d, V)[0], F, d)
     s1 = largest_invariant_factor(G, rng)

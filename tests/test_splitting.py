@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bfglm.errors import InvalidInput, NonSeparating, NotCoprime, NotInvertible
-from bfglm.field import Field, Rng, sample_block
+from bfglm.field import Field, Rng
 from bfglm.param import (
     SolveStats,
     ZeroDimParam,
@@ -39,8 +39,8 @@ def make(spec, seed):
 
 def x1_solve(inst, m, seed, y=None):
     rng = Rng(seed)
-    U = sample_block(rng, F, inst.D, m)
-    V = sample_block(rng, F, inst.D, m)
+    U = rng.block(F, inst.D, m)
+    V = rng.block(F, inst.D, m)
     y = y if y is not None else [rng.nonzero_element(F) for _ in range(inst.n)]
     return block_parametrization_x1(inst, U, V, y, m, rng=rng.child())
 
@@ -156,7 +156,7 @@ def test_correction_matrices_zero_when_nothing_solved():
     inst, _ = make([PointSpec(coords=(3, 5)), PointSpec(coords=(3, 8))], 13)
     param = x1_solve(inst, 2, 14)
     assert param.Q == P(1)
-    U = sample_block(Rng(3), F, inst.D, 2)
+    U = Rng(3).block(F, inst.D, 2)
     assert np.array_equal(correction_matrices(param.Q, U, inst), U)
 
 
@@ -165,7 +165,7 @@ def test_correction_matrices_match_the_dense_oracle():
     param = x1_solve(inst, 2, 16)
     Fs = param.Q
     assert Fs.degree == 3
-    U = sample_block(Rng(17), F, inst.D, 2)
+    U = Rng(17).block(F, inst.D, 2)
     U_B = correction_matrices(Fs, U, inst)
     M1 = inst.mats[0].to_dense()
     assert np.array_equal(U_B, F.matmul(_dense_poly_at(F, Fs.c, M1).T, U))
@@ -185,8 +185,8 @@ def test_corrections_match_component_difference():
     inst, truth = make(COMPONENT_SPEC, 15)
     rng = Rng(16)
     m = 2
-    U = sample_block(rng, F, inst.D, m)
-    V = sample_block(rng, F, inst.D, m)
+    U = rng.block(F, inst.D, m)
+    V = rng.block(F, inst.D, m)
     y = [rng.nonzero_element(F) for _ in range(2)]
     param_A = block_parametrization_x1(inst, U, V, y, m, rng=rng.child())
     assert param_A.Q.degree == 3
@@ -204,8 +204,8 @@ def test_corrections_match_component_difference():
 def test_residual_requires_nonempty_component():
     inst, _ = make([PointSpec(coords=(3, 5)), PointSpec(coords=(9, 2))], 17)
     rng = Rng(18)
-    U = sample_block(rng, F, inst.D, 1)
-    V = sample_block(rng, F, inst.D, 1)
+    U = rng.block(F, inst.D, 1)
+    V = rng.block(F, inst.D, 1)
     param_A = block_parametrization_x1(inst, U, V, [rng.nonzero_element(F) for _ in range(2)], 1, rng=rng.child())
     assert param_A.Q.degree == inst.D
     with pytest.raises(InvalidInput):
@@ -227,8 +227,8 @@ def test_residual_probe_rejects_a_merging_form(m):
     ]
     inst, _ = make(spec, 1)
     rng = Rng(m)
-    U = sample_block(rng, F, inst.D, m)
-    V = sample_block(rng, F, inst.D, m)
+    U = rng.block(F, inst.D, m)
+    V = rng.block(F, inst.D, m)
     stats = SolveStats()
     with pytest.raises(NonSeparating):
         block_parametrization_with_splitting(inst, U, V, [1, 0], [7, 7], m, rng=rng, stats=stats)
@@ -404,8 +404,8 @@ MIXED_SPECS = [
 def test_split_agrees_with_plain(spec_idx, m):
     spec = MIXED_SPECS[spec_idx]
     inst, truth = make(spec, 100 + spec_idx)
-    U = sample_block(Rng(1), F, inst.D, m)
-    V = sample_block(Rng(2), F, inst.D, m)
+    U = Rng(1).block(F, inst.D, m)
+    V = Rng(2).block(F, inst.D, m)
     t = [3, 11]
     y = [7, 7]
     stats = SolveStats()

@@ -16,12 +16,11 @@ from bfglm.unipoly import (
     laurent_expand,
     power_projection,
     rational_reconstruct,
-    scalar_numerator_direct,
     squarefree_part,
     transposed_modmul,
 )
 
-from oracles import power_projection_naive
+from oracles import power_projection_naive, scalar_numerator_direct
 
 F = Field(101)
 
@@ -55,7 +54,6 @@ def test_basic_arithmetic():
     assert P(0, 1) * P(0, 1) == P(0, 0, 1)
     assert a.scale(2) == P(2, 4, 6)
     assert a.truncate(2) == P(1, 2)
-    assert a.div_power(1) == P(2, 3)
 
 
 def test_quo_rem_fixture():
@@ -189,16 +187,16 @@ def test_power_projection_matches_naive(t):
     m = Poly(F, list(rng.integers(0, 101, 5)) + [1])
     h = Poly(F, rng.integers(0, 101, 5))
     ell = [int(v) for v in rng.integers(0, 101, 5)]
-    assert power_projection(m, h, ell, t) == power_projection_naive(m, h, ell, t)
+    assert power_projection(m, h, [ell], t)[0].tolist() == power_projection_naive(m, h, ell, t)
 
 
 def test_power_projection_edges():
     m = P(61, 8, 1)
     ell = [3, 7]
     zero = Poly.zero(F)
-    assert power_projection(m, zero, ell, 4) == power_projection_naive(m, zero, ell, 4)
+    assert power_projection(m, zero, [ell], 4)[0].tolist() == power_projection_naive(m, zero, ell, 4)
     x = Poly.x(F)
-    assert power_projection(m, x, ell, 6) == power_projection_naive(m, x, ell, 6)
+    assert power_projection(m, x, [ell], 6)[0].tolist() == power_projection_naive(m, x, ell, 6)
 
 
 def test_rational_reconstruct():
@@ -350,7 +348,7 @@ def test_power_projection_matches_naive_at_large_degree(p, r):
     ell = _rand(f, r, rng)
     t = 2 * r + 37
     naive = power_projection_naive(m, h, ell, t + 1)
-    assert power_projection(m, h, ell, t) == naive[:t]
+    assert power_projection(m, h, [ell], t)[0].tolist() == naive[:t]
     # transposing the product by h shifts the projected power sequence
     moved = transposed_modmul(h, ell, m)
     assert power_projection_naive(m, h, moved, 20) == naive[1:21]
