@@ -17,7 +17,7 @@ import numpy as np
 from .errors import FormatError, InvalidInput, InvalidSpec, InvariantViolation
 from .field import Field, Rng
 from .param import Instance, ZeroDimParam
-from .sparse import SparseMat, combine_matrices, horner, project_vector
+from .sparse import SparseMat, combine_matrices, horner, mat_vec, project_vector
 from .unipoly import Poly, berlekamp_massey
 
 
@@ -360,18 +360,33 @@ def parse_points_file(path: str, n: int, field: Field):
 # -- verification ---------------------------------------------------------
 
 
-def minimal_polynomial_of_combination(inst: Instance, t, rng: Rng) -> Poly:
-    """Minimal polynomial of sum t_i M_i via a random scalar sequence."""
+def minimal_polynomial_of_combination(inst: Instance, t, rng: Rng):
+    """Minimal polynomial of sum t_i M_i via a random scalar sequence.
+
+    Returns (s1, u, v, terms): the 2D terms u^T M^k v, k < 2D, of
+    M = sum t_i M_i for u and v drawn in that order, and their minimal
+    generator s1.  It divides the minimal polynomial of M, and deg s1 <= D.
+    """
     f = inst.field
     M = combine_matrices(t, inst.mats)
     u = rng.vector(f, inst.D)
     v = rng.vector(f, inst.D)
-    seq = project_vector(M, u.reshape(-1, 1), 2 * inst.D, v)
-    return berlekamp_massey(seq[:, 0, 0], f, inst.D)
+    terms = project_vector(M, u.reshape(-1, 1), 2 * inst.D, v)[:, 0, 0]
+    return berlekamp_massey(terms, f, inst.D), u, v, terms
 
 
 def verify_solution(inst: Instance, param: ZeroDimParam, truth: GroundTruth | None = None):
-    """Structural and algebraic checks; returns a report dict."""
+    """Structural and algebraic checks; returns a report dict.
+
+    One Wiedemann pass gives the minimal generator s1 of u^T M^k v, M =
+    sum t_i M_i.  s1 divides the minimal polynomial of M and deg s1 <= D, so
+    when deg Q = D and Q divides s1, s1 = Q = minpoly(M) exactly and
+    s1(M) = 0 needs no check.  Each coordinate is then checked on the same
+    terms: sum_k V_i[k] u^T M^k v = u^T M_i v, which a wrong V_i passes with
+    probability at most 2/p, and only then is the status "certified complete
+    and radical".  Otherwise s1(M) W = 0 is checked by Horner on five random
+    columns W, and the status stays "subset-consistent" at best.
+    """
     from .param import verify_against_points
 
     f = inst.field
@@ -391,19 +406,27 @@ def verify_solution(inst: Instance, param: ZeroDimParam, truth: GroundTruth | No
     check("deg(Q) <= D", param.Q.degree <= inst.D)
 
     rng = Rng(0xC0FFEE)
-    s1 = minimal_polynomial_of_combination(inst, param.t, rng)
-    check(
-        "Q divides the minimal polynomial of the combination",
-        (s1 % param.Q).is_zero() if param.Q.degree > 0 else True,
-    )
-    M = combine_matrices(param.t, inst.mats)
-    # s1(M) W = 0 for five random vectors, advanced by Horner as one block
-    W = np.stack([rng.vector(f, inst.D) for _ in range(5)], axis=1)
-    annihilated = not np.any(horner(M, s1.c, W) != 0)
-    check("recomputed minimal polynomial annihilates the combination", annihilated)
-
-    if param.Q.degree == inst.D:
+    s1, u, v, terms = minimal_polynomial_of_combination(inst, param.t, rng)
+    divides = (s1 % param.Q).is_zero() if param.Q.degree > 0 else True
+    check("Q divides the minimal polynomial of the combination", divides)
+    if divides and param.Q.degree == inst.D:
+        check(
+            "recomputed minimal polynomial annihilates the combination", True,
+            "implied: deg Q = D and Q divides s1, so s1 = minpoly(M)",
+        )
+        # V_i(M) = (V_i mod Q)(M), and V_i mod Q has fewer than 2D terms
+        for i, (Vi, Mi) in enumerate(zip(param.V, inst.mats), start=1):
+            c = (Vi % param.Q).c
+            lhs = int(f.matmul(c, terms[: len(c)]))
+            rhs = int(f.matmul(u, mat_vec(Mi, v)))
+            check(f"coordinate {i}: u^T V_{i}(M) v = u^T M_{i} v", lhs == rhs)
         report["status"] = "certified complete and radical"
+    else:
+        M = combine_matrices(param.t, inst.mats)
+        # s1(M) W = 0 for five random vectors, advanced by Horner as one block
+        W = np.stack([rng.vector(f, inst.D) for _ in range(5)], axis=1)
+        annihilated = not np.any(horner(M, s1.c, W) != 0)
+        check("recomputed minimal polynomial annihilates the combination", annihilated)
 
     if truth is not None:
         pts = verify_against_points(param, truth.points, f)
@@ -412,4 +435,3 @@ def verify_solution(inst: Instance, param: ZeroDimParam, truth: GroundTruth | No
     if not report["pass"]:
         report["status"] = "failed"
     return report
-

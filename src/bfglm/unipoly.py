@@ -386,6 +386,29 @@ class TransposedProduct:
         return self.mid(np.concatenate([ell, self.tail(self.low(ell))]))
 
 
+class ModularProduct:
+    """f -> G*f mod F on f of length r = deg F, by Barrett's reduction with
+    k = r - 1 quotient terms: rev(q) = rev(G f) rev(F)^{-1} mod T^k, and
+    G f mod F = G f - q F mod T^r.  Its three products' fixed factors G,
+    rev(F)^{-1} mod T^k and F mod T^r have their spectra taken once."""
+
+    __slots__ = ("p", "r", "prod", "quo", "back")
+
+    def __init__(self, G: Poly, F: Poly):
+        f, r = F.field, F.degree
+        self.p, self.r = f.p, r
+        self.prod = FixedFactor(f, _fit(G.c, r, f), r, 0, 2 * r - 1)
+        self.quo = FixedFactor(f, F._rev_inv(r - 1), r - 1, 0, r - 1) if r > 1 else None
+        self.back = FixedFactor(f, F.c[:r], r - 1, 0, r) if r > 1 else None
+
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        ga = self.prod(a)
+        if self.quo is None:
+            return ga
+        q = self.quo(ga[: self.r - 1 : -1])
+        return (ga[: self.r] - self.back(q[::-1])) % self.p
+
+
 def transposed_modmul(G: Poly, ell, F: Poly):
     """Values of f -> ell(G*f mod F) on 1, T, ..., T^(deg F - 1)."""
     ell = F.field.array(list(ell))
@@ -399,15 +422,13 @@ def _power_projection_bsgs(F: Poly, H: Poly, ells: np.ndarray, t: int) -> np.nda
     shared table of nb baby steps H^j mod F and the giant step H^nb."""
     f = F.field
     k, r = ells.shape
-    H = H % F
     nb = min(t, math.isqrt(k * t - 1) + 1, math.isqrt(2 * r - 1) + 1)
+    step = ModularProduct(H % F, F)
     baby = f.zeros((nb, r))
-    cur_pow = Poly.one(f) % F
-    for j in range(nb):
-        if j:
-            cur_pow = cur_pow.modmul(H, F)
-        baby[j, : len(cur_pow.c)] = cur_pow.c
-    giant = TransposedProduct(cur_pow.modmul(H, F), F) if t > nb else None
+    baby[0, 0] = 1
+    for j in range(1, nb):
+        baby[j] = step(baby[j - 1])
+    giant = TransposedProduct(Poly._raw(f, step(baby[-1])), F) if t > nb else None
     out = f.zeros((k, t))
     cur = ells
     for s in range(0, t, nb):
@@ -423,10 +444,11 @@ def power_projection(F: Poly, H: Poly, ells, t: int) -> np.ndarray:
     ceil(sqrt(k t)), ceil(sqrt(2 deg F))) baby steps H^j mod F; each giant
     step multiplies by H^nb transposed, form by form, and reads nb values of
     every form off one (nb x deg F) . (deg F x k) product.  The cap keeps
-    the table at the size one form of length 2 deg F needs.  Every giant
-    step applies one TransposedProduct, so the spectra of its fixed factors
-    are computed once for all steps and forms; the change of separating
-    element projects n + 1 trace forms for deg F + 1 terms.
+    the table at the size one form of length 2 deg F needs.  Every baby
+    step applies one ModularProduct and every giant step one
+    TransposedProduct, so the spectra of their fixed factors are computed
+    once for all steps and forms; the change of separating element projects
+    n + 1 trace forms for deg F + 1 terms.
     """
     if t < 0:
         raise InvalidInput("negative length")

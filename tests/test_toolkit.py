@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bfglm.cli import main
+from bfglm.cli import EXIT_VERIFY, main
 from bfglm.errors import FormatError, InvalidSpec, InvariantViolation
 from bfglm.field import Field, Rng
 from bfglm.param import ZeroDimParam, solve
@@ -58,7 +58,7 @@ def test_element_one_sits_at_index_zero():
     # whose coordinate vector is eps_0 by construction: its minimal
     # polynomial carries all distinct coordinate values
     inst, truth = generate_instance(F, 2, SPEC5, Rng(3))
-    s1 = minimal_polynomial_of_combination(inst, [1, 0], Rng(4))
+    s1 = minimal_polynomial_of_combination(inst, [1, 0], Rng(4))[0]
     for pt in truth.points:
         assert s1.eval(pt[0]) == 0
 
@@ -208,7 +208,7 @@ def test_parse_points_file(tmp_path):
 def test_minimal_polynomial_of_combination():
     inst, truth = generate_instance(F, 2, SPEC5, Rng(15))
     t = [3, 11]
-    s1 = minimal_polynomial_of_combination(inst, t, Rng(16))
+    s1 = minimal_polynomial_of_combination(inst, t, Rng(16))[0]
     for pt in truth.points:
         val = (3 * pt[0] + 11 * pt[1]) % F.p
         assert s1.eval(val) == 0
@@ -228,31 +228,98 @@ def test_verify_solution_positive_and_negative():
     assert rep2["status"] == "failed"
 
 
-def test_verify_rejects_a_polynomial_that_does_not_annihilate(monkeypatch):
-    # a recomputed minimal polynomial missing one root must fail the block
-    # annihilation check
+def _drop_root(monkeypatch, param, point):
+    """Make verify_solution see s1 without the factor T - X(point)."""
     from bfglm import toolkit
 
+    f = param.Q.field
+    root = sum(int(t) * c for t, c in zip(param.t, point)) % f.p
+    real = toolkit.minimal_polynomial_of_combination
+
+    def dropped(*args):
+        s1, *rest = real(*args)
+        return (s1 // Poly(f, [-root % f.p, 1]), *rest)
+
+    monkeypatch.setattr(toolkit, "minimal_polynomial_of_combination", dropped)
+
+
+def test_verify_rejects_a_polynomial_that_does_not_annihilate(monkeypatch):
+    # deg Q < D: a recomputed minimal polynomial missing one root must fail
+    # the block annihilation check
     inst, truth = generate_instance(F, 2, SPEC5, Rng(17))
     param = solve(inst, 2, Rng(18))
-    real = toolkit.minimal_polynomial_of_combination
+    assert param.Q.degree < inst.D
     # the X-value of the simple point (9, 2)
-    root = sum(int(t) * c for t, c in zip(param.t, truth.points[-1])) % F.p
-    monkeypatch.setattr(
-        toolkit, "minimal_polynomial_of_combination",
-        lambda *args: real(*args) // Poly(F, [-root % F.p, 1]),
-    )
+    _drop_root(monkeypatch, param, truth.points[-1])
     checks = {c["name"]: c["ok"] for c in verify_solution(inst, param)["checks"]}
     assert not checks["recomputed minimal polynomial annihilates the combination"]
 
 
-def test_verify_certifies_full_degree():
-    pts = [PointSpec(coords=(i, i * i % F.p)) for i in range(1, 7)]
-    inst, truth = generate_instance(F, 2, pts, Rng(19))
+def _full_degree(field=F):
+    """Six simple points, solved: deg Q = D = 6."""
+    pts = [PointSpec(coords=(i, i * i % field.p)) for i in range(1, 7)]
+    inst, truth = generate_instance(field, 2, pts, Rng(19))
     param = solve(inst, 2, Rng(20))
+    assert param.Q.degree == inst.D
+    return inst, truth, param
+
+
+def test_verify_certifies_full_degree():
+    inst, truth, param = _full_degree()
     rep = verify_solution(inst, param, truth)
     assert rep["pass"]
     assert rep["status"] == "certified complete and radical"
+    coords = [c for c in rep["checks"] if c["name"].startswith("coordinate")]
+    assert len(coords) == inst.n and all(c["ok"] for c in coords)
+
+
+def test_verify_full_degree_makes_no_horner_pass(monkeypatch):
+    # deg Q = D and Q | s1 give s1 = minpoly(M), so s1(M) W = 0 is implied
+    from bfglm import toolkit
+
+    def no_horner(*args, **kwargs):
+        raise AssertionError("sparse.horner called")
+
+    monkeypatch.setattr(toolkit, "horner", no_horner)
+    inst, truth, param = _full_degree()
+    rep = verify_solution(inst, param, truth)
+    assert rep["pass"] and rep["status"] == "certified complete and radical"
+    checks = {c["name"]: c for c in rep["checks"]}
+    annihilates = checks["recomputed minimal polynomial annihilates the combination"]
+    assert annihilates["ok"] and "implied" in annihilates["detail"]
+
+
+def test_verify_full_degree_rejects_an_s1_missing_a_root(monkeypatch):
+    inst, truth, param = _full_degree()
+    _drop_root(monkeypatch, param, truth.points[0])
+    rep = verify_solution(inst, param)
+    checks = {c["name"]: c["ok"] for c in rep["checks"]}
+    assert not checks["Q divides the minimal polynomial of the combination"]
+    assert not checks["recomputed minimal polynomial annihilates the combination"]
+    assert rep["status"] == "failed"
+
+
+@pytest.mark.parametrize("p", [65537, (1 << 31) - 1, (1 << 61) - 1])
+def test_verify_rejects_a_tampered_coordinate(tmp_path, p):
+    # V_1 + g and V_2 - (t_1/t_2) g keep sum t_i V_i = T mod Q, so only the
+    # coordinate checks can see them
+    f = Field(p)
+    inst, truth, param = _full_degree(f)
+    t1, t2 = (int(x) % p for x in param.t)
+    g = Poly(f, [3, 1, 4])
+    bad = ZeroDimParam(
+        Q=param.Q, V=[param.V[0] + g, param.V[1] - g.scale(t1 * f.inv(t2))], t=param.t
+    )
+    bad.check_invariants()
+    assert verify_solution(inst, param)["status"] == "certified complete and radical"
+    rep = verify_solution(inst, bad)
+    assert rep["status"] == "failed"
+    failed = [c["name"] for c in rep["checks"] if not c["ok"]]
+    assert failed and all(name.startswith("coordinate") for name in failed)
+    inst_path, param_path = str(tmp_path / "inst.txt"), str(tmp_path / "bad.txt")
+    write_instance(inst, inst_path)
+    write_param(bad, f, param_path)
+    assert run_cli("verify", "--in", inst_path, "--param", param_path) == EXIT_VERIFY
 
 
 # -- command line ----------------------------------------------------------

@@ -7,6 +7,7 @@ from bfglm.errors import DivisionByZero, InsufficientTerms, NotCoprime, NotInver
 from bfglm.field import Field
 from bfglm.unipoly import (
     _QUO_SCHOOLBOOK,
+    ModularProduct,
     Poly,
     TransposedProduct,
     _fit,
@@ -372,7 +373,7 @@ def test_power_projection_of_a_block_matches_naive(p, k, t):
 
 def test_power_projection_shares_one_baby_step_table(monkeypatch):
     # four forms of length 2r: one table of nb = ceil(sqrt(2r)) baby steps
-    # (nb modular products with the giant step) and at most 4 ceil(2r/nb)
+    # (nb modular products with the giant step's H^nb) and at most 4 ceil(2r/nb)
     # transposed products; a loop over the forms would build four tables
     import math
 
@@ -386,22 +387,22 @@ def test_power_projection_shares_one_baby_step_table(monkeypatch):
     h = Poly(f, _rand(f, r, rng))
     ells = f.array([_rand(f, r, rng) for _ in range(4)])
     want = [power_projection_naive(m, h, ell, 2 * r) for ell in ells]
-    calls = {"modmul": 0, "transposed": 0}
-    modmul, transposed = Poly.modmul, unipoly.TransposedProduct.__call__
+    calls = {"modular": 0, "transposed": 0}
+    modular, transposed = unipoly.ModularProduct.__call__, unipoly.TransposedProduct.__call__
 
-    def counting_modmul(*args):
-        calls["modmul"] += 1
-        return modmul(*args)
+    def counting_modular(*args):
+        calls["modular"] += 1
+        return modular(*args)
 
     def counting_transposed(*args):
         calls["transposed"] += 1
         return transposed(*args)
 
-    monkeypatch.setattr(Poly, "modmul", counting_modmul)
+    monkeypatch.setattr(unipoly.ModularProduct, "__call__", counting_modular)
     monkeypatch.setattr(unipoly.TransposedProduct, "__call__", counting_transposed)
     got = power_projection(m, h, ells, 2 * r)
     assert got.tolist() == want
-    assert calls["modmul"] <= nb
+    assert calls["modular"] == nb
     assert 0 < calls["transposed"] <= 4 * math.ceil(2 * r / nb)
 
 
@@ -438,12 +439,28 @@ def test_transposed_product_matches_three_convolutions(p, r, nl):
         want = _transposed_reference(g, ell, m) if lg else f.zeros(r)
         assert np.array_equal(np.asarray(got, dtype=object), np.asarray(want, dtype=object))
         assert transposed_modmul(g, ell, m) == [int(x) for x in want]
+        # and the product it transposes, on the same operands
+        assert Poly._raw(f, ModularProduct(g, m)(ell)) == g.modmul(Poly(f, ell), m)
+
+
+@pytest.mark.parametrize("p", [101, (1 << 61) - 1])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_modular_product_of_short_moduli(p, r):
+    # r = 1 has no quotient term to take
+    f = Field(p)
+    rng = np.random.default_rng(r)
+    m = Poly(f, _rand(f, r + 1, rng, nonzero_lead=True))
+    a = f.array(_rand(f, r, rng))
+    for lg in [r, 1, 0]:
+        g = Poly(f, _rand(f, lg, rng, nonzero_lead=True))
+        assert Poly._raw(f, ModularProduct(g, m)(a)) == g.modmul(Poly(f, a), m)
 
 
 def test_power_projection_takes_each_fixed_spectrum_once(monkeypatch):
-    # r = 600: every product of a giant step runs on the FFT, whose fixed
-    # factors rev(F) mod T^r, rev(F)^{-1} and rev(G) are transformed once
-    # for all forms and giant steps
+    # r = 600: every product of a baby or giant step runs on the FFT, whose
+    # fixed factors are transformed once for all steps and forms: H,
+    # rev(F)^{-1} mod T^(r-1) and F mod T^r of the baby steps, rev(F) mod
+    # T^r, rev(F)^{-1} and rev(G) of the giant steps
     import math
     from collections import Counter
 
@@ -459,7 +476,7 @@ def test_power_projection_takes_each_fixed_spectrum_once(monkeypatch):
     giant = Poly.one(f)
     for _ in range(nb):
         giant = giant.modmul(h, m)
-    fixed = [m.c[::-1][:r], m._rev_inv(r + giant.degree), giant.c[::-1]]
+    fixed = [h.c, m._rev_inv(r - 1), m.c[:r], m.c[::-1][:r], m._rev_inv(r + giant.degree), giant.c[::-1]]
     seen = Counter()
     spectra = field_mod.Field._spectra
 
@@ -469,7 +486,8 @@ def test_power_projection_takes_each_fixed_spectrum_once(monkeypatch):
 
     monkeypatch.setattr(field_mod.Field, "_spectra", counting)
     got = power_projection(m, h, ells, t)
-    assert [seen[np.ascontiguousarray(x).tobytes()] for x in fixed] == [1, 1, 1]
+    # H mod F = H is also the table's row 1, which the next step transforms
+    assert [seen[np.ascontiguousarray(x).tobytes()] for x in fixed] == [2, 1, 1, 1, 1, 1]
     # several giant steps, each taken by every form
     assert math.ceil(t / nb) - 1 > 1
     for row, ell in zip(got, ells):
