@@ -1,23 +1,26 @@
 """Prime field arithmetic and seeded randomness.
 
 Elements of Z/pZ are plain Python ints in [0, p); matrices and vectors are
-numpy arrays of such ints.  A :class:`Field` carries the modulus and decides,
-once, whether int64 arithmetic is safe or whether object-dtype (exact Python
-int) arrays must be used.  Primes are limited to < 2**62 so that a single
-product always fits in a double word.
+int64 numpy arrays of such ints, for every prime p < 2**62.  A :class:`Field`
+carries the modulus, and only its methods know how wide a product can get:
+where an int64 would overflow, `exact` cuts operands into limbs and, past
+p**2 > 2**63, recombines them on Python ints, as `axpy` multiplies there;
+Python ints never reach storage.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DivisionByZero, InvalidInput
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _INT64_MAX = 2**63 - 1
-
-_as_int = np.frompyfunc(int, 1, 1)
+# Past p**2 > 2**63, dense products of at most this many terms per output
+# are cheaper on Python ints than by limbs (measured).
+_PY_TERMS = 16
 
 
 def is_prime(n: int) -> bool:
@@ -47,7 +50,7 @@ def is_prime(n: int) -> bool:
 class Field:
     """The prime field Z/pZ."""
 
-    __slots__ = ("p", "dtype", "_acc_limit")
+    __slots__ = ("p", "_acc_limit")
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p >= 2**62 or not is_prime(p):
@@ -55,7 +58,6 @@ class Field:
         self.p = p
         # How many products of reduced elements can be summed in an int64.
         self._acc_limit = _INT64_MAX // max((p - 1) * (p - 1), 1)
-        self.dtype = np.int64 if self._acc_limit >= 1 else object
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.p == self.p
@@ -76,41 +78,56 @@ class Field:
     # -- array helpers ----------------------------------------------------
 
     def array(self, data) -> np.ndarray:
-        a = np.asarray(data, dtype=object) % self.p
-        if self.dtype is np.int64:
-            return a.astype(np.int64)
-        # numpy integers kept in an object array would wrap around in products
-        return np.asarray(_as_int(a), dtype=object)
+        return (np.asarray(data, dtype=object) % self.p).astype(np.int64)
 
     def zeros(self, shape) -> np.ndarray:
-        if self.dtype is np.int64:
-            return np.zeros(shape, dtype=np.int64)
-        z = np.empty(shape, dtype=object)
-        z[...] = 0
-        return z
+        return np.zeros(shape, dtype=np.int64)
 
-    def exact(self, prod, a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    def axpy(self, a, x: np.ndarray, y=0) -> np.ndarray:
+        """(a x + y) mod p elementwise, for reduced x and y (or y = 0) and a an
+        element or an array of them: one reduction while (p-1)**2 + p - 1
+        fits in an int64, that is while _acc_limit >= 1."""
+        if self._acc_limit:
+            return (a * x + y) % self.p
+        return ((x.astype(object) * np.asarray(a).astype(object) + y) % self.p).astype(np.int64)
+
+    def exact(self, prod, a, b: np.ndarray, k: int) -> np.ndarray:
         """prod(a, b) mod p, exactly, for a bilinear product prod of reduced
-        operands whose outputs each sum at most k terms.
+        operands whose outputs each sum at most k terms: b an int64 array, a
+        one or a scipy CSR matrix.
 
         The one overflow policy of every int64 product: up to _acc_limit terms
-        the int64 sum cannot overflow; past it, b is cut into w-bit limbs, w the
-        widest with k (p-1) (2**w - 1) <= 2**63 - 1, one product per limb, and
-        the products are recombined mod p by Horner.  There k (p-1)**2 exceeds
-        that bound, so 2**w < p and the shifted accumulator stays below
-        p**2 < 2**63: no inner dimension needs chunking.  The object tier sums
-        exact Python ints.
+        the int64 sum cannot overflow.  Past it, while (p-1)**2 fits, b is cut
+        into w-bit limbs, w the widest with k (p-1) (2**w - 1) <= 2**63 - 1,
+        one product per limb, and the products are recombined mod p by Horner.
+        There k (p-1)**2 exceeds that bound, so 2**w < p and the shifted
+        accumulator stays below p**2 < 2**63: no inner dimension needs
+        chunking.  Past p**2 > 2**63 a dense a with k <= _PY_TERMS is
+        multiplied on Python ints; otherwise both operands are cut into nl
+        limbs of w bits, nl the fewest with nl k (2**w - 1)**2 <= 2**63 - 1,
+        the limb products of each weight summed in int64 and recombined mod p
+        by Horner on Python ints.
         """
         p = self.p
-        if self.dtype is object:
-            return prod(a.astype(object), b.astype(object)) % p
         if k <= self._acc_limit:
             return prod(a, b) % p
-        w = (_INT64_MAX // (k * (p - 1)) + 1).bit_length() - 1
+        if self._acc_limit:
+            w = (_INT64_MAX // (k * (p - 1)) + 1).bit_length() - 1
+            acc = 0
+            for shift in reversed(range(0, (p - 1).bit_length(), w)):
+                acc = ((acc << w) + prod(a, b >> shift & (1 << w) - 1) % p) % p
+            return acc
+        if k <= _PY_TERMS and not sp.issparse(a):
+            return np.asarray(prod(a.astype(object), b.astype(object)) % p).astype(np.int64)
+        bits = (p - 1).bit_length()
+        nl = next(n for n in range(2, bits + 1) if n * k * ((1 << -(-bits // n)) - 1) ** 2 <= _INT64_MAX)
+        w = -(-bits // nl)
+        la, lb = _limbs(a, w, nl), _limbs(b, w, nl)
         acc = 0
-        for shift in reversed(range(0, (p - 1).bit_length(), w)):
-            acc = ((acc << w) + prod(a, b >> shift & (1 << w) - 1) % p) % p
-        return acc
+        for s in reversed(range(2 * nl - 1)):
+            part = sum(prod(la[i], lb[s - i]) for i in range(max(0, s - nl + 1), min(s, nl - 1) + 1))
+            acc = (acc << w) + np.asarray(part).astype(object)
+        return np.asarray(acc % p).astype(np.int64)
 
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Exact A @ B mod p."""
@@ -124,7 +141,7 @@ class Field:
 
     def fft_product(self, a: np.ndarray, b: np.ndarray, plan: tuple, lo: int, hi: int) -> np.ndarray:
         """Coefficients lo..hi-1 of the polynomial-matrix product a.b mod p, a
-        (r, k, la) and b (k, c, lb) int64-tier coefficient tensors, by the FFT of
+        (r, k, la) and b (k, c, lb) int64 coefficient tensors, by the FFT of
         plan = _fft_plan(k, la, lb, lo, hi), of the least size N = 2**s >= la, lb
         that wraps nothing onto them, N >= max(hi, la + lb - 1 - lo).
 
@@ -153,13 +170,18 @@ class Field:
 
     def _fft_plan(self, k: int, la: int, lb: int, lo: int, hi: int) -> tuple | None:
         """(N, nl, w) of fft_product for inner dimension k and lengths la, lb, or
-        None where no plan is exact: on the object tier and at k N > 2**18."""
+        None where no plan of at most three limbs is exact: at k N > 2**18, and
+        where _from_spectra's int64 Horner, a residue shifted by w bits plus a
+        limb sum below 3 2**40, could overflow."""
         size = 1 << (max(hi, la + lb - 1 - lo, la, lb) - 1).bit_length()
-        if self.dtype is object or k * size > _FFT_MAX_SIZE:
+        if k * size > _FFT_MAX_SIZE:
             return None
         bits = self.p.bit_length()
-        nl = next(nl for nl in (1, 2, 3) if nl * k * size << 2 * -(-bits // nl) <= 3 << 40)
-        return size, nl, -(-bits // nl)
+        for nl in (1, 2, 3):
+            w = -(-bits // nl)
+            if nl * k * size << 2 * w <= 3 << 40 and (self.p - 1 << w) + (3 << 40) <= _INT64_MAX:
+                return size, nl, w
+        return None
 
     def _spectra(self, x: np.ndarray, plan: tuple) -> np.ndarray:
         """The size-N spectra of the nl w-bit limbs of x, along its last axis."""
@@ -181,6 +203,16 @@ class Field:
         for limb in limbs[-2::-1]:
             acc = ((acc << w) + limb) % self.p
         return acc
+
+
+def _limbs(x, w: int, n: int) -> list:
+    """The n w-bit limbs of x, lowest first.  Those of a CSR x, which is
+    never mutated, are kept on it for the next product of a Krylov pass."""
+    if not sp.issparse(x):
+        return [x >> w * i & (1 << w) - 1 for i in range(n)]
+    if getattr(x, "limbs", (None,))[0] != (w, n):
+        x.limbs = (w, n), [sp.csr_matrix((d, x.indices, x.indptr), x.shape) for d in _limbs(x.data, w, n)]
+    return x.limbs[1]
 
 
 class FixedFactor:
@@ -247,8 +279,7 @@ class Rng:
     def block(self, field: Field, rows: int, cols: int) -> np.ndarray:
         if rows < 1 or cols < 1:
             raise InvalidInput("block dimensions must be >= 1")
-        a = self._gen.integers(0, field.p, size=(rows, cols), dtype=np.int64)
-        return a if field.dtype is np.int64 else a.astype(object)
+        return self._gen.integers(0, field.p, size=(rows, cols), dtype=np.int64)
 
     def vector(self, field: Field, n: int) -> np.ndarray:
         return self.block(field, n, 1)[:, 0]

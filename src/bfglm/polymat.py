@@ -70,25 +70,29 @@ def pm_mul(A: PolyMat, B: PolyMat) -> PolyMat:
 def _product(f: Field, a: np.ndarray, b: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Coefficients lo..hi-1 (default: all) of a . b, a (r, k, la) and b
     (k, c, lb) coefficient tensors: one batched limb FFT for long operands
-    where Field._fft_plan has an exact plan, else one Field.matmul per
-    coefficient of the shorter operand (sums of < min(la, lb) reduced
-    products cannot overflow int64)."""
+    where Field._fft_plan has an exact plan, else one Field.exact of the
+    schoolbook product, a matrix product per coefficient of the shorter
+    operand, whose outputs sum k min(la, lb) products."""
     (r, k, la), (c, lb) = a.shape, b.shape[1:]
     n = la + lb - 1
     hi = n if hi is None else hi
     plan = f._fft_plan(k, la, lb, lo, hi) if min(la, lb) > _PM_FFT_MIN_LEN else None
     if plan is not None:
         return f.fft_product(a, b, plan, lo, hi)
-    out = f.zeros((r, c, n))
-    if la <= lb:
-        flat = b.reshape(k, c * lb)
-        for s in range(la):
-            out[:, :, s : s + lb] += f.matmul(a[:, :, s], flat).reshape(r, c, lb)
-    else:
-        flat = a.transpose(0, 2, 1).reshape(r * la, k)
-        for s in range(lb):
-            out[:, :, s : s + la] += f.matmul(flat, b[:, :, s]).reshape(r, la, c).transpose(0, 2, 1)
-    return _fit(out[:, :, lo:], hi - lo, f) % f.p
+
+    def schoolbook(a, b):
+        out = np.zeros_like(a, shape=(r, c, n))
+        if la <= lb:
+            flat = b.reshape(k, c * lb)
+            for s in range(la):
+                out[:, :, s : s + lb] += np.dot(a[:, :, s], flat).reshape(r, c, lb)
+        else:
+            flat = a.transpose(0, 2, 1).reshape(r * la, k)
+            for s in range(lb):
+                out[:, :, s : s + la] += np.dot(flat, b[:, :, s]).reshape(r, la, c).transpose(0, 2, 1)
+        return out
+
+    return _fit(f.exact(schoolbook, a, b, k * min(la, lb))[:, :, lo:], hi - lo, f)
 
 
 def mat_inverse(field: Field, A: np.ndarray) -> np.ndarray:
@@ -115,13 +119,13 @@ def mat_inverse(field: Field, A: np.ndarray) -> np.ndarray:
             work[[col, piv]] = work[[piv, col]]
             inv[[col, piv]] = inv[[piv, col]]
         scale = field.inv(int(work[col, col]))
-        work[col] = work[col] * scale % p
-        inv[col] = inv[col] * scale % p
+        work[col] = field.axpy(scale, work[col])
+        inv[col] = field.axpy(scale, inv[col])
         for r in range(n):
             if r != col and work[r, col] != 0:
-                c = work[r, col]
-                work[r] = (work[r] - c * work[col]) % p
-                inv[r] = (inv[r] - c * inv[col]) % p
+                c = p - int(work[r, col])
+                work[r] = field.axpy(c, work[col], work[r])
+                inv[r] = field.axpy(c, inv[col], inv[r])
     return inv
 
 
@@ -197,7 +201,7 @@ def _eliminate(f: Field, rows: list, deg: list) -> tuple:
         j = next((j for j in range(c) if aug[i][j]), None)
         if j is not None:
             pivots.append((i, j, f.inv(aug[i][j])))
-    return np.array([row[c:] for row in aug], dtype=f.dtype), [i for i, _, _ in pivots]
+    return np.array([row[c:] for row in aug], dtype=np.int64), [i for i, _, _ in pivots]
 
 
 def is_row_reduced(P: PolyMat) -> bool:

@@ -39,7 +39,7 @@ class SparseMat:
 
     @classmethod
     def from_dense(cls, field: Field, arr) -> "SparseMat":
-        a = np.asarray(arr, dtype=object) % field.p
+        a = field.array(arr)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ShapeError("matrix must be square")
         r, c = np.nonzero(a)
@@ -54,8 +54,7 @@ class SparseMat:
         return self.nnz / (self.dim * self.dim) if self.dim else 0.0
 
     def to_dense(self) -> np.ndarray:
-        d = np.asarray(self.csr.todense(), dtype=np.int64)
-        return d if self.field.dtype is np.int64 else d.astype(object)
+        return self.csr.toarray()
 
     def triples(self):
         """(row, col, value) of every entry, row-major (indices are sorted)."""
@@ -80,10 +79,7 @@ def combine_matrices(t, mats) -> SparseMat:
             continue
         part = M.csr.copy()
         # keep data in [0, p) so further sums cannot overflow int64
-        if field.dtype is np.int64:
-            part.data = part.data * ti % field.p
-        else:
-            part.data = (part.data.astype(object) * ti % field.p).astype(np.int64)
+        part.data = field.axpy(ti, part.data)
         acc = acc + part
         acc.data %= field.p
     acc.eliminate_zeros()
@@ -95,17 +91,10 @@ def _product(A: sp.csr_matrix, X: np.ndarray, f: Field) -> np.ndarray:
     """Exact A . X over the field for A with entries in [0, p), X a vector or
     a block.
 
-    On the int64 tier a row of A sums at most its nonzeros, so Field.exact's
-    overflow policy applies with k the largest row count; a matrix with at
-    most f._acc_limit columns needs no scan.  Only the object tier sums exact
-    Python ints.
+    A row of A sums at most its nonzeros, so Field.exact's overflow policy
+    applies with k the largest row count; a matrix with at most
+    f._acc_limit columns needs no scan.
     """
-    if f.dtype is object:
-        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        vals = A.data.astype(object).reshape((-1,) + (1,) * (X.ndim - 1))
-        out = f.zeros((A.shape[0],) + X.shape[1:])
-        np.add.at(out, rows, vals * X[A.indices])
-        return out % f.p
     k = A.shape[1] if A.shape[1] <= f._acc_limit else int(np.diff(A.indptr).max())
     return f.exact(matmul, A, X, k)
 
@@ -126,15 +115,15 @@ def mat_vec(M: SparseMat, w: np.ndarray) -> np.ndarray:
 
 def horner(M: SparseMat, coeffs, W: np.ndarray, transpose: bool = False) -> np.ndarray:
     """P(M) W, or P(M^T) W with transpose, for P = sum_k coeffs[k] T^k and a
-    D x k block W: Horner's rule, one sparse product per coefficient.  On the
-    int64 tier (p-1)^2 + p-1 < 2^63, so each step reduces once."""
+    D x k block W: Horner's rule, one sparse product per coefficient, each
+    step one Field.axpy."""
     if W.shape[:1] != (M.dim,):
         raise ShapeError("W must have D rows")
     f = M.field
     A = M.csr.T.tocsr() if transpose else M.csr
     acc = f.zeros(W.shape)
     for c in reversed(coeffs):
-        acc = (_product(A, acc, f) + int(c) * W) % f.p
+        acc = f.axpy(int(c), W, _product(A, acc, f))
     return acc
 
 

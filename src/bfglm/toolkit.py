@@ -380,12 +380,12 @@ def verify_solution(inst: Instance, param: ZeroDimParam, truth: GroundTruth | No
 
     One Wiedemann pass gives the minimal generator s1 of u^T M^k v, M =
     sum t_i M_i.  s1 divides the minimal polynomial of M and deg s1 <= D, so
-    when deg Q = D and Q divides s1, s1 = Q = minpoly(M) exactly and
-    s1(M) = 0 needs no check.  Each coordinate is then checked on the same
-    terms: sum_k V_i[k] u^T M^k v = u^T M_i v, which a wrong V_i passes with
-    probability at most 2/p, and only then is the status "certified complete
-    and radical".  Otherwise s1(M) W = 0 is checked by Horner on five random
-    columns W, and the status stays "subset-consistent" at best.
+    deg s1 = D gives s1 = minpoly(M) exactly, and s1(M) = 0 needs no check;
+    below D, s1(M) W = 0 is checked by Horner on five random columns W.
+    When also deg Q = D and Q divides s1, each coordinate is checked on the
+    same terms: sum_k V_i[k] u^T M^k v = u^T M_i v, which a wrong V_i passes
+    with probability at most 2/p, and only then is the status "certified
+    complete and radical"; otherwise it is "subset-consistent" at best.
     """
     from .param import verify_against_points
 
@@ -409,11 +409,17 @@ def verify_solution(inst: Instance, param: ZeroDimParam, truth: GroundTruth | No
     s1, u, v, terms = minimal_polynomial_of_combination(inst, param.t, rng)
     divides = (s1 % param.Q).is_zero() if param.Q.degree > 0 else True
     check("Q divides the minimal polynomial of the combination", divides)
-    if divides and param.Q.degree == inst.D:
+    if s1.degree == inst.D:
         check(
             "recomputed minimal polynomial annihilates the combination", True,
-            "implied: deg Q = D and Q divides s1, so s1 = minpoly(M)",
+            "implied: deg s1 = D, so s1 = minpoly(M)",
         )
+    else:
+        M = combine_matrices(param.t, inst.mats)
+        # s1(M) W = 0 for five random vectors, advanced by Horner as one block
+        W = np.stack([rng.vector(f, inst.D) for _ in range(5)], axis=1)
+        check("recomputed minimal polynomial annihilates the combination", not horner(M, s1.c, W).any())
+    if divides and param.Q.degree == inst.D:
         # V_i(M) = (V_i mod Q)(M), and V_i mod Q has fewer than 2D terms
         for i, (Vi, Mi) in enumerate(zip(param.V, inst.mats), start=1):
             c = (Vi % param.Q).c
@@ -421,12 +427,6 @@ def verify_solution(inst: Instance, param: ZeroDimParam, truth: GroundTruth | No
             rhs = int(f.matmul(u, mat_vec(Mi, v)))
             check(f"coordinate {i}: u^T V_{i}(M) v = u^T M_{i} v", lhs == rhs)
         report["status"] = "certified complete and radical"
-    else:
-        M = combine_matrices(param.t, inst.mats)
-        # s1(M) W = 0 for five random vectors, advanced by Horner as one block
-        W = np.stack([rng.vector(f, inst.D) for _ in range(5)], axis=1)
-        annihilated = not np.any(horner(M, s1.c, W) != 0)
-        check("recomputed minimal polynomial annihilates the combination", annihilated)
 
     if truth is not None:
         pts = verify_against_points(param, truth.points, f)

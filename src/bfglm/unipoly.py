@@ -2,9 +2,9 @@
 toolbox: Berlekamp-Massey, squarefree parts, Laurent expansion, CRT and
 power projection.
 
-Coefficients are stored lowest degree first in a numpy array (int64 or
-object depending on the field); the zero polynomial has an empty coefficient
-array and degree -1.
+Coefficients are stored lowest degree first in an int64 numpy array, and
+every product of them goes through the field's `exact` or `axpy`; the zero
+polynomial has an empty coefficient array and degree -1.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
 from .field import Field, FixedFactor
 
 
-# Quotients up to this length (measured), and all on the object tier, use the loop.
+# Quotients up to this length (measured) use the loop.
 _QUO_SCHOOLBOOK = 8
 
 
@@ -155,7 +155,7 @@ class Poly:
         a %= self.field.p
         if a == 0:
             return Poly.zero(self.field)
-        return Poly._raw(self.field, (self.c * a) % self.field.p)
+        return Poly._raw(self.field, self.field.axpy(a, self.c))
 
     def truncate(self, n: int) -> "Poly":
         """Reduce mod T^n."""
@@ -169,7 +169,7 @@ class Poly:
             return Poly.zero(f), self
         d = other.degree
         k = len(self.c) - d
-        if k > _QUO_SCHOOLBOOK and f.dtype is np.int64:
+        if k > _QUO_SCHOOLBOOK:
             # Barrett: rev(q) = rev(self) rev(other)^{-1} mod T^k, r = self - q other
             q = f.convolve(self.c[::-1][:k], other._rev_inv(k))[k - 1 :: -1]
             r = (self.c[:d] - f.convolve(q[:d], other.c[:d])[:d]) % f.p
@@ -178,10 +178,10 @@ class Poly:
         inv_lc = f.inv(int(other.c[-1]))
         q = f.zeros(len(r) - d)
         for i in range(len(r) - 1, d - 1, -1):
-            coef = r[i] * inv_lc % f.p
+            coef = int(r[i]) * inv_lc % f.p
             if coef:
                 q[i - d] = coef
-                r[i - d : i + 1] = (r[i - d : i + 1] - coef * other.c) % f.p
+                r[i - d : i + 1] = f.axpy(f.p - coef, other.c, r[i - d : i + 1])
         return Poly._raw(f, q), Poly._raw(f, r)
 
     def __floordiv__(self, other):
@@ -239,8 +239,7 @@ class Poly:
         if self.degree < 1:
             return Poly.zero(self.field)
         f = self.field
-        mult = f.array(np.arange(1, len(self.c), dtype=object))
-        return Poly._raw(f, (self.c[1:] * mult) % f.p)
+        return Poly._raw(f, f.axpy(np.arange(1, len(self.c)) % f.p, self.c[1:]))
 
     def series_inv(self, prec: int) -> "Poly":
         """Inverse mod T^prec; needs nonzero constant term."""
@@ -299,7 +298,7 @@ def berlekamp_massey(seq, field: Field, bound: int) -> Poly:
             continue
         coef = d * pow(b, p - 2, p) % p
         T = C[: L + 1].copy() if 2 * L <= n else None
-        C[m : m + len(B)] = (C[m : m + len(B)] - coef * B) % p
+        C[m : m + len(B)] = field.axpy(p - coef, B, C[m : m + len(B)])
         if T is None:
             m += 1
         else:

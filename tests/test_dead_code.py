@@ -9,6 +9,7 @@ LAYERS."""
 
 import ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -134,3 +135,19 @@ def test_traced_names_resolve():
             if not callable(obj):
                 missing.append(f"{mod_name}.{fn}")
     assert missing == []
+
+
+# a dtype read or an object array outside field.py would bring back a second
+# residue representation; Field.exact and Field.axpy own every overflow case
+SECOND_TIER = re.compile(r"\.dtype\b|dtype\s*=\s*object|astype\(\s*object\s*\)")
+
+
+def test_only_the_field_knows_object_arrays():
+    hits = [
+        f"{path.name}:{i}: {line.strip()}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "field.py"
+        for i, line in enumerate(path.read_text().splitlines(), start=1)
+        if SECOND_TIER.search(line)
+    ]
+    assert hits == []

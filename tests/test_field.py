@@ -3,6 +3,7 @@ import pytest
 
 from bfglm.errors import DivisionByZero, InvalidInput
 from bfglm.field import _FFT_MAX_SIZE, _FFT_MIN_LEN, Field, Rng, is_prime
+from bfglm.sparse import SparseMat, horner, mat_vec
 
 PRIMES = [101, 65537]
 
@@ -56,13 +57,56 @@ def test_inverse_of_zero_raises(p):
         3 * f.inv(2 * p) % p
 
 
-def test_dtype_tiers():
-    small = Field(65537)
-    assert small.dtype == np.int64
-    big = Field((1 << 61) - 1)
-    assert big.dtype == object
-    assert small._acc_limit >= 1
-    assert big._acc_limit < 1
+# every width of Field.exact and Field.axpy: one int64 product (101,
+# 67108859), limbs of one operand (2^31 - 1, 3037000493, the largest prime
+# with (p-1)^2 < 2^63), limbs of both (3037000507 up to 2^62 - 57, the
+# largest prime a Field takes, whose limbs are all full)
+TIER_PRIMES = [
+    101, 67108859, (1 << 31) - 1, 3037000493, 3037000507, (1 << 47) - 115, (1 << 61) - 1, (1 << 62) - 57
+]
+
+
+def _heavy_row_oracle(triples, X, p):
+    """M . X mod p on Python ints, M given by its (row, col, value) triples
+    and X as a list of rows."""
+    out = [[0] * len(X[0]) for _ in X]
+    for r, c, v in triples:
+        out[r] = [a + v * x for a, x in zip(out[r], X[c])]
+    return [[a % p for a in row] for row in out]
+
+
+@pytest.mark.parametrize("p", TIER_PRIMES)
+def test_products_match_python_ints_at_the_accumulation_limit(p):
+    # k = _acc_limit terms still fit one int64 sum and k + 1 do not; past
+    # p^2 > 2^63 dense products of k <= 16 terms take Python ints, and 2,
+    # 17 and 300 terms limbs; every entry is p - 1, the largest term
+    f = Field(p)
+    assert f._acc_limit == (2**63 - 1) // (p - 1) ** 2
+    top = p - 1
+    for k in sorted({max(1, min(k, 3000)) for k in (f._acc_limit, f._acc_limit + 1)} | {2, 16, 17, 300}):
+        A, B = np.full((3, k), top), np.full((k, 2), top)
+        want = (A.astype(object) @ B.astype(object)) % p
+        assert np.array_equal(f.matmul(A, B), want.astype(np.int64))
+        assert f.matmul(A, B).dtype == np.int64
+        a = np.full(k, top)
+        want = np.convolve(a.astype(object), a.astype(object)) % p
+        assert np.array_equal(f.convolve(a, a), want.astype(np.int64))
+        # (p-1)(p-1) + p-1 = 0, and with an array of multipliers
+        assert not f.axpy(top, a, a).any() and not f.axpy(a, a, a).any()
+        assert np.array_equal(f.axpy(top, a), np.ones(k, dtype=np.int64))
+        # one heavy row of k entries over a diagonal: D = k + 1 columns
+        D = k + 1
+        triples = [(0, c, top) for c in range(k)] + [(r, r, top) for r in range(1, D)]
+        M = SparseMat.from_coo(f, D, *map(list, zip(*triples)))
+        w = np.full(D, top)
+        want = _heavy_row_oracle(triples, [[top]] * D, p)
+        assert np.array_equal(mat_vec(M, w), np.array([row[0] for row in want]))
+        W = np.full((D, 2), top)
+        want = [[0, 0]] * D
+        for c in (top, 0, top):
+            want = [[(a + c * top) % p for a in row] for row in _heavy_row_oracle(triples, want, p)]
+        got = horner(M, [top, 0, top], W)
+        assert got.dtype == np.int64 and np.array_equal(got, np.array(want))
 
 
 # 2^31 - 1 and 3037000493 sum at most 2 and 1 products in an int64
@@ -88,7 +132,8 @@ def test_convolve_matches_object_oracle(p):
     assert np.array_equal(np.asarray(got, dtype=object), want)
 
 
-# the int64 tier at three widths, then the object tier (direct path only)
+# one int64 product, limbs of one operand at two widths, then limbs of both
+# (direct path only)
 WIDE_PRIMES = [101, 67108859, (1 << 31) - 1, (1 << 61) - 1]
 
 
@@ -121,7 +166,7 @@ def test_convolve_across_the_fft_crossover(p, la, lb):
 
 @pytest.mark.parametrize("p", [101, 67108859, (1 << 31) - 1, 3037000493])
 def test_convolve_exact_at_the_transform_size_cap(p):
-    # 3037000493 is the largest prime of the int64 tier
+    # 3037000493 is the largest prime with (p-1)^2 < 2^63
     f = Field(p)
     n = _FFT_MAX_SIZE // 2
     top = f.array([p - 1] * n)
@@ -138,6 +183,10 @@ def test_convolve_exact_at_the_transform_size_cap(p):
 
 def test_no_fft_plan_on_the_object_tier():
     assert Field((1 << 61) - 1)._fft_plan(1, 600, 600, 0, 1199) is None
+    # three 16-bit limbs are exact at size 256 for 47 bits, but the int64
+    # Horner of _from_spectra, (p - 1) 2^16 plus a limb sum, would overflow
+    assert Field((1 << 46) - 57)._fft_plan(1, 100, 100, 0, 199) == (256, 3, 16)
+    assert Field((1 << 47) - 115)._fft_plan(1, 100, 100, 0, 199) is None
 
 
 @pytest.mark.parametrize("p,n", [(101, 1 << 17), (67108859, 1 << 13), (67108859, (1 << 13) + 1)])

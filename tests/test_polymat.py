@@ -197,14 +197,15 @@ def test_approximant_basis_small_oracle():
 def reference_m_basis(F, order, shift):
     """The full-order M-Basis loop, kept as the reference of the PM-Basis
     recursion: at each order the constant residual is reduced by rows of
-    minimal shifted degree, and the surviving pivot rows are multiplied by T."""
+    minimal shifted degree, and the surviving pivot rows are multiplied by T.
+    It computes on Python ints, independently of the field's products."""
     f = F.field
     r = F.rows
     p = f.p
-    B = f.zeros((r, r, order + 1))
+    B = np.zeros((r, r, order + 1), dtype=object)
     for i in range(r):
         B[i, i, 0] = 1
-    R = _fit(F.c, order, f).copy()
+    R = _fit(F.c, order, f).astype(object)
     deg = [int(s) for s in shift]
     for k in range(order):
         idx = sorted(range(r), key=lambda i: (deg[i], i))
@@ -227,7 +228,7 @@ def reference_m_basis(F, order, shift):
             R[prow, :, k + 1 :] = R[prow, :, k:-1]
             R[prow, :, k] = 0
             deg[prow] += 1
-    return PolyMat(f, B)
+    return PolyMat(f, B.astype(np.int64))
 
 
 LEAF = polymat._LEAF_ORDER

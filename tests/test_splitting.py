@@ -1,3 +1,8 @@
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -293,18 +298,20 @@ def _synthetic_param(f, r, rng, merge=False):
 def _random_form_route(param, t, rng):
     """The change of separating element by a random form ell: its products
     ell(G_i .) on the basis T^j, the powers of X projected for 2r terms, the
-    coordinates for r, and the minimal polynomial by Berlekamp-Massey."""
+    coordinates for r, and the minimal polynomial by Berlekamp-Massey.  The
+    products ell(G T^j mod F) are taken on Python ints."""
     F = param.Q
     f, r = F.field, F.degree
     lam = sum((Gi.scale(ti) for ti, Gi in zip(t, param.V)), Poly.zero(f)) % F
-    ell = f.array([rng.element(f) for _ in range(r)])
+    ell = [rng.element(f) for _ in range(r)]
+    low = [int(c) for c in F.c[:r]]
     coords = []
     for G in param.V:
         # ell(G T^j mod F), with T times a remainder reduced by one step
-        moved, cur = [], _fit((G % F).c, r, f)
+        moved, cur = [], [int(c) for c in _fit((G % F).c, r, f)]
         for _ in range(r):
-            moved.append(int(f.matmul(ell, cur)))
-            cur = (np.concatenate([f.zeros(1), cur[:-1]]) - cur[-1] * F.c[:r]) % f.p
+            moved.append(sum(a * b for a, b in zip(ell, cur)) % f.p)
+            cur = [(a - cur[-1] * c) % f.p for a, c in zip([0] + cur[:-1], low)]
         coords.append(power_projection_naive(F, lam, moved, r))
     powers = power_projection_naive(F, lam, ell, 2 * r)
     return parametrization_from_series(powers, coords, r, f, t)
@@ -313,8 +320,8 @@ def _random_form_route(param, t, rng):
 @pytest.mark.parametrize(
     "p, r",
     # r = 600 and 1100 take every giant step through the FFT; the naive
-    # oracle makes 4r modular products, of 2 ms each at r = 1100 on the
-    # int64 tier and of 0.5 s on the object tier
+    # oracle makes 4r modular products, of 2 ms each at r = 1100 below
+    # 2^31.5 and far slower at 2^61 - 1
     [(p, r) for p in [67108859, 2**31 - 1, 3037000493] for r in [40, 600]]
     + [(67108859, 1100), (2**61 - 1, 40)],
 )
@@ -452,8 +459,8 @@ def test_split_with_a_residual_narrower_than_the_block():
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_solves_past_the_accumulation_limit_and_on_the_object_tier(p, m):
     # 14 simple points, one more sharing X_1 with the first, one double
-    # point: D = 17; 2^31 - 1 sums 2 products per int64, 2^61 - 1 runs on
-    # Python ints
+    # point: D = 17; 2^31 - 1 sums 2 products per int64, 2^61 - 1 cuts both
+    # operands into limbs
     f = Field(p)
     spec = [PointSpec(coords=(i, 3 * i + 1)) for i in range(1, 15)]
     spec += [PointSpec(coords=(1, 9)), PointSpec(coords=(20, 5), nu=2, c=(1, 2))]
@@ -466,6 +473,35 @@ def test_solves_past_the_accumulation_limit_and_on_the_object_tier(p, m):
     assert verify_solution(inst, plain, truth)["pass"]
     assert verify_solution(inst, split, truth)["pass"]
     assert plain.Q == split.Q and plain.V == split.V
+
+
+# sha256 prefixes of the coefficients of Q, V_1, ..., V_3 of solve and
+# solve_split (equal, as plain == split) on the seed-1 point lists of
+# perfbench/workloads.point_specs at D = 60, pinned on the object-array
+# implementation that int64 storage replaced
+BIG_PRIME_PINS = {
+    ((1 << 47) - 115, "radical"): "996afd8d24b0ad84",
+    ((1 << 47) - 115, "mixed"): "0e80878b856108d0",
+    ((1 << 61) - 1, "radical"): "6569c10b04f0b7ca",
+    ((1 << 61) - 1, "mixed"): "afe13db1d714b5b2",
+}
+
+
+@pytest.mark.parametrize("p, name", list(BIG_PRIME_PINS))
+def test_big_prime_outputs_are_pinned(p, name):
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    from workloads import WORKLOADS, point_specs
+
+    w = dataclasses.replace(WORKLOADS[name], p=p)
+    field, specs, rng = point_specs(w, 60, 1)
+    inst, _ = generate_instance(field, w.n, specs, rng)
+    for param in (solve(inst, w.m, Rng(1)), solve_split(inst, w.m, Rng(1))):
+        polys = [param.Q, *param.V]
+        assert all(P.c.dtype == np.int64 for P in polys)
+        text = ";".join(" ".join(str(int(x)) for x in P.c) for P in polys)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == BIG_PRIME_PINS[p, name]
 
 
 def test_probe_quadratic_statistics():
@@ -503,7 +539,7 @@ def _random_split_spec(rng, p, shape):
 
 
 def test_solve_split_on_random_instances():
-    # every prime tier (int64, past the accumulation limit, object), every
+    # every product width (int64, limbs of one operand, of both), every
     # block size against residuals of 2 to 4 dimensions, so that D_B < m
     # occurs, with X_1 collisions and points of multiplicity 2 and 3
     rng = np.random.default_rng(2024)

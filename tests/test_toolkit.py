@@ -289,6 +289,35 @@ def test_verify_full_degree_makes_no_horner_pass(monkeypatch):
     assert annihilates["ok"] and "implied" in annihilates["detail"]
 
 
+def test_verify_makes_no_horner_pass_when_s1_has_degree_D(monkeypatch):
+    # a double point keeps deg Q < D, but deg s1 = D alone gives s1 =
+    # minpoly(M): the annihilation is implied, the rest is checked as before
+    from bfglm import sparse, toolkit
+
+    inst, truth = generate_instance(F, 2, SPEC5, Rng(17))
+    param = solve(inst, 2, Rng(18))
+    s1 = toolkit.minimal_polynomial_of_combination(inst, param.t, Rng(0xC0FFEE))[0]
+    assert param.Q.degree < inst.D == s1.degree
+    # the pass that is skipped would pass
+    M = sparse.combine_matrices(param.t, inst.mats)
+    assert not sparse.horner(M, s1.c, Rng(3).block(F, inst.D, 5)).any()
+
+    def no_horner(*args, **kwargs):
+        raise AssertionError("sparse.horner called")
+
+    monkeypatch.setattr(toolkit, "horner", no_horner)
+    rep = verify_solution(inst, param, truth)
+    assert rep["pass"] and rep["status"] == "subset-consistent"
+    assert [(c["name"], c["ok"]) for c in rep["checks"]] == [
+        ("parametrization invariants", True),
+        ("deg(Q) <= D", True),
+        ("Q divides the minimal polynomial of the combination", True),
+        ("recomputed minimal polynomial annihilates the combination", True),
+        ("ground-truth points", True),
+    ]
+    assert "implied" in rep["checks"][3]["detail"]
+
+
 def test_verify_full_degree_rejects_an_s1_missing_a_root(monkeypatch):
     inst, truth, param = _full_degree()
     _drop_root(monkeypatch, param, truth.points[0])

@@ -250,7 +250,8 @@ def test_gcd_divides_both(a, b):
 
 # -- the fast paths, against loop references --------------------------------
 
-# the int64 tier at three widths, then the object tier (schoolbook paths)
+# one int64 product, limbs of one operand at two widths, then limbs of both
+# (direct convolutions, no FFT)
 WIDE_PRIMES = [101, 67108859, (1 << 31) - 1, (1 << 61) - 1]
 
 
@@ -420,7 +421,7 @@ def _transposed_reference(G, ell, F):
 @pytest.mark.parametrize(
     "p, r, nl",
     # transforms of 2 limbs, then of 3: 268435399 < 2^28 switches past
-    # size 4096, 67108859 past 16384; r = 40 and the object tier convolve
+    # size 4096, 67108859 past 16384; r = 40 and 2^61 - 1 convolve
     [(268435399, 2000, 2), (268435399, 2100, 3), (67108859, 8000, 2), (67108859, 8300, 3),
      (67108859, 40, None), ((1 << 61) - 1, 40, None)],
 )
