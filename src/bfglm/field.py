@@ -18,9 +18,6 @@ from .errors import DivisionByZero, InvalidInput
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _INT64_MAX = 2**63 - 1
-# Past p**2 > 2**63, dense products of at most this many terms per output
-# are cheaper on Python ints than by limbs (measured).
-_PY_TERMS = 16
 
 
 def is_prime(n: int) -> bool:
@@ -94,7 +91,7 @@ class Field:
     def exact(self, prod, a, b: np.ndarray, k: int) -> np.ndarray:
         """prod(a, b) mod p, exactly, for a bilinear product prod of reduced
         operands whose outputs each sum at most k terms: b an int64 array, a
-        one or a scipy CSR matrix.
+        one or a scipy CSR matrix, or cut(a, k).
 
         The one overflow policy of every int64 product: up to _acc_limit terms
         the int64 sum cannot overflow.  Past it, while (p-1)**2 fits, b is cut
@@ -102,11 +99,9 @@ class Field:
         one product per limb, and the products are recombined mod p by Horner.
         There k (p-1)**2 exceeds that bound, so 2**w < p and the shifted
         accumulator stays below p**2 < 2**63: no inner dimension needs
-        chunking.  Past p**2 > 2**63 a dense a with k <= _PY_TERMS is
-        multiplied on Python ints; otherwise both operands are cut into nl
-        limbs of w bits, nl the fewest with nl k (2**w - 1)**2 <= 2**63 - 1,
-        the limb products of each weight summed in int64 and recombined mod p
-        by Horner on Python ints.
+        chunking.  Past p**2 > 2**63 both operands are cut into the nl w-bit
+        limbs of cut(a, k), the limb products of each weight summed in int64
+        and recombined mod p by Horner on Python ints.
         """
         p = self.p
         if k <= self._acc_limit:
@@ -117,17 +112,25 @@ class Field:
             for shift in reversed(range(0, (p - 1).bit_length(), w)):
                 acc = ((acc << w) + prod(a, b >> shift & (1 << w) - 1) % p) % p
             return acc
-        if k <= _PY_TERMS and not sp.issparse(a):
-            return np.asarray(prod(a.astype(object), b.astype(object)) % p).astype(np.int64)
-        bits = (p - 1).bit_length()
-        nl = next(n for n in range(2, bits + 1) if n * k * ((1 << -(-bits // n)) - 1) ** 2 <= _INT64_MAX)
-        w = -(-bits // nl)
-        la, lb = _limbs(a, w, nl), _limbs(b, w, nl)
+        la = self.cut(a, k)
+        nl, w = len(la), -(-(p - 1).bit_length() // len(la))
+        lb = _limbs(b, w, nl)
         acc = 0
         for s in reversed(range(2 * nl - 1)):
             part = sum(prod(la[i], lb[s - i]) for i in range(max(0, s - nl + 1), min(s, nl - 1) + 1))
             acc = (acc << w) + np.asarray(part).astype(object)
         return np.asarray(acc % p).astype(np.int64)
+
+    def cut(self, a, k: int):
+        """a as exact takes it in products of at most k terms per output: a
+        itself, or past p**2 > 2**63 the list of its nl w-bit limbs, nl the
+        fewest with nl k (2**w - 1)**2 <= 2**63 - 1, so that the fixed
+        operand of a sequence of products is cut once."""
+        if self._acc_limit or isinstance(a, list):
+            return a
+        bits = (self.p - 1).bit_length()
+        nl = next(n for n in range(2, bits + 1) if n * k * ((1 << -(-bits // n)) - 1) ** 2 <= _INT64_MAX)
+        return _limbs(a, -(-bits // nl), nl)
 
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Exact A @ B mod p."""
@@ -206,13 +209,11 @@ class Field:
 
 
 def _limbs(x, w: int, n: int) -> list:
-    """The n w-bit limbs of x, lowest first.  Those of a CSR x, which is
-    never mutated, are kept on it for the next product of a Krylov pass."""
-    if not sp.issparse(x):
-        return [x >> w * i & (1 << w) - 1 for i in range(n)]
-    if getattr(x, "limbs", (None,))[0] != (w, n):
-        x.limbs = (w, n), [sp.csr_matrix((d, x.indices, x.indptr), x.shape) for d in _limbs(x.data, w, n)]
-    return x.limbs[1]
+    """The n w-bit limbs of x, an int64 array or a scipy CSR matrix, lowest
+    first."""
+    if sp.issparse(x):
+        return [sp.csr_matrix((d, x.indices, x.indptr), x.shape) for d in _limbs(x.data, w, n)]
+    return [x >> w * i & (1 << w) - 1 for i in range(n)]
 
 
 class FixedFactor:

@@ -87,30 +87,31 @@ def combine_matrices(t, mats) -> SparseMat:
     return SparseMat(field, dim, acc)
 
 
-def _product(A: sp.csr_matrix, X: np.ndarray, f: Field) -> np.ndarray:
-    """Exact A . X over the field for A with entries in [0, p), X a vector or
-    a block.
+def _operator(A: sp.csr_matrix, f: Field):
+    """X -> A . X over the field, exactly, for A with entries in [0, p) and
+    X a vector or a block.
 
     A row of A sums at most its nonzeros, so Field.exact's overflow policy
     applies with k the largest row count; a matrix with at most
-    f._acc_limit columns needs no scan.
+    f._acc_limit columns needs no scan.  Any limbs of A are cut once, here.
     """
     k = A.shape[1] if A.shape[1] <= f._acc_limit else int(np.diff(A.indptr).max())
-    return f.exact(matmul, A, X, k)
+    a = f.cut(A, k)
+    return lambda X: f.exact(matmul, a, X, k)
 
 
 def vec_mat(v: np.ndarray, M: SparseMat) -> np.ndarray:
     """Exact v . M over the field."""
     if v.shape != (M.dim,):
         raise ShapeError(f"vector length {v.shape} does not match {M.dim}")
-    return _product(M.csr.T.tocsr(), v, M.field)
+    return _operator(M.csr.T.tocsr(), M.field)(v)
 
 
 def mat_vec(M: SparseMat, w: np.ndarray) -> np.ndarray:
     """Exact M . w over the field, for a column vector or a D x k block w."""
     if w.shape[:1] != (M.dim,) or w.ndim > 2:
         raise ShapeError("vector length mismatch")
-    return _product(M.csr, w, M.field)
+    return _operator(M.csr, M.field)(w)
 
 
 def horner(M: SparseMat, coeffs, W: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -120,10 +121,10 @@ def horner(M: SparseMat, coeffs, W: np.ndarray, transpose: bool = False) -> np.n
     if W.shape[:1] != (M.dim,):
         raise ShapeError("W must have D rows")
     f = M.field
-    A = M.csr.T.tocsr() if transpose else M.csr
+    step = _operator(M.csr.T.tocsr() if transpose else M.csr, f)
     acc = f.zeros(W.shape)
     for c in reversed(coeffs):
-        acc = f.axpy(int(c), W, _product(A, acc, f))
+        acc = f.axpy(int(c), W, step(acc))
     return acc
 
 
@@ -156,7 +157,7 @@ def krylov_left_sequence(M: SparseMat, U: np.ndarray, count: int, right, short=N
     v = min(m, R.shape[1])
     seq = f.zeros((count, m, v))
     extra = f.zeros((short, m, R.shape[1] - v))
-    Mt = M.csr.T.tocsr()
+    step = _operator(M.csr.T.tocsr(), f)
     X = f.array(U)
     for s in range(count):
         F = project_right(X, R if s < short else R[:, :v], f)
@@ -164,7 +165,7 @@ def krylov_left_sequence(M: SparseMat, U: np.ndarray, count: int, right, short=N
         if s < short:
             extra[s] = F[:, v:]
         if s + 1 < count:
-            X = _product(Mt, X, f)
+            X = step(X)
     return seq, extra
 
 

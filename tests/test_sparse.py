@@ -265,3 +265,28 @@ def test_krylov_object_tier_matches_dense_oracle():
     got, _ = krylov_left_sequence(M, U, 5, V)
     for a, b in zip(got, dense_mat_pow_seq(f, dense, U, V, 5)):
         assert np.array_equal(np.asarray(a, dtype=object), np.asarray(b, dtype=object))
+
+
+def test_matrix_limbs_are_cut_once_per_pass(monkeypatch):
+    # past p^2 > 2^63 every sparse product cuts both operands into limbs;
+    # a Krylov pass and a Horner evaluation cut their fixed matrix once
+    from bfglm import field as field_mod
+
+    f = Field(2**61 - 1)
+    rng = Rng(9)
+    M = SparseMat.from_dense(f, rng.block(f, 12, 12))
+    U, V = rng.block(f, 12, 2), rng.block(f, 12, 2)
+    want, _ = krylov_left_sequence(M, U, 6, V)
+    want_h = horner(M, [3, 1, 4, 1, 5], U)
+    cuts = []
+    limbs = field_mod._limbs
+
+    def counted(x, w, n):
+        cuts.append(sp.issparse(x))
+        return limbs(x, w, n)
+
+    monkeypatch.setattr(field_mod, "_limbs", counted)
+    got, _ = krylov_left_sequence(M, U, 6, V)
+    assert np.array_equal(got, want) and cuts.count(True) == 1
+    cuts.clear()
+    assert np.array_equal(horner(M, [3, 1, 4, 1, 5], U), want_h) and cuts.count(True) == 1

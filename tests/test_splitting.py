@@ -1,7 +1,4 @@
-import dataclasses
 import hashlib
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,9 +472,43 @@ def test_solves_past_the_accumulation_limit_and_on_the_object_tier(p, m):
     assert plain.Q == split.Q and plain.V == split.V
 
 
-# sha256 prefixes of the coefficients of Q, V_1, ..., V_3 of solve and
-# solve_split (equal, as plain == split) on the seed-1 point lists of
-# perfbench/workloads.point_specs at D = 60, pinned on the object-array
+def _point_list(f, D, seed, collide=0.0, fat=0.0):
+    """D points in 3 coordinates drawn from Rng(seed), and the child stream
+    that generate_instance draws from: simple points with distinct X_1
+    values, or, with a share collide of them sharing X_1 values pairwise and
+    a share fat of D in double points, in random order."""
+    rng = Rng(seed)
+    n_fat = round(fat * D / 2)
+    n_pts = D - n_fat
+    n_pairs = round(collide * n_pts / 2)
+    if n_pairs == 0 and n_fat == 0:
+        pts, xs = set(), set()
+        while len(pts) < D:
+            c = tuple(rng.element(f) for _ in range(3))
+            if c[0] not in xs:
+                xs.add(c[0])
+                pts.add(c)
+        return [PointSpec(coords=c) for c in sorted(pts)], rng.child()
+    xs = set()
+    while len(xs) < n_pts - n_pairs:
+        xs.add(rng.element(f))
+    xs = sorted(xs)
+    pts, coords = set(), []
+    for x1 in xs[:n_pairs] + xs:
+        c = (x1, rng.element(f), rng.element(f))
+        while c in pts:
+            c = (x1, rng.element(f), rng.element(f))
+        pts.add(c)
+        coords.append(c)
+    specs = [PointSpec(coords=c) for c in coords]
+    for i in sorted(int(i) for i in rng.permutation(n_pts)[:n_fat]):
+        specs[i] = PointSpec(coords=coords[i], nu=2, c=tuple(rng.nonzero_element(f) for _ in range(3)))
+    return specs, rng.child()
+
+
+# sha256 prefixes of the coefficients of Q, V_1, V_2, V_3 of solve and
+# solve_split (equal, as plain == split) on the D = 60 point lists of
+# _point_list with seed 1, block size m, pinned on the object-array
 # implementation that int64 storage replaced
 BIG_PRIME_PINS = {
     ((1 << 47) - 115, "radical"): "996afd8d24b0ad84",
@@ -485,19 +516,16 @@ BIG_PRIME_PINS = {
     ((1 << 61) - 1, "radical"): "6569c10b04f0b7ca",
     ((1 << 61) - 1, "mixed"): "afe13db1d714b5b2",
 }
+PIN_LISTS = {"radical": ({}, 4), "mixed": ({"collide": 0.15, "fat": 0.10}, 2)}
 
 
 @pytest.mark.parametrize("p, name", list(BIG_PRIME_PINS))
 def test_big_prime_outputs_are_pinned(p, name):
-    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
-    if perfbench not in sys.path:
-        sys.path.insert(0, perfbench)
-    from workloads import WORKLOADS, point_specs
-
-    w = dataclasses.replace(WORKLOADS[name], p=p)
-    field, specs, rng = point_specs(w, 60, 1)
-    inst, _ = generate_instance(field, w.n, specs, rng)
-    for param in (solve(inst, w.m, Rng(1)), solve_split(inst, w.m, Rng(1))):
+    f = Field(p)
+    shares, m = PIN_LISTS[name]
+    specs, rng = _point_list(f, 60, 1, **shares)
+    inst, _ = generate_instance(f, 3, specs, rng)
+    for param in (solve(inst, m, Rng(1)), solve_split(inst, m, Rng(1))):
         polys = [param.Q, *param.V]
         assert all(P.c.dtype == np.int64 for P in polys)
         text = ";".join(" ".join(str(int(x)) for x in P.c) for P in polys)
