@@ -96,6 +96,9 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     inst, truth = read_instance(args.infile)
+    if args.truth and truth is None:
+        print(f"--truth needs a 'truth k' section, and {args.infile} has none", file=sys.stderr)
+        return EXIT_USAGE
     param, pfield = read_param(args.param)
     if pfield.p != inst.field.p:
         print("modulus mismatch between instance and parametrization", file=sys.stderr)

@@ -112,11 +112,13 @@ class BlockSolveArtifacts:
     nums: list  # numerators of the columns of W, in order
 
 
-def _block_core(inst: Instance, M, U, V, y, d, rng, stats=None) -> BlockSolveArtifacts:
+def _block_core(inst: Instance, M, U, V, y, dim, rng, stats=None) -> BlockSolveArtifacts:
     """The one block solve of the plain, X_1 and residual attempts.
 
-    One streamed Krylov pass projects the left blocks L_s = U^T M^s onto V
-    for 2d terms and onto W, with the probe column N^2 e_1, for d terms.
+    dim is the dimension of the component that U sees, and the block size m
+    is U's width: one streamed Krylov pass projects the left blocks
+    L_s = U^T M^s onto V for 2d terms, d = ceil(dim / m), and onto W, with
+    the probe column N^2 e_1, for d terms.
     The 2d x m x m terms L_s . V give the minimal matrix generator P and its
     largest invariant factor s1.  The first left quotient row is computed,
     or all m of them when deg s1 is below deg det P: their exact check
@@ -124,6 +126,7 @@ def _block_core(inst: Instance, M, U, V, y, d, rng, stats=None) -> BlockSolveArt
     numerators of every column of W with respect to s1.
     """
     f = inst.field
+    d = max(1, math.ceil(dim / U.shape[1]))
     e1 = unit_vector(f, inst.D)
     y = f.array(y)
     W = np.stack([e1] + [mat_vec(Mi, e1) for Mi in inst.mats], axis=1)
@@ -145,9 +148,11 @@ def _block_core(inst: Instance, M, U, V, y, d, rng, stats=None) -> BlockSolveArt
 
 
 def _coordinates(nums: list, Q: Poly) -> list:
-    """C_w / C_{e_1} mod Q for each numerator after the first, that of e_1."""
-    C1_inv = nums[0].modinv(Q)
-    return [C.modmul(C1_inv, Q) for C in nums[1:]]
+    """C_w / C_ref mod Q for each numerator C_w after the first, C_ref: that
+    of e_1 in a block solve, of the trace form (Q') in the change of
+    separating element.  Raises NotInvertible when C_ref is not a unit."""
+    ref_inv = nums[0].modinv(Q)
+    return [C.modmul(ref_inv, Q) for C in nums[1:]]
 
 
 def _rank_one_defect(nums: list, y) -> Poly:
@@ -184,29 +189,28 @@ def block_parametrization(
     V: np.ndarray,
     t,
     y,
-    m: int,
     rng: Rng,
     stats: SolveStats | None = None,
-    artifacts: list | None = None,
     dim: int | None = None,
 ) -> ZeroDimParam:
     """One attempt of the block algorithm with fixed randomness: X = sum
     t_i X_i, and the probe form y.
 
-    dim is the dimension of the component that U sees: D, or D_B for the
-    splitting route's residual, whose U is projected onto it.  Below dim, a
-    squarefree s1 means the action is semisimple on a proper subspace: t
-    merges points, or the blocking missed part of the space.  An s1 with
-    repeated roots signals nilpotent structure instead and passes the
-    core's certificate even when t merges two simple points at another
-    root, so the probe's defect tests the simple roots.  Either case raises
-    NonSeparating; unlucky draws raise GenericityFailure and friends.
-    `solve` wraps this with the retry policy.
+    The block size is U's width.  dim is the dimension of the component
+    that U sees: D, or D_B for the splitting route's residual, whose U is
+    projected onto it.  Below dim, a squarefree s1 means the action is
+    semisimple on a proper subspace: t merges points, or the blocking
+    missed part of the space.  An s1 with repeated roots signals nilpotent
+    structure instead and passes the core's certificate even when t merges
+    two simple points at another root, so the probe's defect tests the
+    simple roots.  Either case raises NonSeparating; unlucky draws raise
+    GenericityFailure and friends.  `solve` wraps this with the retry
+    policy.
     """
     f = inst.field
     dim = inst.D if dim is None else dim
     M = combine_matrices(t, inst.mats)
-    core = _block_core(inst, M, U, V, y, max(1, math.ceil(dim / m)), rng, stats)
+    core = _block_core(inst, M, U, V, y, dim, rng, stats)
     s1, nums = core.s1, core.nums
     Q = squarefree_part(s1)
     if s1.degree < dim and (
@@ -215,8 +219,6 @@ def block_parametrization(
         raise NonSeparating(f"t merges points: invariant factor of degree {s1.degree} < {dim}")
     param = ZeroDimParam(Q=Q, V=_coordinates(nums[:-1], Q), t=[int(x) % f.p for x in t])
     param.check_invariants()
-    if artifacts is not None:
-        artifacts.append(core)
     return param
 
 
@@ -289,16 +291,16 @@ def solve(
     workers: int = 1,
     retries: int = 3,
     stats: SolveStats | None = None,
-    artifacts: list | None = None,
 ) -> ZeroDimParam:
-    """The block algorithm under the retry policy of `retry_solve`.
+    """The block algorithm under the retry policy of `retry_solve`: each
+    attempt is one `block_parametrization` with a fresh D x m pair U, V.
 
     `workers` has no effect: the streamed Krylov pass has no tasks to share.
     """
     stats = stats if stats is not None else SolveStats()
 
     def attempt(U, V, t, y):
-        return block_parametrization(inst, U, V, t, y, m, rng, stats=stats, artifacts=artifacts)
+        return block_parametrization(inst, U, V, t, y, rng, stats=stats)
 
     return retry_solve(inst, m, rng, attempt, retries, stats)
 

@@ -6,17 +6,16 @@ residual component, and take the union after a coordinate change.
 The X_1 solve and the residual are each one `param._block_core` solve with
 the probe form y: the X_1 solve keeps the roots where y's defect vanishes
 (`decompose`), and the residual is the plain attempt, which is all there is
-when nothing is solved (F = 1, U_B = U).
+when nothing is solved (F = 1, U_B = U).  They and the change of separating
+element read every coordinate through `param._coordinates`.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import InvalidInput, NonSeparating, NotInvertible
-from .field import Field, Rng
+from .field import Rng
 from .numerators import matrix_numerator
 from .param import (
     Instance,
@@ -42,20 +41,11 @@ from .unipoly import (
 )
 
 
-def _empty_param(field: Field, n: int, t) -> ZeroDimParam:
-    return ZeroDimParam(
-        Q=Poly.one(field),
-        V=[Poly.zero(field) for _ in range(n)],
-        t=[int(x) % field.p for x in t],
-    )
-
-
 def block_parametrization_x1(
     inst: Instance,
     U: np.ndarray,
     V: np.ndarray,
     y,
-    m: int,
     rng: Rng,
     stats: SolveStats | None = None,
 ) -> ZeroDimParam:
@@ -64,18 +54,13 @@ def block_parametrization_x1(
     local algebra.  F, of degree D_A, is `decompose`'s factor of the minimal
     polynomial of M_1, with the probe form y's a*c - b^2 defect.  At an
     X_1-value shared by points P and P' the defect is a multiple of
-    (sum_{i>=2} y_i (x_i - x'_i))^2: y_1 cancels, as x_1 = x'_1.
+    (sum_{i>=2} y_i (x_i - x'_i))^2: y_1 cancels, as x_1 = x'_1.  The
+    coordinates are `_coordinates`', as in the plain attempt: the first is
+    T mod F, as X = X_1, and all are zero when X_1 sees no point (F = 1).
     """
-    f = inst.field
-    d = max(1, math.ceil(inst.D / m))
-    core = _block_core(inst, inst.mats[0], U, V, y, d, rng, stats)
+    core = _block_core(inst, inst.mats[0], U, V, y, inst.D, rng, stats)
     F = decompose(core.s1, squarefree_part(core.s1), _rank_one_defect(core.nums, y))
-    t_x1 = [1] + [0] * (inst.n - 1)
-    if F.degree == 0:
-        return _empty_param(f, inst.n, t_x1)
-    # the coordinate X_1 is T itself, and the last numerator is the probe's
-    a, _, *coords, _ = core.nums
-    param = ZeroDimParam(Q=F, V=[Poly.x(f) % F] + _coordinates([a, *coords], F), t=t_x1)
+    param = ZeroDimParam(Q=F, V=_coordinates(core.nums[:-1], F), t=[1] + [0] * (inst.n - 1))
     param.check_invariants()
     return param
 
@@ -106,7 +91,7 @@ def block_parametrization_residual(
     if D_B < 1:
         raise InvalidInput("no residual component to solve")
     U_B = correction_matrices(F, U, inst)
-    return block_parametrization(inst, U_B, V, t, y, U.shape[1], rng, stats=stats, dim=D_B)
+    return block_parametrization(inst, U_B, V, t, y, rng, stats=stats, dim=D_B)
 
 
 def change_separating_element(param: ZeroDimParam, t) -> ZeroDimParam:
@@ -116,17 +101,18 @@ def change_separating_element(param: ZeroDimParam, t) -> ZeroDimParam:
     in the generating-series form of Bostan-Salvy-Schost): Tr and the forms
     Tr(G_i .) are projected along the powers of the image lam of X for
     deg F + 1 terms in one power projection.  Newton's identities turn the
-    power sums Tr(lam^s) into Q = charpoly(lam); the power sequence has
-    numerator Q', so V_i = num_i / Q' mod Q, all num_i from one matrix
-    numerator over the 1 x 1 generator Q.  Nothing is drawn: a Q' not
-    invertible mod Q means X merges points, and raises NonSeparating.
+    power sums Tr(lam^s) into Q = charpoly(lam).  One matrix numerator over
+    the 1 x 1 generator Q gives the numerators of all n + 1 rows, the trace
+    row's being Q', and `_coordinates` reads V_i = num_i / Q' mod Q off
+    them.  Nothing is drawn: a Q' not invertible mod Q means X merges
+    points, and raises NonSeparating.
     """
     f = param.Q.field
     F = param.Q
     r = F.degree
     t = [int(x) % f.p for x in t]
     if r == 0:
-        return _empty_param(f, param.n, t)
+        return ZeroDimParam(Q=Poly.one(f), V=[Poly.zero(f) for _ in param.V], t=t)
     if r >= f.p:
         raise InvalidInput("Newton's identities need deg Q < p")
     lam = sum((Gi.scale(ti) for ti, Gi in zip(t, param.V)), Poly.zero(f)) % F
@@ -134,12 +120,11 @@ def change_separating_element(param: ZeroDimParam, t) -> ZeroDimParam:
     forms = [trace] + [transposed_modmul(Gi % F, trace, F) for Gi in param.V]
     proj = power_projection(F, lam, f.array(forms), r + 1)
     Q = charpoly_from_power_sums(proj[0], f)
+    nums = matrix_numerator(proj[:, :r].T[:, None, :], PolyMat(f, Q.c[None, None, :]))
     try:
-        Qd_inv = Q.derivative().modinv(Q)
+        V = _coordinates([nums[0, j] for j in range(param.n + 1)], Q)
     except NotInvertible:
         raise NonSeparating("the requested form does not separate the solved points")
-    nums = matrix_numerator(proj[1:, :r].T[:, None, :], PolyMat(f, Q.c[None, None, :]))
-    V = [nums[0, j].modmul(Qd_inv, Q) for j in range(param.n)]
     new = ZeroDimParam(Q=Q, V=V, t=t)
     new.check_invariants()
     return new
@@ -166,12 +151,11 @@ def block_parametrization_with_splitting(
     V: np.ndarray,
     t,
     y,
-    m: int,
     rng: Rng,
     stats: SolveStats | None = None,
 ) -> ZeroDimParam:
     """One attempt of the splitting pipeline with fixed randomness."""
-    param_A = block_parametrization_x1(inst, U, V, y, m, rng, stats=stats)
+    param_A = block_parametrization_x1(inst, U, V, y, rng, stats=stats)
     D_A = param_A.Q.degree
     D_B = inst.D - D_A
     if stats is not None:
@@ -200,6 +184,6 @@ def solve_split(
     stats = stats if stats is not None else SolveStats()
 
     def attempt(U, V, t, y):
-        return block_parametrization_with_splitting(inst, U, V, t, y, m, rng, stats=stats)
+        return block_parametrization_with_splitting(inst, U, V, t, y, rng, stats=stats)
 
     return retry_solve(inst, m, rng, attempt, retries, stats)

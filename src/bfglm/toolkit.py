@@ -213,6 +213,8 @@ def _read_header(path: str, magic: str):
 def read_instance(path: str):
     """Returns (Instance, GroundTruth or None)."""
     lines, field, n, D = _read_header(path, "BFGLM 1")
+    if n < 1 or D < 1:
+        raise FormatError(f"need n >= 1 and D >= 1, got n = {n}, D = {D}", line=lines[1][0])
     pos = 2
     mats = []
     for i in range(1, n + 1):

@@ -416,27 +416,6 @@ def transposed_modmul(G: Poly, ell, F: Poly):
     return [int(x) for x in TransposedProduct(G, F)(ell)]
 
 
-def _power_projection_bsgs(F: Poly, H: Poly, ells: np.ndarray, t: int) -> np.ndarray:
-    """k x t values ell_i(H^s mod F) for the k rows ell_i of ells, from one
-    shared table of nb baby steps H^j mod F and the giant step H^nb."""
-    f = F.field
-    k, r = ells.shape
-    nb = min(t, math.isqrt(k * t - 1) + 1, math.isqrt(2 * r - 1) + 1)
-    step = ModularProduct(H % F, F)
-    baby = f.zeros((nb, r))
-    baby[0, 0] = 1
-    for j in range(1, nb):
-        baby[j] = step(baby[j - 1])
-    giant = TransposedProduct(Poly._raw(f, step(baby[-1])), F) if t > nb else None
-    out = f.zeros((k, t))
-    cur = ells
-    for s in range(0, t, nb):
-        if s:
-            cur = np.stack([giant(row) for row in cur])
-        out[:, s : s + nb] = f.matmul(baby, cur.T)[: t - s].T
-    return out
-
-
 def power_projection(F: Poly, H: Poly, ells, t: int) -> np.ndarray:
     """The k x t values ell_i(H^s mod F), s < t, of the k rows ell_i of the
     k x deg F block ells.  All forms share one table of nb = min(t,
@@ -455,7 +434,21 @@ def power_projection(F: Poly, H: Poly, ells, t: int) -> np.ndarray:
     ells = f.array(ells)
     if t == 0 or F.degree <= 0:
         return f.zeros((len(ells), t))
-    return _power_projection_bsgs(F, H, ells, t)
+    k, r = ells.shape
+    nb = min(t, math.isqrt(k * t - 1) + 1, math.isqrt(2 * r - 1) + 1)
+    step = ModularProduct(H % F, F)
+    baby = f.zeros((nb, r))
+    baby[0, 0] = 1
+    for j in range(1, nb):
+        baby[j] = step(baby[j - 1])
+    giant = TransposedProduct(Poly._raw(f, step(baby[-1])), F) if t > nb else None
+    out = f.zeros((k, t))
+    cur = ells
+    for s in range(0, t, nb):
+        if s:
+            cur = np.stack([giant(row) for row in cur])
+        out[:, s : s + nb] = f.matmul(baby, cur.T)[: t - s].T
+    return out
 
 
 def rational_reconstruct(series: Poly, prec: int, dnum: int, dden: int):

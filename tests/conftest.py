@@ -85,3 +85,21 @@ def polymat_of(field, entries):
         for j, e in enumerate(row):
             c[i, j, : len(e.c)] = e.c
     return PolyMat(field, c)
+
+
+@pytest.fixture
+def block_cores(monkeypatch):
+    """The BlockSolveArtifacts that `param._block_core` returns while the
+    test runs, in call order, failed attempts included."""
+    from bfglm import param, splitting
+
+    cores = []
+    real = param._block_core
+
+    def recording(*args, **kwargs):
+        cores.append(real(*args, **kwargs))
+        return cores[-1]
+
+    monkeypatch.setattr(param, "_block_core", recording)
+    monkeypatch.setattr(splitting, "_block_core", recording)
+    return cores

@@ -82,7 +82,7 @@ def invariant_suite(inst, param, arts, rng):
     return True
 
 
-def test_criterion_1_reference_example():
+def test_criterion_1_reference_example(block_cores):
     start = time.perf_counter()
     mats = [SparseMat.from_dense(F101, REF_M1), SparseMat.from_dense(F101, REF_M2)]
     inst = Instance(field=F101, n=2, D=4, mats=mats)
@@ -100,9 +100,8 @@ def test_criterion_1_reference_example():
     ok &= G[1, 0] == P(F101, 33, 100)
     ok &= G[1, 1] == P(F101, 78, 84, 1)
 
-    arts = []
-    param = block_parametrization(inst, U, V, REF_T, [1, 1], 2, rng=Rng(7), artifacts=arts)
-    a = arts[0]
+    param = block_parametrization(inst, U, V, REF_T, [1, 1], rng=Rng(7))
+    (a,) = block_cores
     ok &= a.s1 == P(F101, 7, 100, 76, 1)
     ok &= param.Q == P(F101, 61, 8, 1)
     ok &= a.a_row[0, 0] == P(F101, 16, 1)
@@ -135,7 +134,7 @@ def test_criterion_2_scalar_fixtures():
     report(2, "scalar numerator and two-point line fixtures", ok)
 
 
-def test_criterion_3_and_6_radical_oracle_with_invariants():
+def test_criterion_3_and_6_radical_oracle_with_invariants(block_cores):
     start = time.perf_counter()
     runs = 0
     successes = 0
@@ -153,9 +152,9 @@ def test_criterion_3_and_6_radical_oracle_with_invariants():
                     spec = [PointSpec(coords=c) for c in sorted(pts)]
                     inst, truth = generate_instance(F, n, spec, rng.child())
                     stats = SolveStats()
-                    arts = []
+                    block_cores.clear()
                     try:
-                        param = solve(inst, m, rng.child(), stats=stats, artifacts=arts)
+                        param = solve(inst, m, rng.child(), stats=stats)
                     except Exception:
                         continue
                     if stats.retries > 1:
@@ -163,7 +162,7 @@ def test_criterion_3_and_6_radical_oracle_with_invariants():
                     rep = verify_against_points(param, truth.points, F)
                     if not (rep["pass"] and param.Q.degree == D):
                         continue
-                    if not invariant_suite(inst, param, arts, rng.child()):
+                    if not invariant_suite(inst, param, block_cores, rng.child()):
                         invariant_failures += 1
                         continue
                     successes += 1
@@ -217,8 +216,8 @@ def test_criterion_4_cross_algorithm_equality():
             t = [rng_a.nonzero_element(F) for _ in range(n)]
             y = [rng_a.nonzero_element(F) for _ in range(n)]
             try:
-                plain = block_parametrization(inst, U, V, t, y, m, rng=Rng(3))
-                split = block_parametrization_with_splitting(inst, U, V, t, y, m, rng=Rng(3))
+                plain = block_parametrization(inst, U, V, t, y, rng=Rng(3))
+                split = block_parametrization_with_splitting(inst, U, V, t, y, rng=Rng(3))
             except Exception:
                 continue
             same = plain.Q == split.Q and all(a == b for a, b in zip(plain.V, split.V))

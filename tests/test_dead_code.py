@@ -5,7 +5,8 @@ there, as `.name(` or `name(`, or be named below with the reason it stays.
 A method that shares its name with an attribute is referenced by that
 attribute, so only the call check sees that nothing calls it.  A reason
 that cites the benchmark's span tracer is checked against the tracer's
-LAYERS."""
+LAYERS, and one that cites the benchmark runner against the names the
+runner reads."""
 
 import ast
 import importlib
@@ -16,6 +17,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bfglm"
 SPANS = ROOT / "perfbench" / "spans.py"
+RUN = ROOT / "perfbench" / "run.py"
 
 ALLOWED = {
     "vec_mat": "wrapped by perfbench/spans.py",
@@ -120,6 +122,12 @@ def test_span_reasons_name_traced_functions():
     traced = {fn.split(".")[-1] for fns in _layers().values() for fn in fns}
     cited = {name for name, why in ALLOWED.items() if "perfbench/spans.py" in why}
     assert cited and sorted(cited - traced) == []
+
+
+def test_runner_reasons_name_what_the_runner_reads():
+    read = _names(ast.parse(RUN.read_text(), str(RUN)))
+    cited = {name for name, why in ALLOWED.items() if "perfbench/run.py" in why}
+    assert cited and sorted(name for name in cited if not read[name]) == []
 
 
 def test_traced_names_resolve():

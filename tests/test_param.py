@@ -83,15 +83,14 @@ def test_mat_vec_matches_dense(p):
     assert np.array_equal(mat_vec(M, w), (dense.astype(object) @ w.astype(object)) % p)
 
 
-def test_block_parametrization_reference(ref_instance, ref_blocks):
+def test_block_parametrization_reference(ref_instance, ref_blocks, block_cores):
     U, V = ref_blocks
-    arts = []
-    param = block_parametrization(ref_instance, U, V, REF_T, [1, 1], 2, rng=Rng(7), artifacts=arts)
+    param = block_parametrization(ref_instance, U, V, REF_T, [1, 1], rng=Rng(7))
     assert param.Q == P(61, 8, 1)
     assert param.V[0] == P(14, 15)
     assert param.V[1] == P(9, 49)
     assert param.t == [2, 53]
-    a = arts[0]
+    (a,) = block_cores
     assert a.nums[0] == P(13, 75, 84)
     assert a.nums[1] == P(16, 47, 88)
     assert a.s1 == P(7, 100, 76, 1)
@@ -141,7 +140,7 @@ def test_blocking_factors_agree():
     for m in (1, 2, 4):
         U = Rng(100 + m).block(f, inst.D, m)
         V = Rng(200 + m).block(f, inst.D, m)
-        outs.append(block_parametrization(inst, U, V, t, [5, 7], m, rng=Rng(5)))
+        outs.append(block_parametrization(inst, U, V, t, [5, 7], rng=Rng(5)))
     for o in outs[1:]:
         assert o.Q == outs[0].Q
         assert all(a == b for a, b in zip(o.V, outs[0].V))
@@ -173,7 +172,7 @@ def test_solve_retries_fresh_t_on_detected_collision():
     U = Rng(41).block(f, inst.D, 1)
     V = Rng(42).block(f, inst.D, 1)
     with pytest.raises(NonSeparating):
-        bp(inst, U, V, bad_t, [3, 7], 1, rng=Rng(43))
+        bp(inst, U, V, bad_t, [3, 7], rng=Rng(43))
     stats = SolveStats()
     param = solve(inst, 1, Rng(44), stats=stats)
     assert param.Q.degree == 2
@@ -198,7 +197,7 @@ def test_probe_catches_merged_points_beside_a_double_point(monkeypatch):
     U = Rng(46).block(f, inst.D, 1)
     V = Rng(47).block(f, inst.D, 1)
     with pytest.raises(NonSeparating):
-        block_parametrization(inst, U, V, bad_t, [3, 7], 1, rng=Rng(48))
+        block_parametrization(inst, U, V, bad_t, [3, 7], rng=Rng(48))
 
     # solve starting from the merging t redraws t and returns every point
     calls = []
@@ -240,7 +239,7 @@ def test_probe_catches_a_simple_point_merged_into_a_fat_one():
             U, V = rng.block(f, inst.D, m), rng.block(f, inst.D, m)
             y = [rng.nonzero_element(f) for _ in range(2)]
             with pytest.raises(NonSeparating):
-                block_parametrization(inst, U, V, [1, 1], y, m, rng)
+                block_parametrization(inst, U, V, [1, 1], y, rng)
 
 
 def test_a_rejected_plain_attempt_makes_one_krylov_pass(monkeypatch):
@@ -268,7 +267,7 @@ def test_a_rejected_plain_attempt_makes_one_krylov_pass(monkeypatch):
     monkeypatch.setattr(sparse, "krylov_left_sequence", counting)
     monkeypatch.setattr(param_mod, "krylov_left_sequence", counting)
     with pytest.raises(NonSeparating):
-        block_parametrization(inst, U, V, [10, f.p - 1], [3, 7], 1, rng=Rng(48))
+        block_parametrization(inst, U, V, [10, f.p - 1], [3, 7], rng=Rng(48))
     assert len(passes) == 1
 
 

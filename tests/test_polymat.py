@@ -450,14 +450,14 @@ def test_block_core_checks_every_quotient_row(monkeypatch):
 
     monkeypatch.setattr(param, "left_quotient_row", recording)
     inst = param.Instance(field=F, n=1, D=4, mats=[M])
-    core = param._block_core(inst, M, U, U, [1], 2, Rng(0))
+    core = param._block_core(inst, M, U, U, [1], 4, Rng(0))
     assert core.s1 == P(99, 1) * P(96, 1) * P(94, 1) and rows == [2]
     real = param.largest_invariant_factor
     monkeypatch.setattr(
         param, "largest_invariant_factor", lambda Pmat, rng: real(Pmat, _Draws([1, 1], [1, 0]))
     )
     with pytest.raises(GenericityFailure):
-        param._block_core(inst, M, U, U, [1], 2, Rng(0))
+        param._block_core(inst, M, U, U, [1], 4, Rng(0))
 
 
 def test_largest_invariant_factor_with_a_constant_row():

@@ -44,7 +44,7 @@ def x1_solve(inst, m, seed, y=None):
     U = rng.block(F, inst.D, m)
     V = rng.block(F, inst.D, m)
     y = y if y is not None else [rng.nonzero_element(F) for _ in range(inst.n)]
-    return block_parametrization_x1(inst, U, V, y, m, rng=rng.child())
+    return block_parametrization_x1(inst, U, V, y, rng=rng.child())
 
 
 def test_x1_solve_all_distinct_first_coordinates():
@@ -77,8 +77,9 @@ def test_x1_solve_nothing_visible():
     spec = [PointSpec(coords=(3, 5)), PointSpec(coords=(3, 8))]
     inst, _ = make(spec, 5)
     param = x1_solve(inst, 1, 6)
-    assert param.Q.degree == 0
+    assert param.Q == P(1)
     assert param.is_empty()
+    assert param.V == [Poly.zero(F), Poly.zero(F)] and param.t == [1, 0]
 
 
 def test_x1_solve_ignores_the_first_probe_entry():
@@ -111,6 +112,61 @@ def test_x1_probe_form_detects_hidden_structure():
     param = x1_solve(inst, 2, 8)
     assert param.Q.degree == 1
     assert param.Q.eval(8) == 0
+
+
+def _x1_rule_spec():
+    """D = 60 over n = 3: 40 simple points with X_1-values of their own,
+    5 pairs sharing one and 5 double points, so D_A = 40."""
+    rng = np.random.default_rng(60)
+    x1s = rng.choice(np.arange(1, 1000), 50, replace=False).tolist()
+    pts = [(x1, *map(int, rng.integers(1, F.p, 2))) for x1 in x1s + x1s[40:45]]
+    spec = [PointSpec(coords=c) for c in pts[:45] + pts[50:]]
+    return spec + [PointSpec(coords=c, nu=2, c=(1, 2, 3)) for c in pts[45:50]]
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_x1_solve_reads_T_through_the_coordinate_rule(m):
+    # V_1 is e_1's numerator under M_1 over e_1's own, mod F: T mod F
+    spec = _x1_rule_spec()
+    inst, _ = make(spec, 21)
+    assert inst.D == 60
+    param = x1_solve(inst, m, 22)
+    assert param.Q.degree == 40
+    assert param.V[0] == Poly.x(F) % param.Q
+    for pt in spec[:40]:
+        assert param.Q.eval(pt.coords[0]) == 0
+        assert [Vi.eval(pt.coords[0]) for Vi in param.V] == list(pt.coords)
+
+
+def test_every_coordinate_is_read_through_one_rule(monkeypatch):
+    # one _coordinates call per X_1 solve, per change of separating element
+    # (whose reference numerator, the trace row's, is Q') and per residual
+    from bfglm import param as param_mod
+
+    calls = []
+    real = param_mod._coordinates
+
+    def spy(nums, Q):
+        calls.append((list(nums), Q))
+        return real(nums, Q)
+
+    monkeypatch.setattr(param_mod, "_coordinates", spy)
+    monkeypatch.setattr(splitting, "_coordinates", spy)
+    inst, truth = make(_x1_rule_spec(), 21)
+    rng = Rng(23)
+    U, V = rng.block(F, inst.D, 2), rng.block(F, inst.D, 2)
+    t, y = ([rng.nonzero_element(F) for _ in range(3)] for _ in range(2))
+    param_A = block_parametrization_x1(inst, U, V, y, rng=rng.child())
+    assert [Q for _, Q in calls] == [param_A.Q]
+    pA = change_separating_element(param_A, t)
+    assert len(calls) == 2
+    nums, Q = calls[1]
+    assert Q == pA.Q and len(nums) == 4 and nums[0] == Q.derivative()
+    calls.clear()
+    out = block_parametrization_with_splitting(inst, U, V, t, y, rng=rng.child())
+    assert len(calls) == 3 and calls[1][0][0] == calls[1][1].derivative()
+    assert out.Q == calls[1][1] * calls[2][1]
+    assert verify_against_points(out, truth.points, F)["pass"]
 
 
 def test_decompose_edges():
@@ -190,7 +246,7 @@ def test_corrections_match_component_difference():
     U = rng.block(F, inst.D, m)
     V = rng.block(F, inst.D, m)
     y = [rng.nonzero_element(F) for _ in range(2)]
-    param_A = block_parametrization_x1(inst, U, V, y, m, rng=rng.child())
+    param_A = block_parametrization_x1(inst, U, V, y, rng=rng.child())
     assert param_A.Q.degree == 3
     t = [5, 9]
     pB = block_parametrization_residual(inst, U, V, param_A.Q, t, y, rng=rng.child())
@@ -208,7 +264,7 @@ def test_residual_requires_nonempty_component():
     rng = Rng(18)
     U = rng.block(F, inst.D, 1)
     V = rng.block(F, inst.D, 1)
-    param_A = block_parametrization_x1(inst, U, V, [rng.nonzero_element(F) for _ in range(2)], 1, rng=rng.child())
+    param_A = block_parametrization_x1(inst, U, V, [rng.nonzero_element(F) for _ in range(2)], rng=rng.child())
     assert param_A.Q.degree == inst.D
     with pytest.raises(InvalidInput):
         block_parametrization_residual(inst, U, V, param_A.Q, [1, 1], [1, 1], rng=rng.child())
@@ -233,7 +289,7 @@ def test_residual_probe_rejects_a_merging_form(m):
     V = rng.block(F, inst.D, m)
     stats = SolveStats()
     with pytest.raises(NonSeparating):
-        block_parametrization_with_splitting(inst, U, V, [1, 0], [7, 7], m, rng=rng, stats=stats)
+        block_parametrization_with_splitting(inst, U, V, [1, 0], [7, 7], rng=rng, stats=stats)
     assert (stats.extras["D_A"], stats.extras["D_B"]) == (2, 4)
 
 
@@ -413,8 +469,8 @@ def test_split_agrees_with_plain(spec_idx, m):
     t = [3, 11]
     y = [7, 7]
     stats = SolveStats()
-    plain = block_parametrization(inst, U, V, t, y, m, rng=Rng(5))
-    split = block_parametrization_with_splitting(inst, U, V, t, y, m, rng=Rng(5), stats=stats)
+    plain = block_parametrization(inst, U, V, t, y, rng=Rng(5))
+    split = block_parametrization_with_splitting(inst, U, V, t, y, rng=Rng(5), stats=stats)
     assert plain.Q == split.Q
     assert all(a == b for a, b in zip(plain.V, split.V))
     assert verify_against_points(split, truth.points, F)["pass"]

@@ -173,6 +173,9 @@ def test_instance_format_errors(tmp_path):
 
     expect("nonsense\n", 1)
     expect("BFGLM 1\n65537 1\n", 2)
+    # no variable, an empty algebra, a negative dimension
+    for dims in ("0 2", "1 0", "1 -3"):
+        expect(f"BFGLM 1\n65537 {dims}\n", 2)
     expect("BFGLM 1\n65537 1 2\nmatrix 2 0\n", 3)
     expect("BFGLM 1\n65537 1 2\nmatrix 1 1\n0 5 1\n", 4)
     expect("BFGLM 1\n65537 1 2\nmatrix 1 1\n0 1 0\n", 4)
@@ -373,6 +376,20 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert "ground-truth points" in out
 
 
+def test_cli_verify_truth_needs_a_truth_section(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("3 5\n9 2\n")
+    inst = str(tmp_path / "inst.txt")
+    sol = str(tmp_path / "sol.txt")
+    assert run_cli("gen", "--points", str(pts), "--n", "2", "--out", inst, "--seed", "2") == 0
+    assert run_cli("solve", "--in", inst, "--out", sol, "--seed", "3") == 0
+    assert run_cli("verify", "--in", inst, "--param", sol) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "--in", inst, "--param", sol, "--truth") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "'truth k' section" in err
+
+
 def test_cli_x1_index_permutes_back(tmp_path):
     pts = tmp_path / "pts.txt"
     pts.write_text("3 5\n9 2\n12 4\n")
@@ -394,6 +411,9 @@ def test_cli_error_codes(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("garbage\n")
     assert run_cli("solve", "--in", str(bad)) == 2
+    # a negative D once escaped from scipy as a traceback, exit 1
+    bad.write_text("BFGLM 1\n65537 1 -3\n")
+    assert run_cli("solve-split", "--in", str(bad)) == 2
     with pytest.raises(SystemExit) as ei:
         run_cli("no-such-command")
     assert ei.value.code == 2
