@@ -104,7 +104,6 @@ class BlockSolveArtifacts:
     of W = [e_1 | M_1 e_1 | ... | M_n e_1 | N^2 e_1], N = sum y_i M_i."""
 
     M: SparseMat
-    columns: np.ndarray  # d x m x (n + 2): the terms L_s . W the numerators read
     seq: np.ndarray  # 2d x m x m: the terms L_s . V
     Pmat: object
     s1: Poly
@@ -144,7 +143,7 @@ def _block_core(inst: Instance, M, U, V, y, dim, rng, stats=None) -> BlockSolveA
     rows = Pmat.rows if s1.degree < sum(Pmat.row_degrees()) else 1
     a_row = PolyMat(f, left_quotient_row(Pmat, s1, rows).c[:1])
     nums = scalar_numerator(a_row, Pmat, columns)
-    return BlockSolveArtifacts(M, columns, seq, Pmat, s1, a_row, nums)
+    return BlockSolveArtifacts(M, seq, Pmat, s1, a_row, nums)
 
 
 def _coordinates(nums: list, Q: Poly) -> list:
@@ -312,27 +311,19 @@ def verify_against_points(param: ZeroDimParam, truth_points, field: Field):
     collapse).  Returns a report dict with per-point pass/fail entries.
     """
     report = {"pass": True, "points": [], "warnings": []}
-    distinct = []
-    for pt in truth_points:
-        pt = tuple(int(c) % field.p for c in pt)
-        if pt not in distinct:
-            distinct.append(pt)
+    distinct = list(dict.fromkeys(tuple(int(c) % field.p for c in pt) for pt in truth_points))
     if not distinct:
         report["warnings"].append("empty truth list: vacuous pass")
         return report
-    xvals = set()
-    for pt in distinct:
-        x = sum(int(ti) * c for ti, c in zip(param.t, pt)) % field.p
-        xvals.add(x)
-        ok = param.Q.eval(x) == 0 and all(
-            Vi.eval(x) == c for Vi, c in zip(param.V, pt)
-        )
-        report["points"].append({"point": pt, "x": x, "ok": ok})
-        if not ok:
-            report["pass"] = False
-    if param.Q.degree != len(xvals):
-        report["pass"] = False
-        report["warnings"].append(
-            f"deg(Q)={param.Q.degree} but truth has {len(xvals)} distinct X-values"
-        )
+    pts = field.array(distinct)
+    xs = field.matmul(pts, field.array(param.t))
+    ok = param.Q.eval(xs) == 0
+    for Vi, coord in zip(param.V, pts.T):
+        ok &= Vi.eval(xs) == coord
+    for pt, x, good in zip(distinct, xs.tolist(), ok.tolist()):
+        report["points"].append({"point": pt, "x": x, "ok": good})
+    nx = len(set(xs.tolist()))
+    report["pass"] = bool(ok.all()) and param.Q.degree == nx
+    if param.Q.degree != nx:
+        report["warnings"].append(f"deg(Q)={param.Q.degree} but truth has {nx} distinct X-values")
     return report

@@ -1,5 +1,5 @@
-"""Polynomial matrices: minimal approximant bases, minimal matrix generators
-of linearly recurrent matrix sequences, row-reducedness, the largest
+"""Polynomial matrices: minimal approximant bases, row-reduced minimal
+matrix generators of linearly recurrent matrix sequences, the largest
 invariant factor (by Berlekamp-Massey on one projected series), and quotient
 rows.
 
@@ -96,37 +96,26 @@ def _product(f: Field, a: np.ndarray, b: np.ndarray, lo: int = 0, hi: int | None
 
 
 def mat_inverse(field: Field, A: np.ndarray) -> np.ndarray:
-    """Dense inverse of a small constant matrix by Gaussian elimination.
+    """Dense inverse of a small constant matrix by Gauss-Jordan elimination
+    on Python-int rows, like `_eliminate`, so exact for every prime.
 
     Raises GenericityFailure when singular (callers treat that as unlucky
     randomness).
     """
-    n = A.shape[0]
-    work = field.array(A)
-    inv = field.zeros((n, n))
-    for i in range(n):
-        inv[i, i] = 1
-    p = field.p
+    p, n = field.p, len(A)
+    aug = [[x % p for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(A.tolist())]
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if work[r, col] != 0:
-                piv = r
-                break
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
             raise GenericityFailure("singular constant matrix")
-        if piv != col:
-            work[[col, piv]] = work[[piv, col]]
-            inv[[col, piv]] = inv[[piv, col]]
-        scale = field.inv(int(work[col, col]))
-        work[col] = field.axpy(scale, work[col])
-        inv[col] = field.axpy(scale, inv[col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        scale = field.inv(aug[col][col])
+        aug[col] = [x * scale % p for x in aug[col]]
         for r in range(n):
-            if r != col and work[r, col] != 0:
-                c = p - int(work[r, col])
-                work[r] = field.axpy(c, work[col], work[r])
-                inv[r] = field.axpy(c, inv[col], inv[r])
-    return inv
+            if r != col and aug[r][col]:
+                c = aug[r][col]
+                aug[r] = [(x - c * y) % p for x, y in zip(aug[r], aug[col])]
+    return np.array([row[n:] for row in aug], dtype=np.int64)
 
 
 def approximant_basis(F: PolyMat, order: int, shift=None) -> PolyMat:
@@ -204,18 +193,6 @@ def _eliminate(f: Field, rows: list, deg: list) -> tuple:
     return np.array([row[c:] for row in aug], dtype=np.int64), [i for i, _, _ in pivots]
 
 
-def is_row_reduced(P: PolyMat) -> bool:
-    if P.rows != P.cols:
-        raise ShapeError("row-reducedness is defined for square matrices here")
-    if min(P.row_degrees()) < 0:
-        return False
-    try:
-        mat_inverse(P.field, P.leading_matrix())
-        return True
-    except GenericityFailure:
-        return False
-
-
 def reversed_series(f: Field, terms) -> np.ndarray:
     """The m x k x d coefficient tensor of sum_{s<d} E_{d-1-s} T^s, for the
     d x m x k terms E_s of a sequence (an array, or a list that converts to
@@ -254,14 +231,17 @@ def minimal_matrix_generator(terms, field: Field, deg: int) -> PolyMat:
             f"expected {m} generator rows of degree <= {deg}, found {len(selected)}"
         )
     gen = PolyMat(field, basis.c[selected, :m])
+    # the rows are row-reduced exactly when their leading matrix, which
+    # reads a zero row as zeros, is invertible
+    try:
+        lead_inv = mat_inverse(field, gen.leading_matrix())
+    except GenericityFailure:
+        raise GenericityFailure("selected rows are not row-reduced") from None
     if len(set(gen.row_degrees())) == 1:
         # uniform row degrees admit a unique generator with identity leading
         # matrix, which keeps outputs canonical across block choices
         c = gen.c
-        lead_inv = mat_inverse(field, gen.leading_matrix())
         gen = PolyMat(field, field.matmul(lead_inv, c.reshape(m, -1)).reshape(c.shape))
-    if not is_row_reduced(gen):
-        raise GenericityFailure("selected rows are not row-reduced")
     return gen
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FormatError, InvalidInput, InvalidSpec, InvariantViolation
 from .field import Field, Rng
-from .param import Instance, ZeroDimParam
+from .param import Instance, ZeroDimParam, verify_against_points
 from .sparse import SparseMat, combine_matrices, horner, mat_vec, project_vector
 from .unipoly import Poly, berlekamp_massey
 
@@ -191,6 +191,32 @@ def _ints(parts, lineno, count=None):
     return vals
 
 
+def _tagged(lines, pos, tag, count=None):
+    """The integers after the word tag on the nonblank line lines[pos],
+    count of them when given: the one reader of the 'matrix', 'truth',
+    't:', 'Q:' and 'V_i:' lines."""
+    if pos >= len(lines):
+        raise FormatError(f"missing '{tag}' line", line=lines[-1][0] + 1)
+    lineno, text = lines[pos]
+    word, *parts = text.split()
+    if word != tag:
+        raise FormatError(f"expected a '{tag}' line", line=lineno)
+    return _ints(parts, lineno, count)
+
+
+def _point_spec(parts, n, lineno):
+    """The PointSpec of the words 'c_1 ... c_n' or 'c_1 ... c_n nilpotent nu
+    k_1 ... k_n': a points-file line, or a truth line after its 'point'."""
+    if len(parts) == n:
+        return PointSpec(coords=tuple(_ints(parts, lineno)))
+    if len(parts) == 2 * n + 2 and parts[n] == "nilpotent":
+        vals = _ints(parts[:n] + parts[n + 1 :], lineno)
+        return PointSpec(coords=tuple(vals[:n]), nu=vals[n], c=tuple(vals[n + 1 :]))
+    raise FormatError(
+        "expected 'c_1 ... c_n' or 'c_1 ... c_n nilpotent nu k_1 ... k_n'", line=lineno
+    )
+
+
 def _read_header(path: str, magic: str):
     """(lines, field, a, b): the nonblank (line number, text) pairs of a
     file whose first line is magic, then the field and the two integers of
@@ -218,15 +244,9 @@ def read_instance(path: str):
     pos = 2
     mats = []
     for i in range(1, n + 1):
-        if pos >= len(lines):
-            raise FormatError(f"missing header for matrix {i}", line=lines[-1][0] + 1)
-        lineno, header = lines[pos]
-        parts = header.split()
-        if len(parts) != 3 or parts[0] != "matrix":
-            raise FormatError(f"expected 'matrix {i} nnz'", line=lineno)
-        idx, nnz = _ints(parts[1:], lineno, 2)
+        idx, nnz = _tagged(lines, pos, "matrix", 2)
         if idx != i:
-            raise FormatError(f"expected matrix {i}, found {idx}", line=lineno)
+            raise FormatError(f"expected matrix {i}, found {idx}", line=lines[pos][0])
         pos += 1
         rows, cols, vals = [], [], []
         for _ in range(nnz):
@@ -256,38 +276,26 @@ def read_instance(path: str):
         mats.append(M)
     truth = None
     if pos < len(lines):
-        lineno, header = lines[pos]
-        parts = header.split()
-        if parts[0] != "truth" or len(parts) != 2:
-            raise FormatError("expected 'truth k' section or end of file", line=lineno)
-        (k,) = _ints(parts[1:], lineno, 1)
+        lineno = lines[pos][0]
+        (k,) = _tagged(lines, pos, "truth", 1)
         pos += 1
         specs = []
         for _ in range(k):
             if pos >= len(lines):
                 raise FormatError("truth section ends early", line=lines[-1][0] + 1)
             lineno, entry = lines[pos]
-            parts = entry.split()
-            if parts[0] != "point" or len(parts) < n + 2:
-                raise FormatError("expected 'point coords... tag'", line=lineno)
-            coords = tuple(_ints(parts[1 : n + 1], lineno, n))
-            tag = parts[n + 1]
-            if tag == "simple":
-                specs.append(PointSpec(coords=coords))
-            elif tag == "nilpotent":
-                rest = _ints(parts[n + 2 :], lineno)
-                if len(rest) != n + 1:
-                    raise FormatError("nilpotent tag needs nu and n constants", line=lineno)
-                specs.append(PointSpec(coords=coords, nu=rest[0], c=tuple(rest[1:])))
-            else:
-                raise FormatError(f"unknown point tag {tag!r}", line=lineno)
+            word, *parts = entry.split()
+            simple = parts[n:] == ["simple"]
+            if word != "point" or not (simple or parts[n : n + 1] == ["nilpotent"]):
+                raise FormatError("expected 'point c_1 ... c_n simple|nilpotent ...'", line=lineno)
+            specs.append(_point_spec(parts[:n] if simple else parts, n, lineno))
             pos += 1
         truth = GroundTruth(points=[s.coords for s in specs], structure=specs)
         if truth.D != D:
             raise FormatError(
                 f"truth blocks sum to {truth.D}, header says D={D}", line=lineno
             )
-    if pos < len(lines) and truth is not None:
+    if pos < len(lines):
         raise FormatError("trailing content", line=lines[pos][0])
     inst = Instance(field=field, n=n, D=D, mats=mats)
     return inst, truth
@@ -310,24 +318,13 @@ def write_param(param: ZeroDimParam, field: Field, path: str) -> None:
 def read_param(path: str):
     """Returns (ZeroDimParam, Field)."""
     lines, field, n, degQ = _read_header(path, "PARAM 1")
-
-    def tagged(pos, tag):
-        if pos >= len(lines):
-            raise FormatError(f"missing '{tag}' line", line=lines[-1][0] + 1)
-        lineno, ln = lines[pos]
-        if not ln.startswith(tag):
-            raise FormatError(f"expected '{tag}' line", line=lineno)
-        return _ints(ln[len(tag) :].split(), lineno)
-
-    t = tagged(2, "t:")
-    if len(t) != n:
-        raise FormatError("t has wrong arity", line=lines[2][0])
-    qc = tagged(3, "Q:")
-    if len(qc) != degQ + 1:
-        raise FormatError("Q coefficient count mismatch", line=lines[3][0])
-    V = []
-    for i in range(1, n + 1):
-        V.append(Poly(field, tagged(3 + i, f"V_{i}:")))
+    if n < 1 or degQ < 0:
+        raise FormatError(f"need n >= 1 and deg Q >= 0, got n = {n}, deg Q = {degQ}", line=lines[1][0])
+    t = _tagged(lines, 2, "t:", n)
+    qc = _tagged(lines, 3, "Q:", degQ + 1)
+    if qc[-1] % field.p == 0:
+        raise FormatError("the top coefficient of Q is zero", line=lines[3][0])
+    V = [Poly(field, _tagged(lines, 3 + i, f"V_{i}:")) for i in range(1, n + 1)]
     return ZeroDimParam(Q=Poly(field, qc), V=V, t=t), field
 
 
@@ -340,22 +337,9 @@ def parse_points_file(path: str, n: int, field: Field):
     specs = []
     with open(path) as fh:
         for lineno, ln in enumerate(fh, start=1):
-            ln = ln.split("#", 1)[0].strip()
-            if not ln:
-                continue
-            parts = ln.split()
-            if len(parts) == n:
-                specs.append(PointSpec(coords=tuple(_ints(parts, lineno, n))))
-            elif len(parts) == 2 * n + 2 and parts[n] == "nilpotent":
-                coords = tuple(_ints(parts[:n], lineno, n))
-                nu = _ints([parts[n + 1]], lineno, 1)[0]
-                c = tuple(_ints(parts[n + 2 :], lineno, n))
-                specs.append(PointSpec(coords=coords, nu=nu, c=c))
-            else:
-                raise FormatError(
-                    "expected 'c_1 ... c_n' or 'c_1 ... c_n nilpotent nu k_1 ... k_n'",
-                    line=lineno,
-                )
+            parts = ln.split("#", 1)[0].split()
+            if parts:
+                specs.append(_point_spec(parts, n, lineno))
     return specs
 
 
@@ -389,8 +373,6 @@ def verify_solution(inst: Instance, param: ZeroDimParam, truth: GroundTruth | No
     with probability at most 2/p, and only then is the status "certified
     complete and radical"; otherwise it is "subset-consistent" at best.
     """
-    from .param import verify_against_points
-
     f = inst.field
     report = {"pass": True, "checks": [], "status": "subset-consistent"}
 

@@ -228,12 +228,15 @@ class Poly:
     def modmul(self, other: "Poly", modulus: "Poly") -> "Poly":
         return (self * other) % modulus
 
-    def eval(self, x) -> int:
+    def eval(self, x):
+        """The value at the element x, an int, or the values at an array x of
+        elements, an int64 array of its shape: Horner through Field.axpy."""
         f = self.field
-        acc = 0
+        xs = f.array(np.ravel(x))
+        acc = f.zeros(xs.shape)
         for a in self.c[::-1]:
-            acc = (acc * x + int(a)) % f.p
-        return acc
+            acc = f.axpy(acc, xs, int(a))
+        return acc.reshape(np.shape(x)) if np.ndim(x) else int(acc[0])
 
     def derivative(self) -> "Poly":
         if self.degree < 1:

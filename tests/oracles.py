@@ -3,10 +3,10 @@ slow form of something the package computes faster."""
 
 import numpy as np
 
-from bfglm.errors import InsufficientTerms, InvalidSpec
+from bfglm.errors import GenericityFailure, InsufficientTerms, InvalidSpec, ShapeError
 from bfglm.field import Field, Rng
 from bfglm.param import Instance, ZeroDimParam, _coordinates, unit_vector
-from bfglm.polymat import PolyMat, _product, reversed_series
+from bfglm.polymat import PolyMat, _product, mat_inverse, reversed_series
 from bfglm.sparse import SparseMat
 from bfglm.toolkit import CHUNK, GroundTruth, _chunk_lower
 from bfglm.unipoly import Poly, berlekamp_massey, squarefree_part
@@ -64,6 +64,21 @@ def generator_cancels(gen: PolyMat, terms) -> bool:
     if lo >= n:
         return True
     return not _product(f, gen.c, reversed_series(f, terms), lo, n).any()
+
+
+def is_row_reduced(P: PolyMat) -> bool:
+    """Whether the square P has no zero row and an invertible leading
+    matrix: the check that `minimal_matrix_generator` makes by its one
+    inversion of that matrix."""
+    if P.rows != P.cols:
+        raise ShapeError("row-reducedness is defined for square matrices here")
+    if min(P.row_degrees()) < 0:
+        return False
+    try:
+        mat_inverse(P.field, P.leading_matrix())
+        return True
+    except GenericityFailure:
+        return False
 
 
 def collisions(truth) -> list:

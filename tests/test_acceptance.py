@@ -15,7 +15,6 @@ from bfglm.param import (
 )
 from bfglm.polymat import (
     approximant_basis,
-    is_row_reduced,
     left_quotient_row,
     minimal_matrix_generator,
     pm_mul,
@@ -26,7 +25,7 @@ from bfglm.toolkit import PointSpec, generate_instance, minimal_polynomial_of_co
 from bfglm.unipoly import Poly, berlekamp_massey, power_projection
 
 from conftest import REF_M1, REF_M2, REF_SEQ, REF_T, REF_U, REF_V
-from oracles import generator_cancels, power_projection_naive, scalar_numerator_direct
+from oracles import generator_cancels, is_row_reduced, power_projection_naive, scalar_numerator_direct
 from test_polymat import brute_force_kernel_rows, in_row_space, order_condition_holds
 
 F101 = Field(101)

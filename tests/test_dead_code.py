@@ -6,7 +6,8 @@ A method that shares its name with an attribute is referenced by that
 attribute, so only the call check sees that nothing calls it.  A reason
 that cites the benchmark's span tracer is checked against the tracer's
 LAYERS, and one that cites the benchmark runner against the names the
-runner reads."""
+runner reads.  Every dataclass field of src/bfglm is read as an attribute
+somewhere in src/, tests/ or perfbench/."""
 
 import ast
 import importlib
@@ -159,3 +160,28 @@ def test_only_the_field_knows_object_arrays():
         if SECOND_TIER.search(line)
     ]
     assert hits == []
+
+
+def _dataclass_fields():
+    """(class, field) for every annotated field of a dataclass of src/bfglm."""
+    for tree in _trees():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                getattr(dec, "id", getattr(getattr(dec, "func", None), "id", None)) == "dataclass"
+                for dec in cls.decorator_list
+            ):
+                for node in cls.body:
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                        yield cls.name, node.target.id
+
+
+def test_every_dataclass_field_is_read():
+    # a field that is written and never read is dead state
+    read = set()
+    for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        for sub in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.attr)
+    fields = list(_dataclass_fields())
+    assert fields
+    assert sorted(f"{c}.{f}" for c, f in fields if f not in read) == []

@@ -301,6 +301,20 @@ def test_verify_against_points_detects_mismatch():
     assert not bad["pass"]
 
 
+def test_verify_against_points_reports_distinct_points_in_first_order():
+    f = Field(65537)
+    inst, truth = generate_instance(f, 2, [PointSpec(coords=(1, 2)), PointSpec(coords=(3, 4))], Rng(5))
+    param = solve(inst, 1, Rng(6))
+    rep = verify_against_points(param, [(3, 4), (1, 2), (3 + f.p, 4)], f)
+    x = [(param.t[0] * a + param.t[1] * b) % f.p for a, b in [(3, 4), (1, 2)]]
+    assert rep == {
+        "pass": True,
+        "points": [{"point": (3, 4), "x": x[0], "ok": True}, {"point": (1, 2), "x": x[1], "ok": True}],
+        "warnings": [],
+    }
+    assert all(type(e["x"]) is int and type(e["ok"]) is bool for e in rep["points"])
+
+
 def test_nilpotent_instance_yields_radical_parametrization():
     # one fat point of multiplicity 3 over one of multiplicity 1
     f = Field(65537)

@@ -10,7 +10,6 @@ from bfglm.field import _FFT_MAX_SIZE, Field, Rng
 from bfglm.polymat import (
     PolyMat,
     approximant_basis,
-    is_row_reduced,
     largest_invariant_factor,
     left_quotient_row,
     mat_inverse,
@@ -20,7 +19,7 @@ from bfglm.polymat import (
 from bfglm.unipoly import Poly, _fit
 
 from conftest import REF_SEQ, polymat_of
-from oracles import generator_cancels
+from oracles import generator_cancels, is_row_reduced
 
 F = Field(101)
 
@@ -166,6 +165,17 @@ def test_mat_inverse():
     assert np.array_equal(F.matmul(A, Ai), np.eye(4, dtype=np.int64))
     with pytest.raises(GenericityFailure):
         mat_inverse(F, F.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**62 - 57])
+def test_mat_inverse_at_large_primes(p):
+    f = Field(p)
+    A = Rng(5).block(f, 6, 6)
+    assert np.array_equal(f.matmul(A, mat_inverse(f, A)), np.eye(6, dtype=np.int64))
+    # row 5 = 3 row 0 + row 2
+    A[5] = f.axpy(3, A[0], A[2])
+    with pytest.raises(GenericityFailure):
+        mat_inverse(f, A)
 
 
 def test_is_row_reduced_cases():
@@ -390,6 +400,26 @@ def test_generator_cancels_random_rational_sequence():
         assert not generator_cancels(G, bad)
     # fewer terms than the degree leave no window to check
     assert generator_cancels(G, terms[: G.max_degree()])
+
+
+@pytest.mark.parametrize("D", [12, 11])
+def test_generator_inverts_its_leading_matrix_once(monkeypatch, D):
+    # m = 2: D = 12 gives the uniform row degrees (6, 6), which the inverse
+    # normalises, D = 11 the degrees (6, 5); the one inversion is also the
+    # row-reducedness check
+    from bfglm.sparse import SparseMat, krylov_left_sequence
+
+    rng = Rng(8)
+    m, d = 2, -(-D // 2)
+    M = SparseMat.from_dense(F, rng.block(F, D, D))
+    terms, _ = krylov_left_sequence(M, rng.block(F, D, m), 2 * d, rng.block(F, D, m))
+    shapes = []
+    real = polymat.mat_inverse
+    monkeypatch.setattr(polymat, "mat_inverse", lambda f, A: shapes.append(A.shape) or real(f, A))
+    G = minimal_matrix_generator(terms, F, d)
+    assert sorted(G.row_degrees()) == sorted([D // 2, D - D // 2])
+    assert shapes == [(m, m)]
+    assert generator_cancels(G, terms)
 
 
 def test_largest_invariant_factor_reference():

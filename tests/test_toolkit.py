@@ -181,6 +181,32 @@ def test_instance_format_errors(tmp_path):
     expect("BFGLM 1\n65537 1 2\nmatrix 1 1\n0 1 0\n", 4)
     expect("BFGLM 1\n65537 1 2\nmatrix 1 0\ntruth 1\npoint 3 unknown\n", 5)
     expect("BFGLM 1\n65537 1 2\nmatrix 1 0\ntruth 1\npoint 3 simple\n", 5)  # D mismatch
+    # a word after the tag, and a truth line without one
+    expect("BFGLM 1\n65537 1 1\nmatrix 1 0\ntruth 1\npoint 3 simple junk\n", 5)
+    expect("BFGLM 1\n65537 1 1\nmatrix 1 0\ntruth 1\npoint 3\n", 5)
+
+
+def test_param_format_errors(tmp_path):
+    path = tmp_path / "bad.txt"
+    good = f"PARAM 1\n{F.p} 2 1\nt: 1 0\nQ: 62 1\nV_1: 3\nV_2: 5\n"
+
+    def expect(old, new, lineno):
+        path.write_text(good.replace(old, new))
+        with pytest.raises(FormatError) as ei:
+            read_param(str(path))
+        assert ei.value.line == lineno
+
+    path.write_text(good)
+    assert read_param(str(path))[0].Q == Poly(F, [62, 1])
+    expect(f"{F.p} 2 1", f"{F.p} 0 1", 2)
+    expect(f"{F.p} 2 1\nt: 1 0\nQ: 62 1", f"{F.p} 2 -1\nt: 1 0\nQ:", 2)
+    # a zero top coefficient, also when written as p
+    expect("Q: 62 1", "Q: 62 0", 4)
+    expect("Q: 62 1", f"Q: 62 {F.p}", 4)
+    # a tag glued to its first number
+    expect("V_2: 5", "V_2:0 5", 6)
+    expect("t: 1 0", "t: 1 0 0", 3)
+    expect("V_2: 5\n", "", 6)
 
 
 def test_param_roundtrip(tmp_path):
@@ -206,6 +232,20 @@ def test_parse_points_file(tmp_path):
         fh.write("3 5 7\n")
     with pytest.raises(FormatError):
         parse_points_file(path, 2, F)
+
+
+def test_points_file_and_truth_section_read_the_same_specs(tmp_path):
+    lines = ["3 5", "9 2 nilpotent 2 1 4", "4 4"]
+    pts = tmp_path / "pts.txt"
+    pts.write_text("\n".join(lines) + "\n")
+    specs = parse_points_file(str(pts), 2, F)
+    inst, _ = generate_instance(F, 2, specs, Rng(1))
+    path = tmp_path / "inst.txt"
+    write_instance(inst, str(path))
+    tagged = [ln if "nilpotent" in ln else ln + " simple" for ln in lines]
+    with open(path, "a") as fh:
+        fh.write("truth 3\n" + "".join(f"point {ln}\n" for ln in tagged))
+    assert read_instance(str(path))[1].structure == specs
 
 
 def test_minimal_polynomial_of_combination():
@@ -470,6 +510,26 @@ def test_cli_verify_malformed_param_file(tmp_path, capsys):
         capsys.readouterr()
         assert run_cli("verify", "--in", inst, "--param", str(sol)) == 2
         assert capsys.readouterr().err.startswith("format error: line 2:")
+
+
+@pytest.mark.parametrize(
+    "dims, q, lineno",
+    [("2 1", "Q: 1 0", 4), ("2 -1", "Q:", 2)],
+    ids=["zero-top-coefficient", "zero-Q"],
+)
+def test_cli_verify_rejects_a_malformed_Q(tmp_path, capsys, dims, q, lineno):
+    # both files were once certified: the first as an empty parametrization,
+    # "subset-consistent", the second as Q = 0 dividing the minimal polynomial
+    pts = tmp_path / "pts.txt"
+    pts.write_text("3 5\n9 2\n")
+    inst = str(tmp_path / "inst.txt")
+    run_cli("gen", "--points", str(pts), "--n", "2", "--out", inst, "--seed", "2")
+    sol = tmp_path / "sol.txt"
+    sol.write_text(f"PARAM 1\n{F.p} {dims}\nt: 1 0\n{q}\nV_1: 0\nV_2: 0\n")
+    capsys.readouterr()
+    assert run_cli("verify", "--in", inst, "--param", str(sol)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"format error: line {lineno}:")
 
 
 def test_cli_verify_failure_exit_code(tmp_path):

@@ -94,6 +94,20 @@ def test_eval_and_derivative():
     assert P(7, 5, 3).derivative() == P(5, 6)
 
 
+@pytest.mark.parametrize("p", [101, 67108859, 2**61 - 1])
+def test_eval_on_an_array_matches_scalar_eval(p):
+    f = Field(p)
+    rng = np.random.default_rng(3)
+    q = Poly(f, rng.integers(0, p, 40))
+    xs = f.array(rng.integers(0, p, (3, 5)))
+    want = [[sum(int(c) * pow(x, i, p) for i, c in enumerate(q.c)) % p for x in row] for row in xs.tolist()]
+    got = q.eval(xs)
+    assert got.shape == (3, 5) and got.tolist() == want
+    scalar = [[q.eval(x) for x in row] for row in xs.tolist()]
+    assert scalar == want and all(type(v) is int for row in scalar for v in row)
+    assert Poly.zero(f).eval(xs).tolist() == [[0] * 5] * 3
+
+
 def test_series_inv():
     a = P(1, 7, 9, 2)
     inv = a.series_inv(10)
