@@ -34,46 +34,29 @@ def _print_stats(stats: SolveStats) -> None:
         print(f"{k}: {v}")
 
 
-def _reorder_instance(inst: Instance, x1_index: int):
-    order = [x1_index] + [i for i in range(inst.n) if i != x1_index]
-    mats = [inst.mats[i] for i in order]
-    return Instance(field=inst.field, n=inst.n, D=inst.D, mats=mats), order
-
-
-def _restore_order(param: ZeroDimParam, order) -> ZeroDimParam:
-    n = len(order)
-    V = [None] * n
-    t = [0] * n
-    for j, orig in enumerate(order):
-        V[orig] = param.V[j]
-        t[orig] = param.t[j]
-    return ZeroDimParam(Q=param.Q, V=V, t=t)
-
-
 def cmd_solve(args, split: bool) -> int:
     inst, _ = read_instance(args.infile)
-    rng = Rng(args.seed)
+    k = args.x1_index if split else 0
+    if not 0 <= k < inst.n:
+        print("x1-index out of range", file=sys.stderr)
+        return EXIT_USAGE
+    # X_k plays X_1: solve the instance with its variables in this order,
+    # then index V and t back
+    order = [k] + [i for i in range(inst.n) if i != k]
+    work = Instance(field=inst.field, n=inst.n, D=inst.D, mats=[inst.mats[i] for i in order])
     stats = SolveStats()
     try:
-        if split:
-            order = None
-            work = inst
-            if args.x1_index:
-                if not 0 <= args.x1_index < inst.n:
-                    print("x1-index out of range", file=sys.stderr)
-                    return EXIT_USAGE
-                work, order = _reorder_instance(inst, args.x1_index)
-            param = solve_split(work, args.m, rng, retries=args.retries, stats=stats)
-            if order:
-                param = _restore_order(param, order)
-        else:
-            param = solve(inst, args.m, rng, retries=args.retries, stats=stats)
+        param = (solve_split if split else solve)(
+            work, args.m, Rng(args.seed), retries=args.retries, stats=stats
+        )
     except UnluckyRandomness as exc:
         print(f"no generic draw found: {exc}", file=sys.stderr)
         return EXIT_UNLUCKY
     except InvariantViolation as exc:
         print(f"internal error: the solver's output breaks an invariant: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    back = [order.index(i) for i in range(inst.n)]
+    param = ZeroDimParam(Q=param.Q, V=[param.V[j] for j in back], t=[param.t[j] for j in back])
     if args.out:
         write_param(param, inst.field, args.out)
         print(f"wrote {args.out} (deg Q = {param.Q.degree})")

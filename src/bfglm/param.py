@@ -6,8 +6,8 @@ off short matrix sequences.
 attempts share: one Krylov pass projects [V | W], W holding e_1, the M_i e_1
 and the probe column N^2 e_1 for the probe form y, and the numerators of
 every column follow.  `decompose` keeps the simple roots of the invariant
-factor where the probe's rank-one defect vanishes.  `retry_solve` is the
-retry policy of both routes: it draws t and then y, n entries each.
+factor, which the probe's defect refines.  `retry_solve` is the retry policy
+of both routes and their one output check; it draws t, then y.
 """
 
 from __future__ import annotations
@@ -49,21 +49,18 @@ class ZeroDimParam:
     def n(self) -> int:
         return len(self.V)
 
-    def is_empty(self) -> bool:
-        return self.Q.degree == 0
-
     def check_invariants(self) -> None:
         f = self.Q.field
         if self.Q.is_zero() or self.Q.lead() != 1:
             raise InvariantViolation("Q must be monic")
-        if not self.Q.gcd(self.Q.derivative()).is_one() and self.Q.degree > 0:
+        if not self.Q.gcd(self.Q.derivative()).is_one():
             raise InvariantViolation("Q must be squarefree")
         acc = Poly.zero(f)
         for ti, Vi in zip(self.t, self.V):
-            if Vi.degree >= max(self.Q.degree, 1) and self.Q.degree > 0:
+            if Vi.degree >= self.Q.degree:
                 raise InvariantViolation("deg(V_i) must be below deg(Q)")
             acc = acc + Vi.scale(int(ti))
-        if self.Q.degree > 0 and (acc - Poly.x(f)) % self.Q != Poly.zero(f):
+        if (acc - Poly.x(f)) % self.Q != Poly.zero(f):
             raise InvariantViolation("sum t_i V_i != T mod Q")
 
 
@@ -169,17 +166,15 @@ def _rank_one_defect(nums: list, y) -> Poly:
     return a * c - b * b
 
 
-def decompose(M_min: Poly, Q: Poly, defect: Poly | None = None) -> Poly:
-    """The solved factor F of the minimal polynomial M_min = F E of a
-    matrix M, from Q, the squarefree part of M_min, by two gcd refinements:
-    one drops the repeated roots, the other the roots where the probe's
-    defect does not vanish (roots that carry several points).
+def decompose(M_min: Poly, Q: Poly) -> Poly:
+    """The simple roots F of the minimal polynomial M_min = F E of a matrix
+    M, from Q, the squarefree part of M_min; the callers keep those where the
+    probe's defect vanishes (a root that carries several points goes).
 
-    Every root of F is then a simple root of M_min, so gcd(F, E) = 1: F(M)
+    Every root of F is a simple root of M_min, so gcd(F, E) = 1: F(M)
     vanishes on the solved component and is invertible on the residual one.
     """
-    F = Q // Q.gcd(M_min // Q)
-    return F if defect is None else F.gcd(defect)
+    return Q // Q.gcd(M_min // Q)
 
 
 def block_parametrization(
@@ -203,8 +198,8 @@ def block_parametrization(
     structure instead and passes the core's certificate even when t merges
     two simple points at another root, so the probe's defect tests the
     simple roots.  Either case raises NonSeparating; unlucky draws raise
-    GenericityFailure and friends.  `solve` wraps this with the retry
-    policy.
+    GenericityFailure and friends.  `solve` passes this to `retry_solve`,
+    which checks the parametrization it returns.
     """
     f = inst.field
     dim = inst.D if dim is None else dim
@@ -216,17 +211,17 @@ def block_parametrization(
         s1 == Q or (F := decompose(s1, Q)).gcd(_rank_one_defect(nums, y)) != F
     ):
         raise NonSeparating(f"t merges points: invariant factor of degree {s1.degree} < {dim}")
-    param = ZeroDimParam(Q=Q, V=_coordinates(nums[:-1], Q), t=[int(x) % f.p for x in t])
-    param.check_invariants()
-    return param
+    return ZeroDimParam(Q=Q, V=_coordinates(nums[:-1], Q), t=[int(x) % f.p for x in t])
 
 
-def retry_solve(inst: Instance, m: int, rng: Rng, attempt, retries: int, stats: SolveStats):
-    """Call attempt(U, V, t, y) with fresh randomness until it succeeds.
+def retry_solve(inst: Instance, m: int, rng: Rng, attempt, retries: int, stats: SolveStats | None = None):
+    """Call attempt(inst, U, V, t, y, rng, stats=stats) with fresh
+    randomness until it succeeds, and check what it returns.
 
-    This is the retry policy of both `solve` and `splitting.solve_split`.
-    The separating form t and then the probe form y are drawn with n
-    nonzero entries each from rng.
+    This is the retry policy of both `solve` and `splitting.solve_split`,
+    and their one output check: `check_invariants`, whose InvariantViolation
+    is not retried.  The separating form t and then the probe form y are
+    drawn with n nonzero entries each from rng.
 
     * Every attempt draws a fresh U, then a fresh V (D x m).
     * NonSeparating (t caught merging points) redraws both forms at once.
@@ -238,10 +233,12 @@ def retry_solve(inst: Instance, m: int, rng: Rng, attempt, retries: int, stats: 
       (retries + 1)-th RETRYABLE failure.
 
     When a budget runs out, UnluckyRandomness is raised.  stats.retries and
-    stats.total_seconds are set in every case.  A block size outside [1, D]
-    or a negative `retries` raises InvalidInput before any draw.
+    stats.total_seconds are set in every case, on a fresh SolveStats when
+    stats is None.  A block size outside [1, D] or a negative `retries`
+    raises InvalidInput before any draw.
     """
     f = inst.field
+    stats = stats if stats is not None else SolveStats()
     if not 1 <= m <= inst.D:
         raise InvalidInput("block size must be in [1, D]")
     if retries < 0:
@@ -261,7 +258,7 @@ def retry_solve(inst: Instance, m: int, rng: Rng, attempt, retries: int, stats: 
             U = rng.block(f, inst.D, m)
             V = rng.block(f, inst.D, m)
             try:
-                return attempt(U, V, *forms)
+                param = attempt(inst, U, V, *forms, rng, stats=stats)
             except NonSeparating as exc:
                 last = str(exc)
                 t_draws += 1
@@ -277,6 +274,9 @@ def retry_solve(inst: Instance, m: int, rng: Rng, attempt, retries: int, stats: 
                 if uv_failures >= 2:
                     forms = draw()
                     uv_failures = 0
+            else:
+                param.check_invariants()
+                return param
         raise UnluckyRandomness(f"retries exhausted: {last}")
     finally:
         stats.total_seconds = perf_counter() - start
@@ -296,12 +296,7 @@ def solve(
 
     `workers` has no effect: the streamed Krylov pass has no tasks to share.
     """
-    stats = stats if stats is not None else SolveStats()
-
-    def attempt(U, V, t, y):
-        return block_parametrization(inst, U, V, t, y, rng, stats=stats)
-
-    return retry_solve(inst, m, rng, attempt, retries, stats)
+    return retry_solve(inst, m, rng, block_parametrization, retries, stats)
 
 
 def verify_against_points(param: ZeroDimParam, truth_points, field: Field):

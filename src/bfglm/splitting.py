@@ -59,8 +59,10 @@ def block_parametrization_x1(
     T mod F, as X = X_1, and all are zero when X_1 sees no point (F = 1).
     """
     core = _block_core(inst, inst.mats[0], U, V, y, inst.D, rng, stats)
-    F = decompose(core.s1, squarefree_part(core.s1), _rank_one_defect(core.nums, y))
+    F = decompose(core.s1, squarefree_part(core.s1)).gcd(_rank_one_defect(core.nums, y))
     param = ZeroDimParam(Q=F, V=_coordinates(core.nums[:-1], F), t=[1] + [0] * (inst.n - 1))
+    # after the change of separating element sum t_i V_i = T holds by
+    # construction, so no later check sees a wrong G_1 = T mod F
     param.check_invariants()
     return param
 
@@ -111,8 +113,6 @@ def change_separating_element(param: ZeroDimParam, t) -> ZeroDimParam:
     F = param.Q
     r = F.degree
     t = [int(x) % f.p for x in t]
-    if r == 0:
-        return ZeroDimParam(Q=Poly.one(f), V=[Poly.zero(f) for _ in param.V], t=t)
     if r >= f.p:
         raise InvalidInput("Newton's identities need deg Q < p")
     lam = sum((Gi.scale(ti) for ti, Gi in zip(t, param.V)), Poly.zero(f)) % F
@@ -125,24 +125,17 @@ def change_separating_element(param: ZeroDimParam, t) -> ZeroDimParam:
         V = _coordinates([nums[0, j] for j in range(param.n + 1)], Q)
     except NotInvertible:
         raise NonSeparating("the requested form does not separate the solved points")
-    new = ZeroDimParam(Q=Q, V=V, t=t)
-    new.check_invariants()
-    return new
+    return ZeroDimParam(Q=Q, V=V, t=t)
 
 
 def union_params(pA: ZeroDimParam, pB: ZeroDimParam) -> ZeroDimParam:
-    """Parametrization of the disjoint union of two point sets sharing X."""
+    """Parametrization of the disjoint union of two point sets sharing X.
+    It passes `check_invariants` exactly when both parts do (the CRT), so
+    they are not checked."""
     if pA.t != pB.t:
         raise InvalidInput("both parts must use the same separating form")
-    if pA.is_empty():
-        return pB
-    if pB.is_empty():
-        return pA
     # crt_pair's one xgcd also checks that the components share no root
-    V = crt_pair(pA.V, pA.Q, pB.V, pB.Q)
-    out = ZeroDimParam(Q=pA.Q * pB.Q, V=V, t=pA.t)
-    out.check_invariants()
-    return out
+    return ZeroDimParam(Q=pA.Q * pB.Q, V=crt_pair(pA.V, pA.Q, pB.V, pB.Q), t=pA.t)
 
 
 def block_parametrization_with_splitting(
@@ -181,9 +174,4 @@ def solve_split(
 
     `workers` has no effect: the streamed Krylov pass has no tasks to share.
     """
-    stats = stats if stats is not None else SolveStats()
-
-    def attempt(U, V, t, y):
-        return block_parametrization_with_splitting(inst, U, V, t, y, rng, stats=stats)
-
-    return retry_solve(inst, m, rng, attempt, retries, stats)
+    return retry_solve(inst, m, rng, block_parametrization_with_splitting, retries, stats)

@@ -325,6 +325,8 @@ def read_param(path: str):
     if qc[-1] % field.p == 0:
         raise FormatError("the top coefficient of Q is zero", line=lines[3][0])
     V = [Poly(field, _tagged(lines, 3 + i, f"V_{i}:")) for i in range(1, n + 1)]
+    if len(lines) > 4 + n:
+        raise FormatError("trailing content", line=lines[4 + n][0])
     return ZeroDimParam(Q=Poly(field, qc), V=V, t=t), field
 
 
@@ -391,7 +393,7 @@ def verify_solution(inst: Instance, param: ZeroDimParam, truth: GroundTruth | No
 
     rng = Rng(0xC0FFEE)
     s1, u, v, terms = minimal_polynomial_of_combination(inst, param.t, rng)
-    divides = (s1 % param.Q).is_zero() if param.Q.degree > 0 else True
+    divides = not param.Q.is_zero() and (s1 % param.Q).is_zero()
     check("Q divides the minimal polynomial of the combination", divides)
     if s1.degree == inst.D:
         check(

@@ -146,6 +146,26 @@ def test_traced_names_resolve():
     assert missing == []
 
 
+def _functions():
+    for tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield node
+
+
+def test_the_retry_driver_is_the_one_output_check():
+    # an attempt that checked its own output would repeat the driver's
+    # gcd(Q, Q'); the X_1 solve's check sees what no later check can
+    callers = sorted(node.name for node in _functions() if _calls(node)["check_invariants"])
+    assert callers == ["block_parametrization_x1", "retry_solve", "verify_solution"]
+    routes = [node for node in _functions() if node.name in ("solve", "solve_split")]
+    assert len(routes) == 2
+    for node in routes:
+        assert _calls(node)["retry_solve"] == 1
+        nested = [sub for sub in ast.walk(node) if sub is not node and isinstance(sub, (ast.FunctionDef, ast.Lambda))]
+        assert nested == []
+
+
 # a dtype read or an object array outside field.py would bring back a second
 # residue representation; Field.exact and Field.axpy own every overflow case
 SECOND_TIER = re.compile(r"\.dtype\b|dtype\s*=\s*object|astype\(\s*object\s*\)")

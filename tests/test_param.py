@@ -59,6 +59,10 @@ def test_check_invariants_rejects_bad_params():
     with pytest.raises(InvalidInput):
         # sum t_i V_i != T mod Q
         ZeroDimParam(Q=q, V=[P(5)], t=[1]).check_invariants()
+    # Q = 1 takes the general path: every V_i is reduced mod Q, so zero
+    ZeroDimParam(Q=P(1), V=[Poly.zero(F), Poly.zero(F)], t=[1, 0]).check_invariants()
+    with pytest.raises(InvalidInput, match="deg"):
+        ZeroDimParam(Q=P(1), V=[P(5)], t=[1]).check_invariants()
 
 
 def test_instance_requires_large_modulus():

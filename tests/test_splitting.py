@@ -3,8 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from bfglm.errors import InvalidInput, NonSeparating, NotCoprime, NotInvertible
+from bfglm.errors import InvalidInput, InvariantViolation, NonSeparating, NotCoprime, NotInvertible
 from bfglm.field import Field, Rng
+from bfglm import param as param_mod
 from bfglm.param import (
     SolveStats,
     ZeroDimParam,
@@ -78,7 +79,6 @@ def test_x1_solve_nothing_visible():
     inst, _ = make(spec, 5)
     param = x1_solve(inst, 1, 6)
     assert param.Q == P(1)
-    assert param.is_empty()
     assert param.V == [Poly.zero(F), Poly.zero(F)] and param.t == [1, 0]
 
 
@@ -175,8 +175,8 @@ def test_decompose_edges():
     Q = P(6, 5, 1)  # (T + 2)(T + 3), simple roots
     assert decompose(Q, Q) == Q
     # a defect that vanishes everywhere keeps every simple root
-    assert decompose(Q, Q, Poly.zero(F)) == Q
-    assert decompose(Q, Q, P(1)) == P(1)
+    assert decompose(Q, Q).gcd(Poly.zero(F)) == Q
+    assert decompose(Q, Q).gcd(P(1)) == P(1)
 
 
 def test_decompose_drops_repeated_roots_and_roots_with_a_defect():
@@ -186,7 +186,7 @@ def test_decompose_drops_repeated_roots_and_roots_with_a_defect():
     Q = lin[1] * lin[2] * lin[3] * lin[4]
     # the defect vanishes at 1, 2 and 4, not at 3
     defect = lin[1] * lin[2] * lin[4] * P(5, 1)
-    F_ = decompose(M_min, Q, defect)
+    F_ = decompose(M_min, Q).gcd(defect)
     assert F_ == lin[1] * lin[4]
     E = M_min // F_
     assert F_ * E == M_min and F_.gcd(E).is_one()
@@ -440,10 +440,31 @@ def test_union_params():
     with pytest.raises(NotCoprime):
         union_params(qa, qa)
     empty = ZeroDimParam(Q=P(1), V=[P(0), P(0)], t=[1, 0])
-    assert union_params(empty, qb) is qb
-    assert union_params(qa, empty) is qa
+    for u, part in [(union_params(empty, qb), qb), (union_params(qa, empty), qa)]:
+        assert (u.Q, u.V, u.t) == (part.Q, part.V, part.t)
     with pytest.raises(InvalidInput):
         union_params(qa, ZeroDimParam(Q=qb.Q, V=qb.V, t=[0, 1]))
+
+
+def test_the_union_check_covers_both_parts():
+    # union_params checks nothing itself: the check of the union sees a part
+    # that is not squarefree, and a wrong coordinate of a part
+    qa = ZeroDimParam(Q=P(-3 % F.p, 1), V=[P(3), P(5)], t=[1, 0])
+    double = ZeroDimParam(Q=P(-9 % F.p, 1) * P(-9 % F.p, 1), V=[Poly.x(F), P(2)], t=[1, 0])
+    wrong = ZeroDimParam(Q=P(-9 % F.p, 1), V=[P(8), P(2)], t=[1, 0])
+    for pB, msg in [(double, "squarefree"), (wrong, "sum t_i V_i")]:
+        u = union_params(qa, pB)
+        with pytest.raises(InvariantViolation, match=msg):
+            u.check_invariants()
+
+
+def test_change_separating_element_of_the_empty_parametrization():
+    # Q = 1 takes the general path: a 0 x 0 trace form and one power sum
+    empty = ZeroDimParam(Q=P(1), V=[Poly.zero(F), Poly.zero(F)], t=[1, 0])
+    out = change_separating_element(empty, [3, 70000])
+    assert out.Q == P(1) and out.V == [Poly.zero(F), Poly.zero(F)]
+    assert out.t == [3, 70000 % F.p]
+    out.check_invariants()
 
 
 MIXED_SPECS = [
@@ -474,6 +495,49 @@ def test_split_agrees_with_plain(spec_idx, m):
     assert plain.Q == split.Q
     assert all(a == b for a, b in zip(plain.V, split.V))
     assert verify_against_points(split, truth.points, F)["pass"]
+
+
+@pytest.mark.parametrize("spec_idx", [1, 2])
+def test_one_check_per_plain_solve_and_two_per_split_solve(monkeypatch, spec_idx):
+    # the driver checks what it returns; the X_1 solve keeps its own check
+    inst, truth = make(MIXED_SPECS[spec_idx], 100 + spec_idx)
+    calls = []
+    real = ZeroDimParam.check_invariants
+
+    def spy(self):
+        calls.append(self.Q)
+        return real(self)
+
+    monkeypatch.setattr(ZeroDimParam, "check_invariants", spy)
+    plain = solve(inst, 2, Rng(3))
+    assert calls == [plain.Q]
+    calls.clear()
+    stats = SolveStats()
+    split = solve_split(inst, 2, Rng(3), stats=stats)
+    assert stats.extras["D_A"] > 0 and stats.extras["D_B"] > 0
+    assert len(calls) == 2 and calls[0].degree == stats.extras["D_A"] and calls[1] == split.Q
+    assert stats.retries == 0 and "t_retries" not in stats.extras
+    assert verify_against_points(split, truth.points, F)["pass"]
+
+
+@pytest.mark.parametrize(
+    "route, attempt",
+    [(solve, (param_mod, "block_parametrization")),
+     (solve_split, (splitting, "block_parametrization_with_splitting"))],
+)
+def test_the_driver_rejects_a_broken_attempt_output(monkeypatch, route, attempt):
+    inst, _ = make(MIXED_SPECS[0], 100)
+    calls = []
+
+    def broken(inst, U, V, t, y, rng, stats=None):
+        calls.append(stats)
+        return ZeroDimParam(Q=P(-3 % F.p, 1).scale(2), V=[P(3), P(5)], t=[1, 0])
+
+    monkeypatch.setattr(*attempt, broken)
+    with pytest.raises(InvariantViolation, match="monic"):
+        route(inst, 1, Rng(1))
+    # one attempt, given the SolveStats that the driver made
+    assert len(calls) == 1 and isinstance(calls[0], SolveStats)
 
 
 def test_solve_split_matches_solve_results():

@@ -207,6 +207,8 @@ def test_param_format_errors(tmp_path):
     expect("V_2: 5", "V_2:0 5", 6)
     expect("t: 1 0", "t: 1 0 0", 3)
     expect("V_2: 5\n", "", 6)
+    # a PARAM file ends after V_n:
+    expect("V_2: 5\n", "V_2: 5\nV_1: 4 4\nmatrix 1\n", 7)
 
 
 def test_param_roundtrip(tmp_path):
@@ -446,6 +448,27 @@ def test_cli_x1_index_permutes_back(tmp_path):
     assert verify_solution(ia, pb)["pass"]
 
 
+def test_cli_x1_index_out_of_range(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("3 5\n9 2\n")
+    inst = str(tmp_path / "inst.txt")
+    run_cli("gen", "--points", str(pts), "--n", "2", "--out", inst, "--seed", "2")
+    capsys.readouterr()
+    for k in ("2", "-1"):
+        assert run_cli("solve-split", "--in", inst, "--x1-index", k) == 2
+        assert capsys.readouterr().err == "x1-index out of range\n"
+
+
+def test_cli_x1_index_on_three_variables_verifies(tmp_path):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("3 5 1\n9 2 4\n12 4 4\n7 5 8\n")
+    inst = str(tmp_path / "inst.txt")
+    sol = str(tmp_path / "sol.txt")
+    run_cli("gen", "--points", str(pts), "--n", "3", "--out", inst, "--seed", "2", "--truth")
+    assert run_cli("solve-split", "--in", inst, "--out", sol, "--seed", "3", "--x1-index", "2") == 0
+    assert run_cli("verify", "--in", inst, "--param", sol, "--truth") == 0
+
+
 def test_cli_error_codes(tmp_path):
     assert run_cli("solve", "--in", str(tmp_path / "missing.txt")) == 2
     bad = tmp_path / "bad.txt"
@@ -530,6 +553,36 @@ def test_cli_verify_rejects_a_malformed_Q(tmp_path, capsys, dims, q, lineno):
     assert run_cli("verify", "--in", inst, "--param", str(sol)) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"format error: line {lineno}:")
+
+
+def test_cli_verify_rejects_content_after_the_last_coordinate(tmp_path, capsys):
+    # once certified "complete and radical": the extra lines were not read
+    pts = tmp_path / "pts.txt"
+    pts.write_text("3 5\n9 2\n")
+    inst = str(tmp_path / "inst.txt")
+    sol = tmp_path / "sol.txt"
+    run_cli("gen", "--points", str(pts), "--n", "2", "--out", inst, "--seed", "2")
+    run_cli("solve", "--in", inst, "--out", str(sol), "--seed", "3")
+    text = sol.read_text()
+    assert run_cli("verify", "--in", inst, "--param", str(sol)) == 0
+    sol.write_text(text + "V_1: 4 4\nmatrix 1\n")
+    capsys.readouterr()
+    assert run_cli("verify", "--in", inst, "--param", str(sol)) == 2
+    lineno = len(text.splitlines()) + 1
+    assert capsys.readouterr().err == f"format error: line {lineno}: trailing content\n"
+
+
+def test_verify_solution_checks_that_Q_divides_s1_for_Q_zero_and_one():
+    inst, _ = generate_instance(F, 2, SPEC5, Rng(17))
+
+    def divides(Q):
+        param = ZeroDimParam(Q=Q, V=[Poly.zero(F), Poly.zero(F)], t=[3, 11])
+        (ok,) = [c["ok"] for c in verify_solution(inst, param)["checks"] if c["name"].startswith("Q divides")]
+        return ok
+
+    # Q = 0 divides nothing; Q = 1 divides every s1, on the general path
+    assert not divides(Poly.zero(F))
+    assert divides(Poly.one(F))
 
 
 def test_cli_verify_failure_exit_code(tmp_path):
