@@ -70,6 +70,26 @@ def _unit_lower_inverse(field: Field, L: np.ndarray) -> np.ndarray:
     return inv.astype(np.int64)
 
 
+def _check_point(s: PointSpec, n: int, field: Field, seen: set, error=InvalidSpec) -> tuple:
+    """The point of s reduced mod p, added to seen, after the rules that the
+    generator and the truth section share: n coordinates, nu >= 1, and for
+    nu >= 2 n constants, one of them nonzero; no point twice."""
+    if len(s.coords) != n:
+        raise error("point arity must match the variable count")
+    if s.nu < 1:
+        raise error("block size must be >= 1")
+    if s.nu > 1:
+        if s.c is None or len(s.c) != n:
+            raise error("nilpotent blocks need one constant per variable")
+        if all(int(ci) % field.p == 0 for ci in s.c):
+            raise error("nilpotent blocks need a nonzero constant")
+    pt = tuple(int(x) % field.p for x in s.coords)
+    if pt in seen:
+        raise error(f"duplicate point {pt}")
+    seen.add(pt)
+    return pt
+
+
 def generate_instance(field: Field, n: int, spec: list, rng: Rng, mix: int = 2):
     """Instance with known solutions; returns (Instance, GroundTruth).
 
@@ -84,22 +104,8 @@ def generate_instance(field: Field, n: int, spec: list, rng: Rng, mix: int = 2):
         raise InvalidSpec("need at least one variable")
     if mix < 0:
         raise InvalidSpec("mixing count must be >= 0")
-    points, seen = [], set()
-    for s in spec:
-        if len(s.coords) != n:
-            raise InvalidSpec("point arity must match the variable count")
-        if s.nu < 1:
-            raise InvalidSpec("block size must be >= 1")
-        if s.nu > 1:
-            if s.c is None or len(s.c) != n:
-                raise InvalidSpec("nilpotent blocks need one constant per variable")
-            if all(int(ci) % field.p == 0 for ci in s.c):
-                raise InvalidSpec("nilpotent blocks need a nonzero constant")
-        pt = tuple(int(x) % field.p for x in s.coords)
-        if pt in seen:
-            raise InvalidSpec(f"duplicate point {pt}")
-        seen.add(pt)
-        points.append(pt)
+    seen = set()
+    points = [_check_point(s, n, field, seen) for s in spec]
     D = sum(s.nu for s in spec)
     if D == 0:
         raise InvalidSpec("empty instance")
@@ -171,37 +177,38 @@ def write_instance(inst: Instance, path: str, truth: GroundTruth | None = None) 
     if truth is not None:
         lines.append(f"truth {len(truth.points)}")
         for pt, s in zip(truth.points, truth.structure):
-            coords = " ".join(str(int(x)) for x in pt)
-            if s.nu == 1:
-                lines.append(f"point {coords} simple")
-            else:
-                cs = " ".join(str(int(x)) for x in s.c)
-                lines.append(f"point {coords} nilpotent {s.nu} {cs}")
+            words = ["simple"] if s.nu == 1 else ["nilpotent", s.nu, *inst.field.array(s.c)]
+            lines.append(" ".join(map(str, ["point", *inst.field.array(pt), *words])))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _ints(parts, lineno, count=None):
+def _ints(parts, lineno, count=None, field=None):
+    """The integers of parts, count of them when given, and each in [0, p)
+    when a field is given: every field element of a file is written reduced."""
     try:
         vals = [int(x) for x in parts]
     except ValueError:
         raise FormatError("expected integers", line=lineno)
     if count is not None and len(vals) != count:
         raise FormatError(f"expected {count} integers, got {len(vals)}", line=lineno)
+    if field is not None and not all(0 <= v < field.p for v in vals):
+        bad = next(v for v in vals if not 0 <= v < field.p)
+        raise FormatError(f"value {bad} outside [0,{field.p})", line=lineno)
     return vals
 
 
-def _tagged(lines, pos, tag, count=None):
+def _tagged(lines, pos, tag, count=None, field=None):
     """The integers after the word tag on the nonblank line lines[pos],
-    count of them when given: the one reader of the 'matrix', 'truth',
-    't:', 'Q:' and 'V_i:' lines."""
+    count of them when given, and elements of field when given: the one
+    reader of the 'matrix', 'truth', 't:', 'Q:' and 'V_i:' lines."""
     if pos >= len(lines):
         raise FormatError(f"missing '{tag}' line", line=lines[-1][0] + 1)
     lineno, text = lines[pos]
     word, *parts = text.split()
     if word != tag:
         raise FormatError(f"expected a '{tag}' line", line=lineno)
-    return _ints(parts, lineno, count)
+    return _ints(parts, lineno, count, field)
 
 
 def _point_spec(parts, n, lineno):
@@ -259,10 +266,8 @@ def read_instance(path: str):
             r, c, v = _ints(entry.split(), lineno, 3)
             if not (0 <= r < D and 0 <= c < D):
                 raise FormatError(f"entry ({r},{c}) outside {D}x{D}", line=lineno)
-            if not (0 <= v < field.p):
-                raise FormatError(f"value {v} outside [0,{field.p})", line=lineno)
-            if v == 0:
-                raise FormatError("explicit zero entry", line=lineno)
+            if not 0 < v < field.p:
+                raise FormatError("explicit zero entry" if v == 0 else f"value {v} outside [0,{field.p})", line=lineno)
             rows.append(r)
             cols.append(c)
             vals.append(v)
@@ -279,7 +284,7 @@ def read_instance(path: str):
         lineno = lines[pos][0]
         (k,) = _tagged(lines, pos, "truth", 1)
         pos += 1
-        specs = []
+        specs, seen = [], set()
         for _ in range(k):
             if pos >= len(lines):
                 raise FormatError("truth section ends early", line=lines[-1][0] + 1)
@@ -288,7 +293,10 @@ def read_instance(path: str):
             simple = parts[n:] == ["simple"]
             if word != "point" or not (simple or parts[n : n + 1] == ["nilpotent"]):
                 raise FormatError("expected 'point c_1 ... c_n simple|nilpotent ...'", line=lineno)
-            specs.append(_point_spec(parts[:n] if simple else parts, n, lineno))
+            spec = _point_spec(parts[:n] if simple else parts, n, lineno)
+            _ints([*spec.coords, *(spec.c or ())], lineno, field=field)
+            _check_point(spec, n, field, seen, lambda msg: FormatError(msg, line=lineno))
+            specs.append(spec)
             pos += 1
         truth = GroundTruth(points=[s.coords for s in specs], structure=specs)
         if truth.D != D:
@@ -320,11 +328,11 @@ def read_param(path: str):
     lines, field, n, degQ = _read_header(path, "PARAM 1")
     if n < 1 or degQ < 0:
         raise FormatError(f"need n >= 1 and deg Q >= 0, got n = {n}, deg Q = {degQ}", line=lines[1][0])
-    t = _tagged(lines, 2, "t:", n)
-    qc = _tagged(lines, 3, "Q:", degQ + 1)
-    if qc[-1] % field.p == 0:
+    t = _tagged(lines, 2, "t:", n, field)
+    qc = _tagged(lines, 3, "Q:", degQ + 1, field)
+    if qc[-1] == 0:
         raise FormatError("the top coefficient of Q is zero", line=lines[3][0])
-    V = [Poly(field, _tagged(lines, 3 + i, f"V_{i}:")) for i in range(1, n + 1)]
+    V = [Poly(field, _tagged(lines, 3 + i, f"V_{i}:", field=field)) for i in range(1, n + 1)]
     if len(lines) > 4 + n:
         raise FormatError("trailing content", line=lines[4 + n][0])
     return ZeroDimParam(Q=Poly(field, qc), V=V, t=t), field

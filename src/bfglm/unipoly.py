@@ -23,10 +23,6 @@ from .errors import (
 from .field import Field, FixedFactor
 
 
-# Quotients up to this length (measured) use the loop.
-_QUO_SCHOOLBOOK = 8
-
-
 def _trim(c: np.ndarray) -> np.ndarray:
     n = len(c)
     while n > 0 and c[n - 1] == 0:
@@ -40,6 +36,29 @@ def _fit(c: np.ndarray, n: int, field: Field) -> np.ndarray:
     if k >= n:
         return c[..., :n]
     return np.concatenate([c, field.zeros(c.shape[:-1] + (n - k,))], axis=-1)
+
+
+def _remainders(r0: np.ndarray, r1: np.ndarray, field: Field, stop: int = -1, cofactor: bool = False):
+    """The one Euclid loop: the remainders of r0 and r1 up to the first of
+    degree <= stop (-1: the zero one).  Returns the last two, (r0, s0, r1,
+    s1) with r_i = s_i r0_in mod r1_in, the cofactors None unless cofactor
+    is set; each quotient coefficient is one axpy on each.  deg s_i <=
+    deg r1_in, and s_i has n_i coefficients."""
+    p = field.p
+    r0, r1 = _trim(r0).copy(), _trim(r1).copy()
+    s0, s1 = field.zeros(len(r1) + 1), field.zeros(len(r1) + 1)
+    s0[0], n0, n1 = 1, 1, 0
+    while len(r1) - 1 > stop:
+        d, inv_lc = len(r1) - 1, field.inv(int(r1[-1]))
+        for i in range(len(r0) - 1, d - 1, -1):
+            coef = int(r0[i]) * inv_lc % p
+            if coef:
+                r0[i - d : i + 1] = field.axpy(p - coef, r1, r0[i - d : i + 1])
+                if cofactor and n1:
+                    s0[i - d : i - d + n1] = field.axpy(p - coef, s1[:n1], s0[i - d : i - d + n1])
+        n0 = n1 + len(r0) - 1 - d if n1 else n0  # deg s_{i+1} = deg q_i + deg s_i
+        r0, r1, s0, s1, n0, n1 = r1, _trim(r0[:d]), s1, s0, n1, n0
+    return (r0, s0[:n0], r1, s1[:n1]) if cofactor else (r0, None, r1, None)
 
 
 class Poly:
@@ -167,22 +186,11 @@ class Poly:
         f = self.field
         if self.degree < other.degree:
             return Poly.zero(f), self
-        d = other.degree
-        k = len(self.c) - d
-        if k > _QUO_SCHOOLBOOK:
-            # Barrett: rev(q) = rev(self) rev(other)^{-1} mod T^k, r = self - q other
-            q = f.convolve(self.c[::-1][:k], other._rev_inv(k))[k - 1 :: -1]
-            r = (self.c[:d] - f.convolve(q[:d], other.c[:d])[:d]) % f.p
-            return Poly._raw(f, q.copy()), Poly._raw(f, r)
-        r = self.c.copy()
-        inv_lc = f.inv(int(other.c[-1]))
-        q = f.zeros(len(r) - d)
-        for i in range(len(r) - 1, d - 1, -1):
-            coef = int(r[i]) * inv_lc % f.p
-            if coef:
-                q[i - d] = coef
-                r[i - d : i + 1] = f.axpy(f.p - coef, other.c, r[i - d : i + 1])
-        return Poly._raw(f, q), Poly._raw(f, r)
+        # Barrett: rev(q) = rev(self) rev(other)^{-1} mod T^k, r = self - q other
+        d, k = other.degree, len(self.c) - other.degree
+        q = f.convolve(self.c[::-1][:k], other._rev_inv(k))[k - 1 :: -1]
+        r = (self.c[:d] - f.convolve(q[:d], other.c[:d])[:d]) % f.p
+        return Poly._raw(f, q.copy()), Poly._raw(f, r)
 
     def __floordiv__(self, other):
         return self.quo_rem(other)[0]
@@ -199,31 +207,22 @@ class Poly:
         return self.scale(self.field.inv(lc))
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        return Poly._raw(self.field, _remainders(self.c, other.c, self.field)[0]).monic()
 
     def xgcd(self, other: "Poly"):
         """Returns (g, s), g = gcd(self, other) monic and s its cofactor:
-        s*self + t*other = g for some t, which is not computed."""
+        s*self + t*other = g for some t, which is not computed.  Unless other
+        is zero, deg s < deg other - deg g."""
         f = self.field
-        r0, r1 = self, other
-        s0, s1 = Poly.one(f), Poly.zero(f)
-        while not r1.is_zero():
-            q, r = r0.quo_rem(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if not r0.is_zero():
-            inv_lc = f.inv(r0.lead())
-            r0, s0 = r0.scale(inv_lc), s0.scale(inv_lc)
-        return r0, s0
+        g, s, _, _ = _remainders(self.c, other.c, f, cofactor=True)
+        inv_lc = f.inv(int(g[-1])) if len(g) else 1
+        return Poly._raw(f, f.axpy(inv_lc, g)), Poly._raw(f, f.axpy(inv_lc, s))
 
     def modinv(self, modulus: "Poly") -> "Poly":
         g, s = self.xgcd(modulus)
         if not g.is_one():
             raise NotInvertible("inputs not coprime")
-        return s % modulus
+        return s
 
     def modmul(self, other: "Poly", modulus: "Poly") -> "Poly":
         return (self * other) % modulus
@@ -345,10 +344,9 @@ def crt_pair(a1s, q1: Poly, a2s, q2: Poly) -> list:
     g, s = q1.xgcd(q2)
     if not g.is_one():
         raise NotCoprime("moduli share a common factor")
-    # r = a1 + q1 * ((a2 - a1) * inv(q1) mod q2)
-    inv = s % q2
+    # r = a1 + q1 * ((a2 - a1) * inv(q1) mod q2), and inv(q1) = s is reduced
     q = q1 * q2
-    return [(a1 + q1 * ((a2 - a1) % q2 * inv % q2)) % q for a1, a2 in zip(a1s, a2s)]
+    return [(a1 + q1 * ((a2 - a1) % q2 * s % q2)) % q for a1, a2 in zip(a1s, a2s)]
 
 
 def squarefree_part(P: Poly) -> Poly:
@@ -455,27 +453,19 @@ def power_projection(F: Poly, H: Poly, ells, t: int) -> np.ndarray:
 
 
 def rational_reconstruct(series: Poly, prec: int, dnum: int, dden: int):
-    """Find (n, d) with n/d = series mod T^prec, deg n <= dnum, deg d <= dden.
-
-    Requires dnum + dden < prec for uniqueness.  Returns None on failure.
+    """Find (n, d) with n/d = series mod T^prec, deg n <= dnum, deg d <= dden:
+    the first remainder of T^prec and the series of degree <= dnum, and its
+    cofactor.  Requires dnum + dden < prec for uniqueness.  Returns None on
+    failure.
     """
     f = series.field
     if dnum + dden >= prec:
         raise InvalidInput("precision too low for requested degrees")
-    mod = f.zeros(prec + 1)
-    mod[prec] = 1
-    r0, r1 = Poly._raw(f, mod), series.truncate(prec)
-    t0, t1 = Poly.zero(f), Poly.one(f)
-    while not r1.is_zero() and r1.degree > dnum:
-        q, r = r0.quo_rem(r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, t0 - q * t1
-    if t1.is_zero() or t1.degree > dden:
+    mod = f.array([0] * prec + [1])
+    _, _, num, den = _remainders(series.c[:prec], mod, f, stop=dnum, cofactor=True)
+    num, den = Poly._raw(f, num), Poly._raw(f, den)
+    if den.degree > dden or den.coeff(0) == 0:
         return None
-    if t1.coeff(0) == 0:
-        return None
-    num, den = r1, t1
-    # normalize denominator monic
     inv_lc = f.inv(den.lead())
     num, den = num.scale(inv_lc), den.scale(inv_lc)
     # consistency: den * series = num mod T^prec

@@ -39,6 +39,34 @@ def parametrization_from_series(ell_powers, ell_coord, bound: int, field: Field,
     return ZeroDimParam(Q=Q, V=_coordinates(nums, Q), t=[int(x) % field.p for x in t])
 
 
+def euclid_remainders(a, b, p: int, stop: int = -1):
+    """Euclid's remainder sequence of the coefficient lists a and b (lowest
+    degree first) on Python ints, by long division, up to the first
+    remainder of degree <= stop: the last two remainders and their
+    cofactors s_i, r_i = s_i a mod b, each a trimmed list."""
+
+    def trim(c):
+        c = [x % p for x in c]
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    r0, r1, s0, s1 = trim(a), trim(b), [1], []
+    while len(r1) - 1 > stop:
+        d, inv = len(r1) - 1, pow(r1[-1], -1, p)
+        r, q = list(r0), [0] * max(len(r0) - d, 0)
+        for i in range(len(r0) - 1 - d, -1, -1):
+            q[i] = r[i + d] * inv % p
+            for j, c in enumerate(r1):
+                r[i + j] -= q[i] * c
+        s = list(s0) + [0] * max(0, len(q) + len(s1) - len(s0))
+        for i, qi in enumerate(q):
+            for j, c in enumerate(s1):
+                s[i + j] -= qi * c
+        r0, r1, s0, s1 = r1, trim(r[:d]), s1, trim(s)
+    return r0, s0, r1, s1
+
+
 def power_projection_naive(F: Poly, H: Poly, ell, t: int):
     """Explicit modular powers of H, then dot products."""
     f = F.field

@@ -166,6 +166,40 @@ def test_the_retry_driver_is_the_one_output_check():
         assert nested == []
 
 
+def test_remainders_is_the_one_euclid_loop(monkeypatch):
+    # a second remainder loop, or a short-quotient branch in quo_rem, would
+    # give the half-GCD more than one place to replace
+    tree = ast.parse((SRC / "unipoly.py").read_text())
+    (poly,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Poly"]
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    defs.update({f"Poly.{node.name}": node for node in poly.body if isinstance(node, ast.FunctionDef)})
+    loops = (ast.For, ast.While, ast.comprehension)
+    for name in ("Poly.gcd", "Poly.xgcd", "rational_reconstruct", "Poly.quo_rem"):
+        assert not any(isinstance(sub, loops) for sub in ast.walk(defs[name])), name
+    assert [name for name in defs if _calls(defs[name])["_remainders"]] == [
+        "rational_reconstruct", "Poly.gcd", "Poly.xgcd"
+    ]
+    # and no solve divides by a short quotient: those steps stay in the loop
+    from bfglm import unipoly
+    from bfglm.field import Field, Rng
+    from bfglm.param import solve
+    from bfglm.toolkit import PointSpec, generate_instance
+
+    f = Field(67108859)
+    specs = [PointSpec(coords=(i + 1, (i * i + 5) % f.p, 7 * i % f.p)) for i in range(300)]
+    inst, _ = generate_instance(f, 3, specs, Rng(1))
+    quo_rem, short = unipoly.Poly.quo_rem, []
+
+    def spy(self, other):
+        if 1 <= len(self.c) - other.degree <= 8:
+            short.append((self.degree, other.degree))
+        return quo_rem(self, other)
+
+    monkeypatch.setattr(unipoly.Poly, "quo_rem", spy)
+    assert solve(inst, 2, Rng(2)).Q.degree == 300
+    assert short == []
+
+
 # a dtype read or an object array outside field.py would bring back a second
 # residue representation; Field.exact and Field.axpy own every overflow case
 SECOND_TIER = re.compile(r"\.dtype\b|dtype\s*=\s*object|astype\(\s*object\s*\)")

@@ -638,3 +638,67 @@ def test_cli_verify_reports_user_parametrizations_as_input(tmp_path):
     with open(sol, "w") as fh:
         fh.write("\n".join(text) + "\n")
     assert run_cli("verify", "--in", inst, "--param", sol) == 2
+
+
+# every value a file carries lies in [0, p), and a truth section follows the
+# generator's point rules: at p = 101 each of these files was read, and
+# `verify --truth` certified the first one
+SMALL = Field(101)
+SMALL_TRUTH = "point 3 5 simple\npoint 9 2 nilpotent 2 1 4\npoint 4 4 simple\n"
+
+
+def _small_files(tmp_path):
+    specs = [PointSpec(coords=(3, 5)), PointSpec(coords=(9, 2), nu=2, c=(1, 4)), PointSpec(coords=(4, 4))]
+    inst, truth = generate_instance(SMALL, 2, specs, Rng(3))
+    path, sol = tmp_path / "inst.txt", tmp_path / "sol.txt"
+    write_instance(inst, str(path), truth)
+    write_param(solve(inst, 1, Rng(4)), SMALL, str(sol))
+    assert SMALL_TRUTH in path.read_text()
+    assert run_cli("verify", "--in", str(path), "--param", str(sol), "--truth") == 0
+    return path, sol
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("point 3 5 simple", "point 104 5 simple"),
+        ("nilpotent 2 1 4", "nilpotent 2 1 205"),
+        ("point 4 4 simple", "point 3 5 simple"),
+        ("nilpotent 2 1 4", "nilpotent 2 0 0"),
+        # the D sum still comes out right
+        ("nilpotent 2 1 4\npoint 4 4 simple", "nilpotent 3 1 4\npoint 4 4 nilpotent 0 1 1"),
+    ],
+    ids=["coordinate-outside", "constant-outside", "repeated-point", "zero-constants", "empty-block"],
+)
+def test_cli_verify_rejects_a_truth_point_the_generator_rejects(tmp_path, capsys, old, new):
+    path, sol = _small_files(tmp_path)
+    text = path.read_text().replace(old, new)
+    path.write_text(text)
+    lineno = max(i for i, ln in enumerate(text.splitlines(), start=1) if ln.endswith(new.splitlines()[-1]))
+    capsys.readouterr()
+    assert run_cli("verify", "--in", str(path), "--param", str(sol), "--truth") == 2
+    assert capsys.readouterr().err.startswith(f"format error: line {lineno}:")
+
+
+@pytest.mark.parametrize("tag", ["t:", "Q:", "V_1:"])
+def test_cli_verify_rejects_a_param_value_outside_the_field(tmp_path, capsys, tag):
+    path, sol = _small_files(tmp_path)
+    lines = sol.read_text().splitlines()
+    (i,) = [i for i, ln in enumerate(lines) if ln.startswith(tag)]
+    word, first, *rest = lines[i].split()
+    lines[i] = " ".join([word, str(int(first) + SMALL.p), *rest])
+    sol.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("verify", "--in", str(path), "--param", str(sol)) == 2
+    assert capsys.readouterr().err.startswith(f"format error: line {i + 1}: value {int(first) + SMALL.p} outside")
+
+
+def test_a_truth_written_from_unreduced_specs_reads_back(tmp_path):
+    specs = [PointSpec(coords=(3, 5)), PointSpec(coords=(-2, 107), nu=2, c=(-1, 205))]
+    inst, truth = generate_instance(SMALL, 2, specs, Rng(5))
+    path = str(tmp_path / "inst.txt")
+    write_instance(inst, path, truth)
+    assert "point 99 6 nilpotent 2 100 3\n" in open(path).read()
+    _, back = read_instance(path)
+    assert back.points == truth.points == [(3, 5), (99, 6)]
+    assert back.structure[1] == PointSpec(coords=(99, 6), nu=2, c=(100, 3))

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from bfglm.errors import DivisionByZero, InsufficientTerms, NotCoprime, NotInvertible
 from bfglm.field import Field
 from bfglm.unipoly import (
-    _QUO_SCHOOLBOOK,
     ModularProduct,
     Poly,
     TransposedProduct,
     _fit,
+    _remainders,
     berlekamp_massey,
     charpoly_from_power_sums,
     crt_pair,
@@ -21,7 +21,7 @@ from bfglm.unipoly import (
     transposed_modmul,
 )
 
-from oracles import power_projection_naive, scalar_numerator_direct
+from oracles import euclid_remainders, power_projection_naive, scalar_numerator_direct
 
 F = Field(101)
 
@@ -333,9 +333,9 @@ def test_quo_rem_matches_long_division(p, d):
     b = _rand(f, d + 1, rng, nonzero_lead=True)
     b[-1] = max(2, b[-1])  # non-monic
     divisor = Poly(f, b)
-    # quotient lengths around the schoolbook crossover, then long ones; the
-    # divisor keeps its cached inverse and extends it as k grows
-    for k in [_QUO_SCHOOLBOOK - 1, _QUO_SCHOOLBOOK, _QUO_SCHOOLBOOK + 1, 700, _QUO_SCHOOLBOOK + 2]:
+    # short quotient lengths, then a long one; the divisor keeps its cached
+    # inverse and extends it as k grows
+    for k in [7, 8, 9, 700, 10]:
         a = _rand(f, d + k, rng, nonzero_lead=True)
         q, r = Poly(f, a).quo_rem(divisor)
         q_ref, r_ref = _quo_rem_reference(a, b, p)
@@ -535,3 +535,50 @@ def test_berlekamp_massey_long_recurrence(p):
     noise = _rand(f, 2 * r, rng)
     got = berlekamp_massey(noise, f, r)
     assert [got.coeff(i) for i in range(got.degree + 1)] == _berlekamp_massey_reference(noise, p)
+
+
+# 2^61 - 1 takes axpy's object path
+EUCLID_PRIMES = [101, 65537, 67108859, (1 << 31) - 1, (1 << 61) - 1]
+
+
+def _euclid_pairs(f, rng):
+    """Random pairs, lacunary pairs (non-normal remainder sequences), pairs
+    with a common factor, zero operands, and deg a < deg b."""
+
+    def lacunary(n):
+        return [c if rng.random() < 0.15 else 0 for c in _rand(f, n, rng, nonzero_lead=True)]
+
+    g = Poly(f, _rand(f, 5, rng, nonzero_lead=True))
+    common = [(Poly(f, _rand(f, 30, rng)) * g).c.tolist(), (Poly(f, _rand(f, 22, rng)) * g).c.tolist()]
+    return [
+        (_rand(f, 40, rng), _rand(f, 33, rng)),
+        (_rand(f, 12, rng), _rand(f, 25, rng)),
+        (lacunary(45), lacunary(32)),
+        ([1] + [0] * 19 + [1], [0, 0, 3] + [0] * 7 + [1]),
+        common,
+        ([], _rand(f, 9, rng, nonzero_lead=True)),
+        (_rand(f, 9, rng, nonzero_lead=True), []),
+        ([], []),
+    ]
+
+
+@pytest.mark.parametrize("p", EUCLID_PRIMES)
+def test_remainders_match_the_long_division_euclid(p):
+    f = Field(p)
+    rng = np.random.default_rng(p % 1009)
+    for a, b in _euclid_pairs(f, rng):
+        # the whole sequence, then stops between the two degrees and below
+        degs = sorted({len(a) - 1, len(b) - 1})
+        for stop in sorted({-1, 0, degs[0] // 2, (degs[0] + degs[-1]) // 2, max(degs[-1] - 1, -1)}):
+            ref = euclid_remainders(a, b, p, stop)
+            got = _remainders(f.array(a), f.array(b), f, stop, cofactor=True)
+            assert [x.tolist() for x in got] == list(ref)
+            plain = _remainders(f.array(a), f.array(b), f, stop)
+            assert [x if x is None else x.tolist() for x in plain] == [ref[0], None, ref[2], None]
+        A, B = Poly(f, a), Poly(f, b)
+        g, s = A.xgcd(B)
+        assert g == A.gcd(B)
+        if not B.is_zero():
+            # the cofactor is already reduced mod b, as modinv and crt_pair use it
+            assert s.degree < B.degree - g.degree
+            assert ((s * A - g) % B).is_zero()
