@@ -56,11 +56,6 @@ class SparseMat:
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
 
-    def triples(self):
-        """(row, col, value) of every entry, row-major (indices are sorted)."""
-        coo = self.csr.tocoo()
-        return zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
-
 
 def combine_matrices(t, mats) -> SparseMat:
     """Sparse sum t_1*M_1 + ... + t_n*M_n; cancelled entries are dropped."""

@@ -43,18 +43,14 @@ class GroundTruth:
 
 
 def _chunk_lower(field: Field, size: int, rng: Rng, mix: int, skip_col0: bool):
-    """Unit lower-triangular chunk with a few random subdiagonal entries."""
-    L = field.zeros((size, size))
-    for i in range(size):
-        L[i, i] = 1
-    for r in range(1, size):
-        lo = 1 if skip_col0 else 0
-        avail = list(range(lo, r))
-        if not avail:
-            continue
-        picks = rng.integers(0, len(avail), size=min(mix, len(avail)))
-        for idx in set(int(x) for x in picks):
-            L[r, avail[idx]] = rng.element(field)
+    """Unit lower-triangular chunk: row r draws min(mix, #columns) column
+    picks, then a value for each distinct pick in column order.  Each draw is
+    a scalar one: a sized draw gives the same stream at 4x the call cost."""
+    L = np.eye(size, dtype=np.int64)
+    lo = 1 if skip_col0 else 0
+    for r in range(lo + 1, size):
+        for idx in sorted({int(rng.integers(0, r - lo)) for _ in range(min(mix, r - lo))}):
+            L[r, lo + idx] = rng.element(field)
     return L
 
 
@@ -168,12 +164,12 @@ def generate_instance(field: Field, n: int, spec: list, rng: Rng, mix: int = 2):
 
 
 def write_instance(inst: Instance, path: str, truth: GroundTruth | None = None) -> None:
+    """The instance file; a matrix block is one formatting of its COO arrays."""
     lines = ["BFGLM 1", f"{inst.field.p} {inst.n} {inst.D}"]
     for i, M in enumerate(inst.mats, start=1):
-        triples = list(M.triples())
-        lines.append(f"matrix {i} {len(triples)}")
-        for r, c, v in triples:
-            lines.append(f"{r} {c} {v}")
+        coo = M.csr.tocoo()
+        entries = np.stack((coo.row, coo.col, coo.data), axis=1).ravel().tolist()
+        lines.append((f"matrix {i} {M.nnz}" + "\n%d %d %d" * M.nnz) % tuple(entries))
     if truth is not None:
         lines.append(f"truth {len(truth.points)}")
         for pt, s in zip(truth.points, truth.structure):
@@ -219,9 +215,7 @@ def _point_spec(parts, n, lineno):
     if len(parts) == 2 * n + 2 and parts[n] == "nilpotent":
         vals = _ints(parts[:n] + parts[n + 1 :], lineno)
         return PointSpec(coords=tuple(vals[:n]), nu=vals[n], c=tuple(vals[n + 1 :]))
-    raise FormatError(
-        "expected 'c_1 ... c_n' or 'c_1 ... c_n nilpotent nu k_1 ... k_n'", line=lineno
-    )
+    raise FormatError("expected 'c_1 ... c_n' or 'c_1 ... c_n nilpotent nu k_1 ... k_n'", line=lineno)
 
 
 def _read_header(path: str, magic: str):
@@ -230,7 +224,7 @@ def _read_header(path: str, magic: str):
     its 'p a b' dimension line."""
     with open(path) as fh:
         raw = fh.read().splitlines()
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
+    lines = [(i, text) for i, text in enumerate(map(str.strip, raw), start=1) if text]
     if not lines or lines[0][1] != magic:
         raise FormatError(f"missing '{magic}' header", line=1)
     if len(lines) < 2:
@@ -241,6 +235,35 @@ def _read_header(path: str, magic: str):
         return lines, Field(p), a, b
     except InvalidInput as exc:
         raise FormatError(str(exc), line=lineno)
+
+
+def _entries(lines, pos, nnz, i, D, field):
+    """Rows, columns and values of the nnz entry lines of matrix i from
+    lines[pos], parsed as one array.  A block that does not parse so is read
+    line by line, and one that fails a range from its first bad line, so each
+    error is the per-line one.  np.loadtxt misreads non-ASCII digits."""
+    texts = [text for _, text in lines[pos : pos + nnz]]
+    bad = [0]  # the lines read one by one start at bad[0]
+    if 0 < nnz == len(texts) and "".join(texts).isascii():
+        try:
+            r, c, v = np.loadtxt(texts, dtype=np.int64, comments=None, ndmin=2).reshape(nnz, 3).T
+        except ValueError:  # a line that is not three int64 values
+            pass
+        else:
+            bad = np.flatnonzero((r < 0) | (r >= D) | (c < 0) | (c >= D) | (v <= 0) | (v >= field.p))
+        if not len(bad):
+            return r, c, v
+    out = []
+    for lineno, text in lines[pos + int(bad[0]) : pos + nnz]:
+        r, c, v = _ints(text.split(), lineno, 3)
+        if not (0 <= r < D and 0 <= c < D):
+            raise FormatError(f"entry ({r},{c}) outside {D}x{D}", line=lineno)
+        if not 0 < v < field.p:
+            raise FormatError("explicit zero entry" if v == 0 else f"value {v} outside [0,{field.p})", line=lineno)
+        out.append((r, c, v))
+    if len(texts) < nnz:
+        raise FormatError(f"matrix {i} announces {nnz} entries but the file ends early", line=lines[-1][0] + 1)
+    return np.array(out, dtype=np.int64).reshape(-1, 3).T
 
 
 def read_instance(path: str):
@@ -254,41 +277,23 @@ def read_instance(path: str):
         idx, nnz = _tagged(lines, pos, "matrix", 2)
         if idx != i:
             raise FormatError(f"expected matrix {i}, found {idx}", line=lines[pos][0])
-        pos += 1
-        rows, cols, vals = [], [], []
-        for _ in range(nnz):
-            if pos >= len(lines):
-                raise FormatError(
-                    f"matrix {i} announces {nnz} entries but the file ends early",
-                    line=lines[-1][0] + 1,
-                )
-            lineno, entry = lines[pos]
-            r, c, v = _ints(entry.split(), lineno, 3)
-            if not (0 <= r < D and 0 <= c < D):
-                raise FormatError(f"entry ({r},{c}) outside {D}x{D}", line=lineno)
-            if not 0 < v < field.p:
-                raise FormatError("explicit zero entry" if v == 0 else f"value {v} outside [0,{field.p})", line=lineno)
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-            pos += 1
-        M = SparseMat.from_coo(field, D, rows, cols, vals)
+        if nnz < 0:
+            raise FormatError(f"matrix {i} announces {nnz} entries, a negative count", line=lines[pos][0])
+        M = SparseMat.from_coo(field, D, *_entries(lines, pos + 1, nnz, i, D, field))
+        pos += 1 + nnz
         if M.nnz != nnz:
-            raise FormatError(
-                f"matrix {i}: {nnz} entries announced, {M.nnz} distinct found",
-                line=lines[pos - 1][0],
-            )
+            raise FormatError(f"matrix {i}: {nnz} entries announced, {M.nnz} distinct found",
+                              line=lines[pos - 1][0])
         mats.append(M)
     truth = None
     if pos < len(lines):
         lineno = lines[pos][0]
         (k,) = _tagged(lines, pos, "truth", 1)
+        if k < 0:
+            raise FormatError(f"truth announces {k} points, a negative count", line=lineno)
         pos += 1
         specs, seen = [], set()
-        for _ in range(k):
-            if pos >= len(lines):
-                raise FormatError("truth section ends early", line=lines[-1][0] + 1)
-            lineno, entry = lines[pos]
+        for lineno, entry in lines[pos : pos + k]:
             word, *parts = entry.split()
             simple = parts[n:] == ["simple"]
             if word != "point" or not (simple or parts[n : n + 1] == ["nilpotent"]):
@@ -297,12 +302,12 @@ def read_instance(path: str):
             _ints([*spec.coords, *(spec.c or ())], lineno, field=field)
             _check_point(spec, n, field, seen, lambda msg: FormatError(msg, line=lineno))
             specs.append(spec)
-            pos += 1
+        if pos + k > len(lines):
+            raise FormatError("truth section ends early", line=lines[-1][0] + 1)
+        pos += k
         truth = GroundTruth(points=[s.coords for s in specs], structure=specs)
         if truth.D != D:
-            raise FormatError(
-                f"truth blocks sum to {truth.D}, header says D={D}", line=lineno
-            )
+            raise FormatError(f"truth blocks sum to {truth.D}, header says D={D}", line=lineno)
     if pos < len(lines):
         raise FormatError("trailing content", line=lines[pos][0])
     inst = Instance(field=field, n=n, D=D, mats=mats)
@@ -310,15 +315,15 @@ def read_instance(path: str):
 
 
 def write_param(param: ZeroDimParam, field: Field, path: str) -> None:
+    """The parametrization file; each coefficient line is one join of its array."""
     lines = [
         "PARAM 1",
         f"{field.p} {param.n} {param.Q.degree}",
         "t: " + " ".join(str(int(x)) for x in param.t),
-        "Q: " + " ".join(str(param.Q.coeff(i)) for i in range(param.Q.degree + 1)),
+        "Q: " + " ".join(map(str, param.Q.c.tolist())),
     ]
     for i, Vi in enumerate(param.V, start=1):
-        coeffs = [str(Vi.coeff(j)) for j in range(max(Vi.degree + 1, 1))]
-        lines.append(f"V_{i}: " + " ".join(coeffs))
+        lines.append(f"V_{i}: " + " ".join(map(str, Vi.c.tolist() or [0])))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -3,12 +3,21 @@ slow form of something the package computes faster."""
 
 import numpy as np
 
-from bfglm.errors import GenericityFailure, InsufficientTerms, InvalidSpec, ShapeError
+from bfglm.errors import FormatError, GenericityFailure, InsufficientTerms, InvalidSpec, ShapeError
 from bfglm.field import Field, Rng
 from bfglm.param import Instance, ZeroDimParam, _coordinates, unit_vector
 from bfglm.polymat import PolyMat, _product, mat_inverse, reversed_series
 from bfglm.sparse import SparseMat
-from bfglm.toolkit import CHUNK, GroundTruth, _chunk_lower
+from bfglm.toolkit import (
+    CHUNK,
+    GroundTruth,
+    _check_point,
+    _chunk_lower,
+    _ints,
+    _point_spec,
+    _read_header,
+    _tagged,
+)
 from bfglm.unipoly import Poly, berlekamp_massey, squarefree_part
 
 
@@ -237,4 +246,105 @@ def generate_instance_dense(
 
     truth = GroundTruth(points=points, structure=list(spec))
     inst = Instance(field=field, n=n, D=D, mats=out)
+    return inst, truth
+
+
+def write_instance_per_line(inst: Instance, path: str, truth: GroundTruth | None = None) -> None:
+    """The instance file written one formatted line per entry, row-major."""
+    lines = ["BFGLM 1", f"{inst.field.p} {inst.n} {inst.D}"]
+    for i, M in enumerate(inst.mats, start=1):
+        coo = M.csr.tocoo()
+        triples = list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+        lines.append(f"matrix {i} {len(triples)}")
+        for r, c, v in triples:
+            lines.append(f"{r} {c} {v}")
+    if truth is not None:
+        lines.append(f"truth {len(truth.points)}")
+        for pt, s in zip(truth.points, truth.structure):
+            words = ["simple"] if s.nu == 1 else ["nilpotent", s.nu, *inst.field.array(s.c)]
+            lines.append(" ".join(map(str, ["point", *inst.field.array(pt), *words])))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_param_per_line(param: ZeroDimParam, field: Field, path: str) -> None:
+    """The parametrization file written one coefficient at a time."""
+    lines = [
+        "PARAM 1",
+        f"{field.p} {param.n} {param.Q.degree}",
+        "t: " + " ".join(str(int(x)) for x in param.t),
+        "Q: " + " ".join(str(param.Q.coeff(i)) for i in range(param.Q.degree + 1)),
+    ]
+    for i, Vi in enumerate(param.V, start=1):
+        coeffs = [str(Vi.coeff(j)) for j in range(max(Vi.degree + 1, 1))]
+        lines.append(f"V_{i}: " + " ".join(coeffs))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_instance_per_line(path: str):
+    """The instance reader that parses and checks one entry line at a time;
+    returns (Instance, GroundTruth or None).  A negative count reaches its
+    nnz check as an empty block; `read_instance` rejects it at its line."""
+    lines, field, n, D = _read_header(path, "BFGLM 1")
+    if n < 1 or D < 1:
+        raise FormatError(f"need n >= 1 and D >= 1, got n = {n}, D = {D}", line=lines[1][0])
+    pos = 2
+    mats = []
+    for i in range(1, n + 1):
+        idx, nnz = _tagged(lines, pos, "matrix", 2)
+        if idx != i:
+            raise FormatError(f"expected matrix {i}, found {idx}", line=lines[pos][0])
+        pos += 1
+        rows, cols, vals = [], [], []
+        for _ in range(nnz):
+            if pos >= len(lines):
+                raise FormatError(
+                    f"matrix {i} announces {nnz} entries but the file ends early",
+                    line=lines[-1][0] + 1,
+                )
+            lineno, entry = lines[pos]
+            r, c, v = _ints(entry.split(), lineno, 3)
+            if not (0 <= r < D and 0 <= c < D):
+                raise FormatError(f"entry ({r},{c}) outside {D}x{D}", line=lineno)
+            if not 0 < v < field.p:
+                raise FormatError("explicit zero entry" if v == 0 else f"value {v} outside [0,{field.p})", line=lineno)
+            rows.append(r)
+            cols.append(c)
+            vals.append(v)
+            pos += 1
+        M = SparseMat.from_coo(field, D, rows, cols, vals)
+        if M.nnz != nnz:
+            raise FormatError(
+                f"matrix {i}: {nnz} entries announced, {M.nnz} distinct found",
+                line=lines[pos - 1][0],
+            )
+        mats.append(M)
+    truth = None
+    if pos < len(lines):
+        lineno = lines[pos][0]
+        (k,) = _tagged(lines, pos, "truth", 1)
+        pos += 1
+        specs, seen = [], set()
+        for _ in range(k):
+            if pos >= len(lines):
+                raise FormatError("truth section ends early", line=lines[-1][0] + 1)
+            lineno, entry = lines[pos]
+            word, *parts = entry.split()
+            simple = parts[n:] == ["simple"]
+            if word != "point" or not (simple or parts[n : n + 1] == ["nilpotent"]):
+                raise FormatError("expected 'point c_1 ... c_n simple|nilpotent ...'", line=lineno)
+            spec = _point_spec(parts[:n] if simple else parts, n, lineno)
+            _ints([*spec.coords, *(spec.c or ())], lineno, field=field)
+            _check_point(spec, n, field, seen, lambda msg: FormatError(msg, line=lineno))
+            specs.append(spec)
+            pos += 1
+        truth = GroundTruth(points=[s.coords for s in specs], structure=specs)
+        if truth.D != D:
+            raise FormatError(
+                f"truth blocks sum to {truth.D}, header says D={D}", line=lineno
+            )
+    if pos < len(lines):
+        raise FormatError("trailing content", line=lines[pos][0])
+    inst = Instance(field=field, n=n, D=D, mats=mats)
     return inst, truth

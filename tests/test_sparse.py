@@ -34,9 +34,11 @@ def test_from_coo_and_dense_roundtrip():
     assert np.array_equal(again.to_dense(), dense)
 
 
-def test_triples_sorted_row_major():
+def test_csr_entries_sorted_row_major():
     M = SparseMat.from_dense(F, [[0, 3, 0], [1, 0, 2], [0, 0, 4]])
-    assert list(M.triples()) == [(0, 1, 3), (1, 0, 1), (1, 2, 2), (2, 2, 4)]
+    assert M.csr.indptr.tolist() == [0, 1, 3, 4]
+    assert M.csr.indices.tolist() == [1, 0, 2, 2]
+    assert M.csr.data.tolist() == [3, 1, 2, 4]
 
 
 def test_density():

@@ -106,7 +106,9 @@ def test_sparse_generator_matches_the_dense_oracle(case, p):
         inst, truth = generate_instance(f, n, spec, Rng(seed))
         want, want_truth = generate_instance_dense(f, n, spec, Rng(seed))
         assert (inst.n, inst.D, truth.points) == (want.n, want.D, want_truth.points)
-        assert [list(M.triples()) for M in inst.mats] == [list(M.triples()) for M in want.mats]
+        for M, W in zip(inst.mats, want.mats, strict=True):
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(M.csr, name), getattr(W.csr, name))
 
 
 @pytest.mark.parametrize("p", [65537, 67108859, 2**31 - 1, 2**61 - 1])
@@ -678,6 +680,25 @@ def test_cli_verify_rejects_a_truth_point_the_generator_rejects(tmp_path, capsys
     capsys.readouterr()
     assert run_cli("verify", "--in", str(path), "--param", str(sol), "--truth") == 2
     assert capsys.readouterr().err.startswith(f"format error: line {lineno}:")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("matrix 1 ", "matrix 1 -1", "matrix 1 announces -1 entries, a negative count"),
+        ("truth 3", "truth -1", "truth announces -1 points, a negative count"),
+    ],
+    ids=["matrix", "truth"],
+)
+def test_cli_verify_rejects_a_negative_count(tmp_path, capsys, old, new, message):
+    path, sol = _small_files(tmp_path)
+    lines = path.read_text().splitlines()
+    (i,) = [i for i, ln in enumerate(lines) if ln.startswith(old)]
+    lines[i] = new
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("verify", "--in", str(path), "--param", str(sol), "--truth") == 2
+    assert capsys.readouterr().err.startswith(f"format error: line {i + 1}: {message}")
 
 
 @pytest.mark.parametrize("tag", ["t:", "Q:", "V_1:"])
